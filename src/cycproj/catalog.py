@@ -27,15 +27,9 @@ from .sets import (
     project,
 )
 
-KIND_CYCLIC = "cyclic"
-KIND_ALTERNATING = "alternating"
-KIND_PROBE = "probe"
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    kind: str
     problem: FeasibilityProblem
     default_start: Vector
     known_limit: Optional[Vector]
@@ -150,7 +144,6 @@ def example_5_1() -> CatalogEntry:
     problem = FeasibilityProblem(2, (c1, c2, c3, c4), Singleton((0.0, 0.0)))
     return CatalogEntry(
         id="ex5.1",
-        kind=KIND_CYCLIC,
         problem=problem,
         default_start=(1.0, 1.0),
         known_limit=(0.0, 0.0),
@@ -210,7 +203,6 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
     feasible = alpha == 0.0
     return CatalogEntry(
         id=f"ex5.3:alpha={alpha:g}",
-        kind=KIND_ALTERNATING,
         problem=FeasibilityProblem(2, (disk, halfplane), oracle),
         default_start=start,
         known_limit=(0.0, 0.0) if feasible else None,
@@ -242,7 +234,6 @@ def example_5_5() -> CatalogEntry:
 
     return CatalogEntry(
         id="ex5.5",
-        kind=KIND_ALTERNATING,
         problem=problem,
         default_start=(0.0, 2.0),
         known_limit=(0.0, 0.0),
@@ -279,7 +270,6 @@ def example_5_7(d: int = 2) -> CatalogEntry:
     problem = FeasibilityProblem(2, (A, B), Singleton((0.0, 0.0)))
     return CatalogEntry(
         id=f"ex5.7:d={d}",
-        kind=KIND_ALTERNATING,
         problem=problem,
         default_start=(1.0, 1.0),  # on the curve x = y^d
         known_limit=(0.0, 0.0),
@@ -327,7 +317,6 @@ def example_5_8(n: int = 2) -> CatalogEntry:
     gap = tuple([1.0] + [0.0] * (n - 1))
     return CatalogEntry(
         id=f"ex5.8:n={n}",
-        kind=KIND_ALTERNATING,
         problem=problem,
         default_start=tuple(start),
         known_limit=None,
@@ -373,7 +362,6 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
 
     return CatalogEntry(
         id=f"ex3.2:n={n},d={d}",
-        kind=KIND_PROBE,
         problem=problem,
         default_start=(0.0,) * n,
         known_limit=(0.0,) * n,

@@ -291,9 +291,12 @@ def _emit(doc: dict, out: Optional[str]):
 
 def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"{what} must be a comma-separated list of numbers: {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite: {text!r}")
+    return values
 
 
 def _resolve_problem(args) -> FeasibilityProblem:
@@ -596,10 +599,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a coordinate list, which may start with a minus sign
+_COORDINATE_OPTIONS = ("--x0", "--center", "--limit")
+
+
+def _attach_coordinate_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite ``--x0 -1.6,0.3`` as ``--x0=-1.6,0.3``: argparse would take a
+    value with a leading minus for an option."""
+    out = []
+    it = iter(argv)
+    for tok in it:
+        if tok in _COORDINATE_OPTIONS:
+            value = next(it, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_coordinate_values(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; the interface reserves 2 for
         # solver failures and 1 for input errors

@@ -73,16 +73,9 @@ class Trace:
     sets_per_sweep: int
     total_steps: int
     thinned: bool
-    limit_estimate: Optional[LimitEstimate] = None
 
     def last_iterate(self) -> Vector:
         return self.iterates[-1] if self.iterates else self.x0
-
-    def iterate_at(self, k: int) -> Vector:
-        if k == 0:
-            return self.x0
-        i = self.ks.index(k)
-        return self.iterates[i]
 
     def recorded(self):
         """(k, x_k) pairs including the start point."""
@@ -120,6 +113,13 @@ class _Recorder:
         return True
 
 
+def _finite_start(x0: Sequence[float], name: str) -> Vector:
+    x0 = as_vector(x0)
+    if not all(map(math.isfinite, x0)):
+        raise ValueError(f"{name} must be finite, got {x0}")
+    return x0
+
+
 def _run_steps(
     problem: FeasibilityProblem,
     x0: Vector,
@@ -132,11 +132,13 @@ def _run_steps(
     stop_check: Optional[Callable[[], bool]] = None,
 ):
     """Shared driver: at step k+1 project the current point onto
-    problem.sets[order(k)].  Stops on the sweep-displacement rule when
-    ``stop_after_sweep`` is given; ``stop_check`` is consulted at sweep ends."""
+    problem.sets[order(k)], warm-started from the last projection onto that
+    set.  Stops on the sweep-displacement rule when ``stop_after_sweep`` is
+    given; ``stop_check`` is consulted at sweep ends."""
     m = len(problem.sets)
     rec = _Recorder(max_steps, record_cap)
     x = x0
+    last: List[Optional[Vector]] = [None] * m
     ks: List[int] = []
     iterates: List[Vector] = []
     set_indices: List[int] = []
@@ -163,9 +165,9 @@ def _run_steps(
     while k < max_steps:
         idx = order(k)
         s = problem.sets[idx]
-        rb = residual(s, x)
         try:
-            y = project(s, x, tol)
+            rb = residual(s, x)
+            y = project(s, x, tol, start=last[idx])
         except ProjectionError as exc:
             raise ProjectionStepError(
                 f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}",
@@ -174,7 +176,7 @@ def _run_steps(
                 partial_trace=make_trace(k),
                 cause=exc,
             ) from exc
-        if residual(s, y) > tol.feasibility:
+        if not residual(s, y) <= tol.feasibility:  # NaN fails too
             raise ProjectionStepError(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}",
@@ -183,6 +185,7 @@ def _run_steps(
                 partial_trace=make_trace(k),
                 cause=None,
             )
+        last[idx] = y
         sn = vdist(y, x)
         k += 1
         if rec.want(k):
@@ -222,7 +225,7 @@ def cyclic_project(
         raise ValueError("stop_tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    x0 = as_vector(x0)
+    x0 = _finite_start(x0, "x0")
     if len(x0) != problem.dimension:
         raise ValueError(f"x0 length {len(x0)} != dimension {problem.dimension}")
     m = len(problem.sets)
@@ -301,7 +304,7 @@ def alternating_project(
         raise ValueError("stop_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    b0 = as_vector(b0)
+    b0 = _finite_start(b0, "b0")
     problem = FeasibilityProblem(A.dimension, (A, B), intersection_oracle=oracle)
     state = {"a_prev": None, "b_prev": None, "a": None, "b": None, "stop": False}
 

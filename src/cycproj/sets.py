@@ -6,14 +6,17 @@ projector dispatches, in order:
   (a) feasible input          -> returned unchanged,
   (b) halfspace analytic hint -> closed form,
   (c) ball analytic hint      -> closed form,
-  (d) one active constraint   -> damped Newton on the KKT system,
+  (d) one active constraint   -> damped Newton on the KKT system, seeded
+                                 from the better of a first-order step and
+                                 an optional warm start,
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
 
 A power-epigraph hint documents and validates the set's shape but does not
 add a dispatch branch; such sets go through (d)/(e) like any other smooth
 constraint.  All vectors are plain tuples of floats and every path is
-deterministic, so identical inputs give bitwise identical projections.
+deterministic, so identical inputs -- the point and the optional warm start
+-- give bitwise identical projections.
 """
 
 from __future__ import annotations
@@ -245,14 +248,21 @@ class ConvexSetDescriptor:
                 )
 
     def residual(self, x: Sequence[float]) -> float:
-        """max_j [g_j(x)]_+ ; zero exactly when x belongs to the set."""
+        """max_j [g_j(x)]_+ ; zero exactly when x belongs to the set, NaN
+        when a constraint evaluates to NaN.  Raises :class:`NumericalError`
+        when evaluation overflows."""
         if len(x) != self.dimension:
             raise ValueError(f"point length {len(x)} != dimension {self.dimension}")
         worst = 0.0
-        for g in self.constraints:
-            v = g.evaluate(x)
-            if v > worst:
-                worst = v
+        try:
+            for g in self.constraints:
+                v = g.evaluate(x)
+                if v > worst:
+                    worst = v
+                elif v != v:
+                    return v  # NaN: membership is unknown, never report 0
+        except OverflowError as exc:
+            raise NumericalError(f"overflow evaluating the constraints of {self.name!r}") from exc
         return worst
 
 
@@ -343,13 +353,20 @@ def project(
     s: ConvexSetDescriptor,
     x: Sequence[float],
     tol: ProjectionTolerances = DEFAULT_TOL,
+    start: Optional[Sequence[float]] = None,
 ) -> Vector:
     """Euclidean projection of ``x`` onto ``s``.
 
     The result y satisfies residual(s, y) <= tol.feasibility and the
     first-order optimality/complementarity conditions within tol.optimality.
     Raises :class:`ProjectionError` (with best iterate attached) if no branch
-    converges, :class:`NumericalError` on NaN.
+    converges, :class:`NumericalError` on NaN or overflow.
+
+    ``start`` is an optional warm start: a previous projection onto the same
+    set, as the drivers pass.  Only the single-active-constraint Newton
+    branch uses it, and only when it is a better seed (smaller KKT residual)
+    than the cold one; the result meets the same tolerances either way, and
+    without ``start`` the cold path is unchanged.
     """
     x = as_vector(x)
     if len(x) != s.dimension:
@@ -370,14 +387,17 @@ def project(
             return x
         f = hint.radius / nrm
         return tuple(ci + f * di for ci, di in zip(hint.center, dx))
-    active = [
-        j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * tol.feasibility
-    ]
-    if len(active) == 1:
-        y = _kkt_newton(s, active, x, tol)
-        if y is not None:
-            return y
-    return _project_penalty(s, x, tol)
+    try:
+        active = [
+            j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * tol.feasibility
+        ]
+        if len(active) == 1:
+            y = _kkt_newton(s, active, x, tol, start=start)
+            if y is not None:
+                return y
+        return _project_penalty(s, x, tol)
+    except OverflowError as exc:
+        raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
 
 
 def distance(
@@ -437,18 +457,40 @@ def _kkt_state(gs, x, y, lams):
     return stat, vals, grads
 
 
-def _kkt_newton(s, active, x, tol, y0=None, lam0=None):
+def _kkt_seed(gs, x, y, lams):
+    """A Newton start: (y, lams, stat, vals, grads, ||F||) at (y, lams)."""
+    stat, vals, grads = _kkt_state(gs, x, y, lams)
+    return y, lams, stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+
+
+def _warm_seed(g, x, start):
+    """Seed at a previous projection ``start`` onto {g <= 0}, with the
+    least-squares multiplier of x - start = lam grad g(start), clipped at 0."""
+    y = list(start)
+    grad = g.gradient(y)
+    gn2 = vdot(grad, grad)
+    if gn2 <= 0.0:
+        return None
+    lam = max(0.0, vdot(vsub(x, y), grad) / gn2)
+    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
+    vals = [g.evaluate(y)]
+    return y, [lam], stat, vals, [grad], math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+
+
+def _kkt_newton(s, active, x, tol, y0=None, lam0=None, start=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
-    Returns None when the attempt should be abandoned (stall, singular
-    Jacobian, negative multiplier, or an inactive constraint violated at the
-    would-be solution); the caller falls through to / continues the penalty
-    ladder.
+    ``start`` (single active constraint only) is a previous projection onto
+    the same set.  It adds a warm seed, and Newton starts from whichever of
+    the warm and cold seeds has the smaller ||F||; if the warm attempt is
+    abandoned, the cold seed is tried next.
+
+    Returns None when every attempt is abandoned (stall, singular Jacobian,
+    negative multiplier, or an inactive constraint violated at the would-be
+    solution); the caller falls through to / continues the penalty ladder.
     """
-    n = len(x)
     gs = [s.constraints[j] for j in active]
-    p = len(gs)
     if y0 is None or lam0 is None:
         # first-order seed along the dominant constraint's gradient
         g = gs[0]
@@ -458,13 +500,27 @@ def _kkt_newton(s, active, x, tol, y0=None, lam0=None):
         if gn2 <= 0.0:
             return None
         lam_seed = gx / gn2
-        y = [xi - lam_seed * gi for xi, gi in zip(x, grad0)]
-        lams = [lam_seed] + [0.0] * (p - 1)
-    else:
-        y = list(y0)
-        lams = list(lam0)
-    stat, vals, grads = _kkt_state(gs, x, y, lams)
-    fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+        y0 = [xi - lam_seed * gi for xi, gi in zip(x, grad0)]
+        lam0 = [lam_seed] + [0.0] * (len(gs) - 1)
+    cold = _kkt_seed(gs, x, list(y0), list(lam0))
+    seeds = [cold]
+    if start is not None:
+        warm = _warm_seed(gs[0], x, start)
+        if warm is not None and warm[-1] < cold[-1]:  # smaller ||F|| goes first
+            seeds.insert(0, warm)
+    for seed in seeds:
+        y = _newton_from_seed(s, active, gs, x, tol, seed)
+        if y is not None:
+            return y
+    return None
+
+
+def _newton_from_seed(s, active, gs, x, tol, seed):
+    """One damped Newton attempt from ``seed`` (see :func:`_kkt_seed`);
+    the solution as a tuple, or None when abandoned."""
+    n = len(x)
+    p = len(gs)
+    y, lams, stat, vals, grads, fnorm = seed
 
     def newton_direction():
         A = [[0.0] * (n + p) for _ in range(n + p)]

@@ -119,6 +119,30 @@ def test_cmd_run_input_errors(tmp_path):
     assert cli.main(["run", "--problem", "/nonexistent.json", "--x0", "1,1", "--out", str(out)]) == 1
 
 
+def test_cmd_run_rejects_non_finite_start(tmp_path):
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--example", "ex5.1", "--x0", "nan,0", "--out", str(out)]) == 1
+    assert cli.main(["run", "--example", "ex5.1", "--x0", "1,inf", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cmd_run_overflow_is_solver_failure(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code = cli.main(["run", "--example", "ex5.8:n=2", "--x0", "1e100,0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert read_trace(str(out) + ".partial").ks == []
+
+
+def test_cmd_run_negative_start(tmp_path):
+    out = tmp_path / "run.csv"
+    joined = tmp_path / "joined.csv"
+    assert cli.main(["run", "--example", "ex5.5", "--x0", "-1.6,0.3", "--out", str(out)]) == 0
+    assert cli.main(["run", "--example", "ex5.5", "--x0=-1.6,0.3", "--out", str(joined)]) == 0
+    assert out.read_bytes() == joined.read_bytes()
+    assert read_trace(str(out)).ks[0] == 1
+
+
 def test_cmd_run_solver_failure_writes_partial(tmp_path):
     doc = {
         "dimension": 1,
@@ -179,6 +203,18 @@ def test_cmd_rate_geometric_trace(tmp_path):
     assert report["errors_used"] == "distance-to-given-limit"
 
 
+def test_cmd_rate_negative_limit(tmp_path):
+    tr = tmp_path / "geo.csv"
+    _write_synthetic_trace(tr, [(-1.0 + 0.5**k, 0.0) for k in range(1, 41)])
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["rate", "--trace", str(tr), "--n", "2", "--d", "1", "--window", "1:40",
+         "--limit", "-1,0", "--out", str(out)]
+    )
+    assert code == 0
+    assert abs(json.loads(out.read_text())["geometric_fit"]["ratio"] - 0.5) <= 1e-9
+
+
 def test_cmd_rate_short_window_is_input_error(tmp_path):
     tr = tmp_path / "geo.csv"
     _write_synthetic_trace(tr, [(0.5**k, 0.0) for k in range(1, 61)])
@@ -204,7 +240,7 @@ def test_cmd_rate_power_trace_default_errors(tmp_path):
 # -- errorbound --------------------------------------------------------------------
 
 
-def test_cmd_errorbound_single_set(tmp_path):
+def _write_disk_problem(tmp_path):
     doc = {
         "dimension": 2,
         "sets": [
@@ -226,6 +262,11 @@ def test_cmd_errorbound_single_set(tmp_path):
     }
     pfile = tmp_path / "disk.json"
     pfile.write_text(json.dumps(doc))
+    return pfile
+
+
+def test_cmd_errorbound_single_set(tmp_path):
+    pfile = _write_disk_problem(tmp_path)
     out = tmp_path / "eb.json"
     code = cli.main(
         ["errorbound", "--problem", str(pfile), "--center", "0,0", "--theta", "1.0",
@@ -235,6 +276,21 @@ def test_cmd_errorbound_single_set(tmp_path):
     report = json.loads(out.read_text())
     assert abs(report["fitted_tau"] - 1.0) <= 1e-12
     assert report["seed"] == 7 and report["radius"] == 2.0
+
+
+def test_cmd_errorbound_negative_center(tmp_path):
+    pfile = _write_disk_problem(tmp_path)
+    reports = []
+    for center in (["--center", "-0.5,0"], ["--center=-0.5,0"]):
+        out = tmp_path / f"eb{len(reports)}.json"
+        code = cli.main(
+            ["errorbound", "--problem", str(pfile)] + center
+            + ["--samples", "30", "--radius", "2.0", "--out", str(out)]
+        )
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["samples_used"] > 0
 
 
 def test_cmd_errorbound_infeasible_center(tmp_path):

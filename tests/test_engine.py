@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from cycproj import sets
 from cycproj.catalog import get_entry
 from cycproj.engine import (
     ProjectionStepError,
@@ -18,6 +21,7 @@ from cycproj.sets import (
     FeasibilityProblem,
     Halfspace,
     Singleton,
+    project,
     residual,
     vdist,
     vnorm,
@@ -76,6 +80,15 @@ def test_cyclic_input_validation():
         cyclic_project(prob, (1.0, 1.0), max_sweeps=5, stop_tol=0.0)
 
 
+def test_drivers_reject_non_finite_start():
+    prob = two_halfplanes()
+    with pytest.raises(ValueError):
+        cyclic_project(prob, (math.nan, 0.0), max_sweeps=5, stop_tol=1e-10)
+    A, B = prob.sets
+    with pytest.raises(ValueError):
+        alternating_project(A, B, (0.0, math.inf), max_iters=5, stop_tol=1e-10)
+
+
 def test_cyclic_determinism_bitwise():
     entry = get_entry("ex5.1")
     t1 = cyclic_project(entry.problem, (1.0, 1.0), max_sweeps=300, stop_tol=1e-13)
@@ -96,6 +109,39 @@ def test_projection_failure_carries_step_index_and_partial_trace():
     assert err.set_index == 1
     assert err.partial_trace.total_steps == 1
     assert err.partial_trace.iterates == [(0.0,)]
+
+
+# -- warm starts ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry_id", ["ex5.8:n=3", "ex5.7:d=4"])
+def test_warm_started_iterates_match_cold_projections(entry_id):
+    entry = get_entry(entry_id)
+    A, B = entry.pair
+    tr = alternating_project(A, B, entry.default_start, max_iters=200, stop_tol=1e-16).combined
+    assert tr.ks == list(range(1, 401))
+    prev = tr.x0
+    for idx, x in zip(tr.set_indices, tr.iterates):
+        assert vdist(x, project(entry.problem.sets[idx], prev)) <= 1e-12
+        prev = x
+
+
+# cold-start counts over these runs are 7.9225 (ex5.8) and 1.595 (ex5.7)
+@pytest.mark.parametrize("entry_id, bound", [("ex5.8:n=2", 4.2), ("ex5.7:d=4", 1.595)])
+def test_warm_start_dense_solves_per_step(monkeypatch, entry_id, bound):
+    calls = [0]
+    solve = sets._solve_dense
+
+    def counting_solve(A, b):
+        calls[0] += 1
+        return solve(A, b)
+
+    monkeypatch.setattr(sets, "_solve_dense", counting_solve)
+    entry = get_entry(entry_id)
+    A, B = entry.pair
+    tr = alternating_project(A, B, entry.default_start, max_iters=200, stop_tol=1e-16).combined
+    assert tr.total_steps == 400
+    assert calls[0] / tr.total_steps <= bound
 
 
 # -- thinned recording ---------------------------------------------------------

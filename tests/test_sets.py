@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
 from cycproj.sets import (
     Ball,
     ConvexSetDescriptor,
     FeasibilityProblem,
     Halfspace,
+    NumericalError,
     PowerEpigraph,
     ProjectionError,
     ProjectionTolerances,
@@ -56,6 +58,25 @@ def test_residual_of_parabola_region():
 def test_residual_dimension_mismatch():
     with pytest.raises(ValueError):
         residual(left_disk(), (1.0,))
+
+
+def test_residual_propagates_nan():
+    # at a NaN coordinate, v > 0 is False for every constraint value v, so a
+    # plain running maximum would report the point as feasible
+    for s in get_entry("ex5.1").problem.sets:
+        assert math.isnan(residual(s, (math.nan, 0.0)))
+    two = ConvexSetDescriptor(
+        "two", [Polynomial(2, {(0, 1): 1.0, (0, 0): -1.0}), Polynomial(2, {(1, 0): 1.0})]
+    )
+    assert math.isnan(residual(two, (math.nan, 5.0)))
+
+
+def test_overflow_is_a_numerical_error():
+    quartic, _ = get_entry("ex5.8:n=2").pair
+    with pytest.raises(NumericalError):
+        residual(quartic, (1e100, 0.0))  # x^4 overflows in the residual
+    with pytest.raises(NumericalError):
+        project(quartic, (1e20, 1.0))  # finite residual, overflow inside the solver
 
 
 # -- descriptor validation ---------------------------------------------------
@@ -184,6 +205,16 @@ def test_project_dimension_mismatch():
 def test_projection_is_deterministic():
     s = parabola_region()
     assert project(s, (-0.3, 1.7)) == project(s, (-0.3, 1.7))
+
+
+def test_project_bad_warm_start_gives_cold_result():
+    quartic, _ = get_entry("ex5.8:n=2").pair
+    x = (2.0, 1.0)
+    cold = project(quartic, x)
+    # a boundary point on the far side of the set is a worse seed than the
+    # cold one, so the solve must be the cold solve, bit for bit
+    assert project(quartic, x, start=(-2.0, 0.0)) == cold
+    assert vdist(project(quartic, x, start=cold), cold) <= 1e-12
 
 
 def test_tolerances_validation():
