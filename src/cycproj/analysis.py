@@ -58,10 +58,6 @@ class RateReport:
     errors_used: str
     verdict: str  # "CONSISTENT" | "INCONSISTENT"
 
-    @property
-    def empirical_model(self):
-        return self.power_fit if self.chosen == "power" else self.geometric_fit
-
 
 def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
     """Least-squares slope, intercept and r^2 (r^2 = 1 for zero-variance ys)."""
@@ -230,16 +226,11 @@ def _dist_to_intersection(
     oracle = problem.intersection_oracle
     if oracle is not None:
         return oracle.distance(x), False
-    m = len(problem.sets)
-    _, xhat = _run_steps(
-        problem,
-        as_vector(x),
-        order=lambda k: k % m,
-        max_steps=_REFINE_SWEEPS * m,
-        tol=tol,
-        record_cap=1,
-        stop_after_sweep=tol.optimality * 1e-2,
+    stop_tol = tol.optimality * 1e-2
+    _, after = _run_steps(
+        problem, as_vector(x), _REFINE_SWEEPS, tol, 1, lambda moved, before, after: moved < stop_tol
     )
+    xhat = after[-1]
     surrogate = 0.0
     for s in problem.sets:
         surrogate += distance(s, xhat, tol)
@@ -265,12 +256,12 @@ def error_bound_probe(
     fitted tau is the log-log slope of L^theta against R.  Samples with
     L = 0 or R = 0 enter the counts but not the fit.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     xbar = as_vector(xbar)
     for s in problem.sets:
         if residual(s, xbar) > _PROBE_FEAS_TOL:

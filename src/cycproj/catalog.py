@@ -37,12 +37,10 @@ class CatalogEntry:
     documented_power: Optional[float] = None  # |exponent| of the documented decay
     documented_ratio: Optional[float] = None  # documented geometric ratio
     closed_form: Optional[Callable[[int], Tuple[Vector, Vector]]] = None
-    scalar_step: Optional[Callable[[float], float]] = None
     scalar_start: Optional[Callable[[Vector], float]] = None
     known_gap: Optional[Vector] = None
     known_set_distance: Optional[float] = None
     curve: Optional[Callable[[float], Vector]] = None
-    notes: str = ""
 
     @property
     def pair(self) -> Tuple[ConvexSetDescriptor, ConvexSetDescriptor]:
@@ -148,7 +146,6 @@ def example_5_1() -> CatalogEntry:
         default_start=(1.0, 1.0),
         known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, 2),
-        notes="singleton intersection at the origin; guaranteed decay k^(-1/6)",
     )
 
 
@@ -212,7 +209,6 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
         closed_form=closed_form,
         known_gap=None if feasible else (alpha, 0.0),
         known_set_distance=alpha,
-        notes="b-iterates pinned to the vertical line x = alpha",
     )
 
 
@@ -239,11 +235,9 @@ def example_5_5() -> CatalogEntry:
         known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, 2),
         documented_power=0.5,
-        scalar_step=alpha_step,
         scalar_start=scalar_start,
         known_gap=(0.0, 0.0),
         known_set_distance=0.0,
-        notes="r_k ~ 1/sqrt(2k); alpha_k ~ 1/(4k)",
     )
 
 
@@ -275,11 +269,9 @@ def example_5_7(d: int = 2) -> CatalogEntry:
         known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, d),
         documented_power=1.0 / (2.0 * d - 2.0),
-        scalar_step=lambda y, _d=d: power_chain_step(y, _d),
         scalar_start=lambda start: float(start[1]),
         known_gap=(0.0, 0.0),
         known_set_distance=0.0,
-        notes="b_k = (y_k^d, y_k); a_{k+1} = (0, y_k)",
     )
 
 
@@ -323,7 +315,6 @@ def example_5_8(n: int = 2) -> CatalogEntry:
         theory_rate=cyclic_rate(n, 4),
         known_gap=gap,
         known_set_distance=1.0,
-        notes="infeasible pair; limits (0,...,0) and (1,0,...,0)",
     )
 
 
@@ -367,7 +358,6 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
         known_limit=(0.0,) * n,
         theory_rate=cyclic_rate(n, d),
         curve=curve,
-        notes="error-bound worst case; residual t^(d^n) against distance O(t)",
     )
 
 

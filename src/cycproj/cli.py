@@ -224,6 +224,10 @@ def read_trace(path: str) -> TraceData:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row k={row[0]} has {len(row)} fields, expected {len(header)}"
+                )
             k = int(row[0])
             if k <= prev_k:
                 raise ValueError(f"{path}: step indices must be strictly increasing (k={k})")
@@ -232,7 +236,7 @@ def read_trace(path: str) -> TraceData:
             data.set_indices.append(int(row[1]))
             data.residuals_before.append(float(row[2]))
             data.step_norms.append(float(row[3]))
-            data.points.append(tuple(float(v) for v in row[4 : 4 + dim]))
+            data.points.append(tuple(float(v) for v in row[4:]))
     return data
 
 

@@ -1,16 +1,20 @@
 """Cyclic and two-set alternating projection drivers, plus trace diagnostics.
 
+Both drivers are one loop, ``_run_steps``, that sweeps P_1, ..., P_m in order
+and asks a stop rule at each sweep end; alternating projection is the case
+m = 2 with a stop rule on the pair (a_k, b_k).
+
 A run produces a :class:`Trace` holding every recorded projection step: the
 post-step iterate, the index of the set projected onto, the residual of that
 set at the pre-step point, and the step norm.  Long runs switch to thinned
-recording (dense head, then geometrically spaced checkpoints).  Runs are
-strictly sequential and deterministic; traces are immutable once returned.
+recording (dense head, geometrically spaced checkpoints, the final step).
+Runs are strictly sequential and deterministic; traces are immutable once returned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .sets import (
@@ -23,6 +27,7 @@ from .sets import (
     Singleton,
     Vector,
     as_vector,
+    finite_vector,
     project,
     residual,
     vdist,
@@ -77,12 +82,6 @@ class Trace:
     def last_iterate(self) -> Vector:
         return self.iterates[-1] if self.iterates else self.x0
 
-    def recorded(self):
-        """(k, x_k) pairs including the start point."""
-        yield 0, self.x0
-        for k, x in zip(self.ks, self.iterates):
-            yield k, x
-
     def sweep_points(self):
         """Recorded iterates at sweep boundaries (k multiple of m), start included."""
         m = self.sets_per_sweep
@@ -113,40 +112,43 @@ class _Recorder:
         return True
 
 
-def _finite_start(x0: Sequence[float], name: str) -> Vector:
-    x0 = as_vector(x0)
-    if not all(map(math.isfinite, x0)):
-        raise ValueError(f"{name} must be finite, got {x0}")
-    return x0
-
-
 def _run_steps(
     problem: FeasibilityProblem,
     x0: Vector,
-    order: Callable[[int], int],
-    max_steps: int,
+    max_sweeps: int,
     tol: ProjectionTolerances,
     record_cap: int,
-    stop_after_sweep: Optional[float],
-    on_step: Optional[Callable[[int, Vector], None]] = None,
-    stop_check: Optional[Callable[[], bool]] = None,
+    stop: Optional[Callable[..., bool]],
 ):
-    """Shared driver: at step k+1 project the current point onto
-    problem.sets[order(k)], warm-started from the last projection onto that
-    set.  Stops on the sweep-displacement rule when ``stop_after_sweep`` is
-    given; ``stop_check`` is consulted at sweep ends."""
+    """Shared driver: step k+1 projects the current point onto
+    problem.sets[k % m], warm-started from the last projection onto that set.
+
+    The run is a sequence of sweeps over the m sets.  At each sweep end
+    ``stop(moved, before, after)`` decides whether the run ends there:
+    ``moved`` is the sweep's summed step norm, and ``before``/``after`` hold
+    the last projection onto each set at the previous sweep end and at this
+    one (``before`` holds None before the first sweep end).  With ``stop``
+    None the run takes all ``max_sweeps`` sweeps.  Returns the trace and
+    ``after`` at the final sweep end; ``after[-1]`` is the final point.
+    """
     m = len(problem.sets)
+    max_steps = max_sweeps * m
     rec = _Recorder(max_steps, record_cap)
     x = x0
     last: List[Optional[Vector]] = [None] * m
+    before = after = (None,) * m
     ks: List[int] = []
     iterates: List[Vector] = []
     set_indices: List[int] = []
     residuals_before: List[float] = []
     step_norms: List[float] = []
-    thinned = not rec.dense
+    skipped = None  # the latest step thinned recording left out
 
     def make_trace(total):
+        if skipped is not None and skipped[0] == total:  # always keep the final step
+            columns = (ks, iterates, set_indices, residuals_before, step_norms)
+            for column, value in zip(columns, skipped):
+                column.append(value)
         return Trace(
             problem=problem,
             x0=x0,
@@ -157,13 +159,13 @@ def _run_steps(
             step_norms=step_norms,
             sets_per_sweep=m,
             total_steps=total,
-            thinned=thinned,
+            thinned=not rec.dense,
         )
 
     k = 0
-    sweep_moved = 0.0
+    moved = 0.0
     while k < max_steps:
-        idx = order(k)
+        idx = k % m
         s = problem.sets[idx]
         try:
             rb = residual(s, x)
@@ -194,17 +196,17 @@ def _run_steps(
             set_indices.append(idx)
             residuals_before.append(rb)
             step_norms.append(sn)
+        else:
+            skipped = (k, y, idx, rb, sn)
         x = y
-        if on_step is not None:
-            on_step(k, x)
-        sweep_moved += sn
-        if k % m == 0:
-            if stop_after_sweep is not None and sweep_moved < stop_after_sweep:
+        moved += sn
+        if idx == m - 1:
+            after = tuple(last)
+            if stop is not None and stop(moved, before, after):
                 break
-            if stop_check is not None and stop_check():
-                break
-            sweep_moved = 0.0
-    return make_trace(k), x
+            before = after
+            moved = 0.0
+    return make_trace(k), after
 
 
 def cyclic_project(
@@ -221,22 +223,15 @@ def cyclic_project(
     ``max_sweeps`` sweeps.  The intersection is assumed non-empty (oracle
     set, or asserted by the caller).
     """
-    if stop_tol <= 0.0:
+    if not stop_tol > 0.0:
         raise ValueError("stop_tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    x0 = _finite_start(x0, "x0")
+    x0 = finite_vector(x0, "x0")
     if len(x0) != problem.dimension:
         raise ValueError(f"x0 length {len(x0)} != dimension {problem.dimension}")
-    m = len(problem.sets)
     trace, _ = _run_steps(
-        problem,
-        x0,
-        order=lambda k: k % m,
-        max_steps=max_sweeps * m,
-        tol=tol,
-        record_cap=record_cap,
-        stop_after_sweep=stop_tol,
+        problem, x0, max_sweeps, tol, record_cap, lambda moved, before, after: moved < stop_tol
     )
     return trace
 
@@ -269,17 +264,13 @@ class AlternatingResult:
 
 def _subtrace(combined: Trace, parity: int) -> Trace:
     sel = [i for i, k in enumerate(combined.ks) if k % 2 == parity]
-    return Trace(
-        problem=combined.problem,
-        x0=combined.x0,
+    return replace(
+        combined,
         ks=[combined.ks[i] for i in sel],
         iterates=[combined.iterates[i] for i in sel],
         set_indices=[combined.set_indices[i] for i in sel],
         residuals_before=[combined.residuals_before[i] for i in sel],
         step_norms=[combined.step_norms[i] for i in sel],
-        sets_per_sweep=combined.sets_per_sweep,
-        total_steps=combined.total_steps,
-        thinned=combined.thinned,
     )
 
 
@@ -300,45 +291,25 @@ def alternating_project(
     pairs.  An exact oracle for A `intersect` B, when known, is attached to
     the traces so downstream error sequences use true distances.
     """
-    if stop_tol <= 0.0:
+    if not stop_tol > 0.0:
         raise ValueError("stop_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    b0 = _finite_start(b0, "b0")
+    b0 = finite_vector(b0, "b0")
     problem = FeasibilityProblem(A.dimension, (A, B), intersection_oracle=oracle)
-    state = {"a_prev": None, "b_prev": None, "a": None, "b": None, "stop": False}
 
-    def on_step(k: int, x: Vector):
-        if k % 2 == 1:
-            state["a_prev"] = state["a"]
-            state["a"] = x
-        else:
-            state["b_prev"] = state["b"]
-            state["b"] = x
-            if state["a_prev"] is not None and state["b_prev"] is not None:
-                moved = vdist(state["a"], state["a_prev"]) + vdist(state["b"], state["b_prev"])
-                if moved < stop_tol:
-                    state["stop"] = True
+    def pair_settled(moved, before, after):
+        return (
+            before[0] is not None
+            and vdist(after[0], before[0]) + vdist(after[1], before[1]) < stop_tol
+        )
 
-    combined, _ = _run_steps(
-        problem,
-        b0,
-        order=lambda k: k % 2,
-        max_steps=max_iters * 2,
-        tol=tol,
-        record_cap=record_cap,
-        stop_after_sweep=None,
-        on_step=on_step,
-        stop_check=lambda: state["stop"],
-    )
-    a_last = state["a"]
-    b_last = state["b"]
-    gap = vsub(b_last, a_last)
+    combined, (a_last, b_last) = _run_steps(problem, b0, max_iters, tol, record_cap, pair_settled)
     return AlternatingResult(
         a_trace=_subtrace(combined, 1),
         b_trace=_subtrace(combined, 0),
         combined=combined,
-        gap_vector=gap,
+        gap_vector=vsub(b_last, a_last),
         limits=(a_last, b_last),
     )
 
@@ -361,16 +332,9 @@ def estimate_limit(
         return LimitEstimate(point=oracle.point, radius=0.0, certified=True)
     x = trace.last_iterate()
     if refine_sweeps > 0:
-        m = len(problem.sets)
-        _, x = _run_steps(
-            problem,
-            x,
-            order=lambda k: k % m,
-            max_steps=refine_sweeps * m,
-            tol=tol,
-            record_cap=1,  # thinned recording; only the final point is used
-            stop_after_sweep=None,
-        )
+        # thinned recording; only the final point is used
+        _, after = _run_steps(problem, x, refine_sweeps, tol, record_cap=1, stop=None)
+        x = after[-1]
     if oracle is not None:
         return LimitEstimate(point=x, radius=2.0 * oracle.distance(x), certified=True)
     from .sets import distance as set_distance

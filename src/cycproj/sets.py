@@ -91,6 +91,13 @@ def as_vector(x: Sequence[float]) -> Vector:
     return tuple(float(v) for v in x)
 
 
+def finite_vector(x: Sequence[float], what: str) -> Vector:
+    x = as_vector(x)
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # analytic hints
 
@@ -160,16 +167,18 @@ AnalyticHint = Union[Halfspace, Ball, PowerEpigraph]
 class ProjectionTolerances:
     feasibility: float = 1e-10
     optimality: float = 1e-10
-    newton_max_iter: int = 100
-    penalty_mu_max: float = 1e12
-    penalty_inner_max_iter: int = 4000
 
     def __post_init__(self):
-        if self.feasibility <= 0.0 or self.optimality <= 0.0:
+        if not (self.feasibility > 0.0 and self.optimality > 0.0):
             raise ValueError("tolerances must be positive")
 
 
 DEFAULT_TOL = ProjectionTolerances()
+
+# solver budgets: Newton iterations, top penalty rung, gradient steps per rung
+_NEWTON_MAX_ITER = 100
+_PENALTY_MU_MAX = 1e12
+_PENALTY_INNER_MAX_ITER = 4000
 
 _HINT_CHECK_POINTS = 100
 _HINT_CHECK_TOL = 1e-9
@@ -242,7 +251,7 @@ class ConvexSetDescriptor:
         pts = rng.normal(0.0, 1.5, size=(_HINT_CHECK_POINTS, self.dimension))
         for row in pts:
             x = tuple(c + v for c, v in zip(center, row))
-            if abs(self.residual(x) - h.residual(x)) > _HINT_CHECK_TOL:
+            if not abs(self.residual(x) - h.residual(x)) <= _HINT_CHECK_TOL:  # NaN fails too
                 raise ValueError(
                     f"analytic hint disagrees with constraints of {self.name!r} at {x}"
                 )
@@ -275,7 +284,7 @@ class Singleton:
     point: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "point", as_vector(self.point))
+        object.__setattr__(self, "point", finite_vector(self.point, "oracle point"))
 
     def distance(self, x: Sequence[float]) -> float:
         return vdist(x, self.point)
@@ -287,7 +296,8 @@ class AffineSegment:
 
     def __post_init__(self):
         a, b = self.endpoints
-        object.__setattr__(self, "endpoints", (as_vector(a), as_vector(b)))
+        endpoints = (finite_vector(a, "segment endpoint"), finite_vector(b, "segment endpoint"))
+        object.__setattr__(self, "endpoints", endpoints)
 
     def distance(self, x: Sequence[float]) -> float:
         a, b = self.endpoints
@@ -541,7 +551,7 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
         return _solve_dense(A, rhs)
 
     converged = False
-    for _ in range(tol.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if not math.isfinite(fnorm):
             return None
         if max(abs(v) for v in vals) <= tol.feasibility and vnorm(stat) <= tol.optimality:
@@ -664,9 +674,9 @@ def _project_penalty(s, x, tol):
     best_opt = math.inf
     tried = set()
     feas_history = []
-    while mu <= tol.penalty_mu_max:
+    while mu <= _PENALTY_MU_MAX:
         inner_tol = max(tol.optimality, min(1e-4, 1.0 / mu))
-        for _ in range(tol.penalty_inner_max_iter):
+        for _ in range(_PENALTY_INNER_MAX_ITER):
             val, grad = _penalty_value_grad(s, x, y, mu)
             if not math.isfinite(val):
                 raise NumericalError(

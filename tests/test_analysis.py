@@ -195,6 +195,16 @@ def test_probe_input_validation():
         error_bound_probe(entry.problem, (0.0, 0.0), theta=1.0, n_samples=0, radius=0.1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "theta, radius",
+    [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (1.0, -0.1)],
+)
+def test_probe_rejects_nan_and_unbounded_options(theta, radius):
+    entry = get_entry("ex5.5")
+    with pytest.raises(ValueError):
+        error_bound_probe(entry.problem, (0.0, 0.0), theta=theta, n_samples=60, radius=radius, seed=0)
+
+
 def test_probe_without_oracle_uses_refinement_on_regular_intersection():
     # interior-overlap pair: refinement certifies, and tau fits ~1
     a = ConvexSetDescriptor("x<=1", [Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})], Halfspace((1.0, 0.0), 1.0))

@@ -89,6 +89,35 @@ def test_trace_thinned_flag_round_trip(tmp_path):
     assert data.ks == res.combined.ks
 
 
+@pytest.mark.parametrize("bad_row", ["3,0,0.5,0.25,0.3", "3,0,0.5"])
+def test_read_trace_rejects_rows_of_wrong_width(tmp_path, bad_row):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "k,set_index,residual_before,step_norm,x_0,x_1\r\n"
+        "1,0,0.5,0.25,0.1,0.2\r\n"
+        f"{bad_row}\r\n"
+    )
+    with pytest.raises(ValueError, match="k=3"):
+        read_trace(str(path))
+    args = ["rate", "--trace", str(path), "--n", "2", "--d", "2", "--window", "1:3"]
+    assert cli.main(args) == 1
+
+
+def test_problem_file_non_finite_values_rejected(tmp_path):
+    pfile = _write_disk_problem(tmp_path)
+    base = json.loads(pfile.read_text())
+    bad_hint = json.loads(json.dumps(base))
+    bad_hint["sets"][0]["hint"]["center"] = [0.0, math.nan]
+    bad_oracle = dict(base, oracle={"type": "singleton", "point": [0.0, math.nan]})
+    out = tmp_path / "run.csv"
+    for doc in (bad_hint, bad_oracle):
+        pfile.write_text(json.dumps(doc))  # writes the NaN literal, which json reads back
+        with pytest.raises(ValueError):
+            load_problem(str(pfile))
+        assert cli.main(["run", "--problem", str(pfile), "--x0", "2,0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 # -- run -------------------------------------------------------------------------
 
 
@@ -291,6 +320,17 @@ def test_cmd_errorbound_negative_center(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["samples_used"] > 0
+
+
+def test_nan_numeric_options_are_input_errors(tmp_path):
+    out = tmp_path / "run.csv"
+    run = ["run", "--example", "ex5.1", "--x0", "1,1", "--out", str(out)]
+    assert cli.main(run + ["--stop-tol", "nan"]) == 1
+    assert not out.exists()
+    probe = ["errorbound", "--example", "ex5.5", "--center", "0,0", "--samples", "20"]
+    assert cli.main(probe + ["--theta", "nan"]) == 1
+    assert cli.main(probe + ["--radius", "nan"]) == 1
+    assert cli.main(probe + ["--radius", "inf"]) == 1
 
 
 def test_cmd_errorbound_infeasible_center(tmp_path):

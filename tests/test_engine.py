@@ -176,6 +176,20 @@ def test_dense_recording_below_cap():
     assert result.combined.ks == list(range(1, 101))
 
 
+def test_thinned_recording_keeps_final_step():
+    entry = get_entry("ex5.5")
+    A, B = entry.pair
+    result = alternating_project(
+        A, B, (0.0, 2.0), max_iters=15000, stop_tol=1e-30, record_cap=1000
+    )
+    tr = result.combined
+    assert tr.thinned
+    assert tr.ks[-1] == tr.total_steps == 30000
+    assert tr.set_indices[-1] == 1
+    assert tr.last_iterate() == result.limits[1]
+    assert result.b_trace.ks[-1] == 30000
+
+
 # -- alternating driver ---------------------------------------------------------
 
 
@@ -355,3 +369,27 @@ def test_descent_inequality_needs_oracle():
     trace = cyclic_project(prob, (1.0, 1.0), max_sweeps=3, stop_tol=1e-12)
     with pytest.raises(CapabilityError):
         check_descent_inequality(trace, prob)
+
+
+# -- pinned stop steps -----------------------------------------------------------
+
+
+def test_cyclic_stop_step_pinned():
+    trace = cyclic_project(get_entry("ex5.1").problem, (1.0, 1.0), max_sweeps=1000, stop_tol=1e-13)
+    assert trace.total_steps == 48
+
+
+@pytest.mark.parametrize("entry_id, stop_tol", [("ex5.3:alpha=0.5", 1e-12), ("ex5.7:d=2", 1e-3)])
+def test_alternating_stop_step_pinned(entry_id, stop_tol):
+    entry = get_entry(entry_id)
+    A, B = entry.pair
+    result = alternating_project(A, B, entry.default_start, max_iters=1000, stop_tol=stop_tol)
+    assert result.combined.total_steps == 136
+
+
+def test_drivers_reject_nan_stop_tol():
+    with pytest.raises(ValueError):
+        cyclic_project(two_halfplanes(), (1.0, 1.0), max_sweeps=10, stop_tol=math.nan)
+    A, B = get_entry("ex5.5").pair
+    with pytest.raises(ValueError):
+        alternating_project(A, B, (0.0, 2.0), max_iters=10, stop_tol=math.nan)

@@ -305,3 +305,23 @@ def test_singleton_and_segment_distance():
     assert seg.distance((1.0, 1.0)) == 1.0
     assert seg.distance((3.0, 0.0)) == 1.0
     assert seg.distance((-1.0, 0.0)) == 1.0
+
+
+def test_oracles_reject_non_finite_points():
+    with pytest.raises(ValueError):
+        Singleton((0.0, math.nan))
+    with pytest.raises(ValueError):
+        AffineSegment(((0.0, 0.0), (math.inf, 1.0)))
+
+
+def test_ball_hint_with_nan_center_rejected():
+    g = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    with pytest.raises(ValueError):
+        ConvexSetDescriptor("disk", [g], Ball(center=(0.0, math.nan), radius=1.0))
+
+
+def test_tolerances_reject_nan():
+    with pytest.raises(ValueError):
+        ProjectionTolerances(feasibility=math.nan)
+    with pytest.raises(ValueError):
+        ProjectionTolerances(optimality=math.nan)
