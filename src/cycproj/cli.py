@@ -329,6 +329,8 @@ def cmd_run(args) -> int:
 
 def cmd_rate(args) -> int:
     data = read_trace(args.trace)
+    if not data.ks:
+        raise ValueError(f"{args.trace}: trace has no data rows")
     lo_s, _, hi_s = args.window.partition(":")
     try:
         window = (int(lo_s), int(hi_s))

@@ -7,7 +7,7 @@ m = 2 with a stop rule on the pair (a_k, b_k).
 A run produces a :class:`Trace` holding every recorded projection step: the
 post-step iterate, the index of the set projected onto, the residual of that
 set at the pre-step point, and the step norm.  Long runs switch to thinned
-recording (dense head, geometrically spaced checkpoints, the final step).
+recording (dense head, geometrically spaced checkpoints, the final sweep).
 Runs are strictly sequential and deterministic; traces are immutable once returned.
 """
 
@@ -142,13 +142,19 @@ def _run_steps(
     set_indices: List[int] = []
     residuals_before: List[float] = []
     step_norms: List[float] = []
-    skipped = None  # the latest step thinned recording left out
+    columns = (ks, iterates, set_indices, residuals_before, step_norms)
+    skipped: List[Optional[tuple]] = [None] * m  # per set, the latest step thinning left out
 
     def make_trace(total):
-        if skipped is not None and skipped[0] == total:  # always keep the final step
-            columns = (ks, iterates, set_indices, residuals_before, step_norms)
-            for column, value in zip(columns, skipped):
-                column.append(value)
+        # always keep the final sweep, the last step onto each set: merge its
+        # left-out steps with its recorded ones in step order
+        tail = [step for step in skipped if step is not None and step[0] > total - m]
+        if tail:
+            while ks and ks[-1] > total - m:
+                tail.append(tuple(column.pop() for column in columns))
+            for step in sorted(tail, key=lambda step: step[0]):
+                for column, value in zip(columns, step):
+                    column.append(value)
         return Trace(
             problem=problem,
             x0=x0,
@@ -197,7 +203,7 @@ def _run_steps(
             residuals_before.append(rb)
             step_norms.append(sn)
         else:
-            skipped = (k, y, idx, rb, sn)
+            skipped[idx] = (k, y, idx, rb, sn)
         x = y
         moved += sn
         if idx == m - 1:

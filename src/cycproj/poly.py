@@ -3,8 +3,22 @@
 A polynomial is a finite sum of monomials ``coefficient * x1^e1 * ... * xn^en``
 stored as an exponent-vector -> coefficient map.  Terms are kept in a fixed
 graded-lexicographic order so that evaluation is a deterministic, bit
-reproducible sum.  Instances are immutable after construction and safe to
-share across threads.
+reproducible sum.
+
+Evaluation runs compiled kernels: straight-line Python functions generated
+from the ordered terms, one ``total += c * x0 ** e0 * ...`` statement per
+term.  The value kernel is compiled on the first ``evaluate``; the gradient
+and Hessian kernels together on the first ``gradient`` or ``hessian_rows``,
+from the symbolic partial derivatives.  Each term multiplies its coefficient
+by ``x_i ** e_i`` for the variables it uses, in index order, and the sum
+starts from 0.0 in graded-lex order, so the arithmetic is that of a plain
+loop over the terms.  Coefficients are bound as names in the kernel's
+namespace, never written into its source, so they stay exact.
+
+Instances are immutable after construction and safe to share across
+threads.  The kernel cache is filled lazily; two threads may both compile a
+kernel, and whichever store lands last is kept, which is benign because the
+kernels are equal pure functions.
 """
 
 from __future__ import annotations
@@ -48,6 +62,36 @@ def _grlex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
+def _compile(dimension: int, sums, result: str):
+    """Compile ``kernel(x)``: unpack x into x0, x1, ..., accumulate each
+    ``(name, ordered terms)`` of ``sums`` from 0.0, one statement per term,
+    and return the expression ``result`` over those names."""
+    namespace = {"__builtins__": {}}
+    lines = ["def kernel(x):", "    " + "".join(f"x{i}, " for i in range(dimension)) + "= x"]
+    for name, terms in sums:
+        lines.append(f"    {name} = 0.0")
+        for exps, coeff in terms:
+            c = f"c{len(namespace)}"
+            namespace[c] = coeff
+            # x ** 1 == x exactly, so the factor is the variable itself
+            factors = "".join(
+                f" * x{i}" if e == 1 else f" * x{i} ** {e}" for i, e in enumerate(exps) if e
+            )
+            lines.append(f"    {name} += {c}{factors}")
+    lines.append(f"    return {result}")
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
+class _Kernels:
+    """The compiled kernels of one polynomial, each None until first use."""
+
+    __slots__ = ("value", "gradient", "hessian_rows")
+
+    def __init__(self):
+        self.value = self.gradient = self.hessian_rows = None
+
+
 class Polynomial:
     """Immutable sparse polynomial in ``dimension`` real variables.
 
@@ -57,7 +101,7 @@ class Polynomial:
     has no terms (and degree 0 by convention).
     """
 
-    __slots__ = ("dimension", "_terms", "_ordered", "_grad", "_hess_rows")
+    __slots__ = ("dimension", "_terms", "_ordered", "_kernels")
 
     def __init__(
         self,
@@ -88,8 +132,7 @@ class Polynomial:
         object.__setattr__(self, "_terms", cleaned)
         ordered = tuple(sorted(cleaned.items(), key=lambda item: _grlex_key(item[0])))
         object.__setattr__(self, "_ordered", ordered)
-        object.__setattr__(self, "_grad", None)
-        object.__setattr__(self, "_hess_rows", None)
+        object.__setattr__(self, "_kernels", _Kernels())
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -161,14 +204,7 @@ class Polynomial:
     def evaluate(self, x: Sequence[float]) -> float:
         """Value at ``x``; terms are summed in canonical graded-lex order."""
         self._check_point(x)
-        total = 0.0
-        for exps, coeff in self._ordered:
-            t = coeff
-            for xi, e in zip(x, exps):
-                if e:
-                    t *= xi**e
-            total += t
-        return total
+        return (self._kernels.value or self._compile_value())(x)
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.evaluate(x)
@@ -178,50 +214,40 @@ class Polynomial:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(f"expected (N, {self.dimension}) array")
-        total = np.zeros(points.shape[0])
-        for exps, coeff in self._ordered:
-            t = np.full(points.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * points[:, i] ** e
-            total += t
-        return total
-
-    def _gradient_polys(self) -> Tuple["Polynomial", ...]:
-        if self._grad is None:
-            object.__setattr__(
-                self, "_grad", tuple(self.partial(i) for i in range(self.dimension))
-            )
-        return self._grad
+        kernel = self._kernels.value or self._compile_value()
+        # the kernel sums columns; adding zeros broadcasts the zero polynomial's 0.0
+        return np.zeros(points.shape[0]) + kernel(points.T)
 
     def gradient(self, x: Sequence[float]) -> Tuple[float, ...]:
         """Gradient at ``x`` from symbolically differentiated terms."""
         self._check_point(x)
-        return tuple(p.evaluate(x) for p in self._gradient_polys())
-
-    def _hessian_polys(self):
-        # upper triangle only; mirrored at evaluation time
-        if self._hess_rows is None:
-            grads = self._gradient_polys()
-            rows = tuple(
-                tuple(grads[i].partial(j) for j in range(i, self.dimension))
-                for i in range(self.dimension)
-            )
-            object.__setattr__(self, "_hess_rows", rows)
-        return self._hess_rows
+        return (self._kernels.gradient or self._compile_derivatives().gradient)(x)
 
     def hessian_rows(self, x: Sequence[float]) -> list:
         """Hessian at ``x`` as nested lists, exactly symmetric by mirroring."""
         self._check_point(x)
+        return (self._kernels.hessian_rows or self._compile_derivatives().hessian_rows)(x)
+
+    def _compile_value(self):
+        self._kernels.value = _compile(self.dimension, [("v", self._ordered)], "v")
+        return self._kernels.value
+
+    def _compile_derivatives(self) -> _Kernels:
         n = self.dimension
-        rows = [[0.0] * n for _ in range(n)]
-        hp = self._hessian_polys()
-        for i in range(n):
-            for j in range(i, n):
-                v = hp[i][j - i].evaluate(x)
-                rows[i][j] = v
-                rows[j][i] = v
-        return rows
+        grads = [self.partial(i) for i in range(n)]
+        kernels = self._kernels
+        kernels.gradient = _compile(
+            n,
+            [(f"g{i}", g._ordered) for i, g in enumerate(grads)],
+            "(" + "".join(f"g{i}, " for i in range(n)) + ")",
+        )
+        # upper triangle only; the returned rows mirror it
+        upper = [(f"h{i}_{j}", grads[i].partial(j)._ordered) for i in range(n) for j in range(i, n)]
+        rows = ", ".join(
+            "[" + ", ".join(f"h{min(i, j)}_{max(i, j)}" for j in range(n)) + "]" for i in range(n)
+        )
+        kernels.hessian_rows = _compile(n, upper, f"[{rows}]")
+        return kernels
 
     def hessian(self, x: Sequence[float]) -> np.ndarray:
         return np.array(self.hessian_rows(x), dtype=float)

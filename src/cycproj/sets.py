@@ -8,7 +8,10 @@ projector dispatches, in order:
   (c) ball analytic hint      -> closed form,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
-                                 an optional warm start,
+                                 an optional warm start; each Newton step
+                                 builds the bordered KKT matrix and its
+                                 right-hand side in one pass and reduces
+                                 them in place,
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
 
@@ -370,7 +373,8 @@ def project(
     The result y satisfies residual(s, y) <= tol.feasibility and the
     first-order optimality/complementarity conditions within tol.optimality.
     Raises :class:`ProjectionError` (with best iterate attached) if no branch
-    converges, :class:`NumericalError` on NaN or overflow.
+    converges, :class:`NumericalError` on NaN or overflow during the solve,
+    and ``ValueError`` when ``x`` has a NaN or infinite coordinate.
 
     ``start`` is an optional warm start: a previous projection onto the same
     set, as the drivers pass.  Only the single-active-constraint Newton
@@ -378,7 +382,7 @@ def project(
     than the cold one; the result meets the same tolerances either way, and
     without ``start`` the cold path is unchanged.
     """
-    x = as_vector(x)
+    x = finite_vector(x, "point to project")
     if len(x) != s.dimension:
         raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
     if s.residual(x) == 0.0:
@@ -423,33 +427,36 @@ def distance(
 
 
 def _solve_dense(A, b):
-    """In-place Gaussian elimination with partial pivoting; None if singular."""
+    """Solve A z = b by Gaussian elimination with partial pivoting, reducing
+    the lists ``A`` and ``b`` in place; None if singular."""
     n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
         piv = col
-        best = abs(M[col][col])
+        best = abs(A[col][col])
         for r in range(col + 1, n):
-            v = abs(M[r][col])
+            v = abs(A[r][col])
             if v > best:
                 best = v
                 piv = r
         if best == 0.0 or not math.isfinite(best):
             return None
         if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        prow = M[col]
+            A[col], A[piv] = A[piv], A[col]
+            b[col], b[piv] = b[piv], b[col]
+        prow = A[col]
+        bcol = b[col]
         inv = 1.0 / prow[col]
         for r in range(col + 1, n):
-            f = M[r][col] * inv
+            f = A[r][col] * inv
             if f != 0.0:
-                row = M[r]
-                for c in range(col, n + 1):
+                row = A[r]
+                for c in range(col, n):
                     row[c] -= f * prow[c]
+                b[r] -= f * bcol
     out = [0.0] * n
     for r in range(n - 1, -1, -1):
-        acc = M[r][n]
-        row = M[r]
+        acc = b[r]
+        row = A[r]
         for c in range(r + 1, n):
             acc -= row[c] * out[c]
         out[r] = acc / row[r]
@@ -533,22 +540,19 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
     y, lams, stat, vals, grads, fnorm = seed
 
     def newton_direction():
-        A = [[0.0] * (n + p) for _ in range(n + p)]
-        for g, lam in zip(gs, lams):
-            H = g.hessian_rows(y)
-            for i in range(n):
-                row = A[i]
-                Hi = H[i]
-                for j in range(n):
-                    row[j] += lam * Hi[j]
+        # bordered KKT matrix [[I + sum_j lam_j H_j, G], [G^T, 0]], row by row
+        hessians = [g.hessian_rows(y) for g in gs]
+        A = []
         for i in range(n):
-            A[i][i] += 1.0
-        for jj, grad in enumerate(grads):
-            for i in range(n):
-                A[i][n + jj] = grad[i]
-                A[n + jj][i] = grad[i]
-        rhs = [-v for v in stat] + [-v for v in vals]
-        return _solve_dense(A, rhs)
+            row = [0.0] * n
+            for lam, H in zip(lams, hessians):
+                row = [a + lam * h for a, h in zip(row, H[i])]
+            row[i] += 1.0
+            A.append(row + [grad[i] for grad in grads])
+        zeros = [0.0] * p
+        for grad in grads:
+            A.append(list(grad) + zeros)
+        return _solve_dense(A, [-v for v in stat] + [-v for v in vals])
 
     converged = False
     for _ in range(_NEWTON_MAX_ITER):

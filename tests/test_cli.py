@@ -251,6 +251,17 @@ def test_cmd_rate_short_window_is_input_error(tmp_path):
     assert cli.main(["rate", "--trace", str(tr), "--n", "2", "--d", "1", "--window", "a:b"]) == 1
 
 
+def test_cmd_rate_header_only_trace_is_input_error(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--example", "ex5.8:n=2", "--x0", "1e100,0", "--out", str(out)]) == 2
+    partial = str(out) + ".partial"
+    capsys.readouterr()
+    for limit in ([], ["--limit", "0,0"]):
+        argv = ["rate", "--trace", partial, "--n", "2", "--d", "4", "--window", "1:40"] + limit
+        assert cli.main(argv) == 1
+        assert "trace has no data rows" in capsys.readouterr().err
+
+
 def test_cmd_rate_power_trace_default_errors(tmp_path):
     # distance to the final iterate: exclude the tail from the window
     tr = tmp_path / "pow.csv"

@@ -190,6 +190,30 @@ def test_thinned_recording_keeps_final_step():
     assert result.b_trace.ks[-1] == 30000
 
 
+def test_thinned_recording_keeps_final_sweep():
+    entry = get_entry("ex5.5")
+    A, B = entry.pair
+    result = alternating_project(
+        A, B, (0.0, 2.0), max_iters=15000, stop_tol=1e-30, record_cap=1000
+    )
+    assert result.a_trace.ks[-1] == 29999
+    assert result.a_trace.last_iterate() == result.limits[0]
+    assert result.combined.ks[-2:] == [29999, 30000]
+
+
+def test_thinned_final_sweep_merges_with_a_recorded_checkpoint():
+    # step 29256 is a thinning checkpoint and step 29255 is not
+    entry = get_entry("ex5.5")
+    A, B = entry.pair
+    result = alternating_project(
+        A, B, (0.0, 2.0), max_iters=14628, stop_tol=1e-30, record_cap=1000
+    )
+    tr = result.combined
+    assert tr.ks[-3:] == [27862, 29255, 29256]
+    assert tr.set_indices[-2:] == [0, 1]
+    assert (tr.iterates[-2], tr.iterates[-1]) == result.limits
+
+
 # -- alternating driver ---------------------------------------------------------
 
 

@@ -202,6 +202,19 @@ def test_project_dimension_mismatch():
         project(left_disk(), (1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("s, x", [
+    (left_disk(), (math.nan, 0.0)),
+    (left_disk(), (math.inf, 0.0)),
+    # the constraint x <= 0 ignores y, so this point used to pass as feasible
+    (halfplane_x(), (-1.0, math.inf)),
+])
+def test_project_rejects_non_finite_points(s, x):
+    with pytest.raises(ValueError, match="must be finite"):
+        project(s, x)
+    with pytest.raises(ValueError, match="must be finite"):
+        distance(s, x)
+
+
 def test_projection_is_deterministic():
     s = parabola_region()
     assert project(s, (-0.3, 1.7)) == project(s, (-0.3, 1.7))
