@@ -64,9 +64,9 @@ def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxx = math.fsum((a - mx) ** 2 for a in xs)
-    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    syy = math.fsum((b - my) ** 2 for b in ys)
+    sxx = math.fsum([(a - mx) ** 2 for a in xs])
+    sxy = math.fsum([(a - mx) * (b - my) for a, b in zip(xs, ys)])
+    syy = math.fsum([(b - my) ** 2 for b in ys])
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae identical")
     slope = sxy / sxx
@@ -90,25 +90,39 @@ def _window_points(errors: ErrorSeq, window: Tuple[int, int]) -> List[Tuple[int,
     return pts
 
 
+def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], List[float]]:
+    """The window's step indices and the logs of their errors, which both
+    fits share."""
+    pts = _window_points(errors, window)
+    return [k for k, _ in pts], [math.log(e) for _, e in pts]
+
+
+def _power_fit(ks: List[int], log_errors: List[float]) -> PowerFit:
+    slope, _, r2 = _ols([math.log(k) for k in ks], log_errors)
+    return PowerFit(exponent=slope, r2=r2)
+
+
+def _geometric_fit(ks: List[int], log_errors: List[float]) -> GeometricFit:
+    slope, _, r2 = _ols([float(k) for k in ks], log_errors)
+    return GeometricFit(ratio=math.exp(slope), r2=r2)
+
+
 def fit_power_rate(errors: ErrorSeq, window: Tuple[int, int]) -> PowerFit:
     """Slope and r^2 of log e_k against log k over the window."""
-    pts = _window_points(errors, window)
-    slope, _, r2 = _ols([math.log(k) for k, _ in pts], [math.log(e) for _, e in pts])
-    return PowerFit(exponent=slope, r2=r2)
+    return _power_fit(*_log_window(errors, window))
 
 
 def fit_geometric_rate(errors: ErrorSeq, window: Tuple[int, int]) -> GeometricFit:
     """exp(slope) and r^2 of log e_k against k over the window."""
-    pts = _window_points(errors, window)
-    slope, _, r2 = _ols([float(k) for k, _ in pts], [math.log(e) for _, e in pts])
-    return GeometricFit(ratio=math.exp(slope), r2=r2)
+    return _geometric_fit(*_log_window(errors, window))
 
 
 def classify_rate(errors: ErrorSeq, window: Tuple[int, int]):
     """The better-fitting of the two models; near-ties go to geometric, the
     stronger claim."""
-    pf = fit_power_rate(errors, window)
-    gf = fit_geometric_rate(errors, window)
+    ks, log_errors = _log_window(errors, window)
+    pf = _power_fit(ks, log_errors)
+    gf = _geometric_fit(ks, log_errors)
     if gf.r2 >= pf.r2 - _TIE_R2:
         return gf
     return pf
@@ -143,8 +157,9 @@ def compare_with_theory(
     if window is None:
         window = default_fit_window(errors, noise_floor)
     theoretical = rates.cyclic_rate(n, d)
-    pf = fit_power_rate(errors, window)
-    gf = fit_geometric_rate(errors, window)
+    ks, log_errors = _log_window(errors, window)
+    pf = _power_fit(ks, log_errors)
+    gf = _geometric_fit(ks, log_errors)
     chosen = "geometric" if gf.r2 >= pf.r2 - _TIE_R2 else "power"
     if isinstance(theoretical, PowerLaw):
         if chosen == "geometric":
@@ -227,8 +242,9 @@ def _dist_to_intersection(
     if oracle is not None:
         return oracle.distance(x), False
     stop_tol = tol.optimality * 1e-2
+    # only the final point is used, so only the final sweep is recorded
     _, after = _run_steps(
-        problem, as_vector(x), _REFINE_SWEEPS, tol, 1, lambda moved, before, after: moved < stop_tol
+        problem, as_vector(x), _REFINE_SWEEPS, tol, 0, lambda moved, before, after: moved < stop_tol
     )
     xhat = after[-1]
     surrogate = 0.0

@@ -1,8 +1,12 @@
 """Command-line front end: problem files, trace files, runs and reports.
 
 Problem files are JSON; traces are CSV with one row per recorded projection
-step, floats printed with 17 significant digits so parsing them back is
-lossless.  Exit codes: 0 success, 1 input error, 2 numerical/solver failure.
+step.  A trace file is an optional ``# thinned=true`` line, the header
+``k,set_index,residual_before,step_norm,x_0,...,x_{n-1}``, and one row per
+step: two integers, then the floats in ``%.17g`` format (17 significant
+digits, so parsing them back is lossless), every line ended by CRLF and no
+field quoted.  The reader also accepts quoted fields.  Exit codes: 0 success,
+1 input error, 2 numerical/solver failure.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,10 +46,6 @@ from .sets import (
     vnorm,
     vsub,
 )
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +185,23 @@ class TraceData:
     thinned: bool
 
 
+_TRACE_COLUMNS = ["k", "set_index", "residual_before", "step_norm"]
+_ROWS_PER_WRITE = 4096  # rows formatted and written per chunk, bounding memory
+
+
 def write_trace(trace: Trace, path: str):
     n = trace.problem.dimension
+    row = "%d,%d" + ",%.17g" * (n + 2) + "\r\n"
+    rows = zip(trace.ks, trace.set_indices, trace.residuals_before, trace.step_norms, trace.iterates)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if trace.thinned:
             fh.write("# thinned=true\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "set_index", "residual_before", "step_norm"] + [f"x_{i}" for i in range(n)]
-        )
-        for i, k in enumerate(trace.ks):
-            writer.writerow(
-                [
-                    str(k),
-                    str(trace.set_indices[i]),
-                    _fmt(trace.residuals_before[i]),
-                    _fmt(trace.step_norms[i]),
-                ]
-                + [_fmt(v) for v in trace.iterates[i]]
-            )
+        fh.write(",".join(_TRACE_COLUMNS + [f"x_{i}" for i in range(n)]) + "\r\n")
+        while True:
+            chunk = [row % (k, j, r, sn, *x) for k, j, r, sn, x in islice(rows, _ROWS_PER_WRITE)]
+            if not chunk:
+                break
+            fh.write("".join(chunk))
 
 
 def read_trace(path: str) -> TraceData:
@@ -216,27 +215,32 @@ def read_trace(path: str) -> TraceData:
             fh.seek(pos)
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[:4] != ["k", "set_index", "residual_before", "step_norm"]:
+        if not header or header[:4] != _TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace file (bad header {header!r})")
-        dim = len(header) - 4
-        data = TraceData(dim, [], [], [], [], [], thinned)
+        width = len(header)
+        data = TraceData(width - 4, [], [], [], [], [], thinned)
+        add_k, add_set, add_residual, add_step, add_point = (
+            data.ks.append,
+            data.set_indices.append,
+            data.residuals_before.append,
+            data.step_norms.append,
+            data.points.append,
+        )
         prev_k = 0
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row k={row[0]} has {len(row)} fields, expected {len(header)}"
-                )
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"{path}: row k={row[0]} has {len(row)} fields, expected {width}")
             k = int(row[0])
             if k <= prev_k:
                 raise ValueError(f"{path}: step indices must be strictly increasing (k={k})")
             prev_k = k
-            data.ks.append(k)
-            data.set_indices.append(int(row[1]))
-            data.residuals_before.append(float(row[2]))
-            data.step_norms.append(float(row[3]))
-            data.points.append(tuple(float(v) for v in row[4:]))
+            add_k(k)
+            add_set(int(row[1]))
+            add_residual(float(row[2]))
+            add_step(float(row[3]))
+            add_point(tuple(map(float, row[4:])))
     return data
 
 
@@ -354,6 +358,10 @@ def cmd_rate(args) -> int:
 
 def cmd_errorbound(args) -> int:
     if args.curve:
+        if not 0.0 < args.t_lo < math.inf:
+            raise ValueError(f"--t-lo must be positive and finite, got {args.t_lo!r}")
+        if not args.t_lo < args.t_hi < math.inf:
+            raise ValueError(f"--t-hi must be finite and greater than --t-lo, got {args.t_hi!r}")
         if not getattr(args, "example", None):
             raise ValueError("--curve mode requires --example with an attached curve")
         entry = catalog.get_entry(args.example)

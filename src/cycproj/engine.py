@@ -94,15 +94,17 @@ class Trace:
 
 class _Recorder:
     """Decides which step indices are kept. Dense up to the cap; beyond it a
-    dense head plus checkpoints at rounded powers of 1.05."""
+    dense head plus checkpoints at rounded powers of 1.05.  A cap of 0 keeps
+    no step here; the driver still keeps the final sweep."""
 
     def __init__(self, budget: int, cap: int):
         self.dense = budget <= cap
-        self.next_cp = _DENSE_HEAD + 1
+        self.head = _DENSE_HEAD if cap else 0
+        self.next_cp = _DENSE_HEAD + 1 if cap else math.inf
         self.level = math.log(_DENSE_HEAD + 1) / math.log(_THIN_GROWTH)
 
     def want(self, k: int) -> bool:
-        if self.dense or k <= _DENSE_HEAD:
+        if self.dense or k <= self.head:
             return True
         if k < self.next_cp:
             return False
@@ -130,6 +132,8 @@ def _run_steps(
     one (``before`` holds None before the first sweep end).  With ``stop``
     None the run takes all ``max_sweeps`` sweeps.  Returns the trace and
     ``after`` at the final sweep end; ``after[-1]`` is the final point.
+    Callers that need only that point pass ``record_cap`` 0, and the trace
+    then holds just the final sweep.
     """
     m = len(problem.sets)
     max_steps = max_sweeps * m
@@ -168,11 +172,15 @@ def _run_steps(
             thinned=not rec.dense,
         )
 
+    sets = problem.sets
+    feasibility = tol.feasibility
+    dense, want = rec.dense, rec.want
+    add_k, add_iterate, add_set, add_residual, add_step = (column.append for column in columns)
     k = 0
     moved = 0.0
     while k < max_steps:
         idx = k % m
-        s = problem.sets[idx]
+        s = sets[idx]
         try:
             rb = residual(s, x)
             y = project(s, x, tol, start=last[idx])
@@ -184,7 +192,7 @@ def _run_steps(
                 partial_trace=make_trace(k),
                 cause=exc,
             ) from exc
-        if not residual(s, y) <= tol.feasibility:  # NaN fails too
+        if not residual(s, y) <= feasibility:  # NaN fails too
             raise ProjectionStepError(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}",
@@ -196,12 +204,12 @@ def _run_steps(
         last[idx] = y
         sn = vdist(y, x)
         k += 1
-        if rec.want(k):
-            ks.append(k)
-            iterates.append(y)
-            set_indices.append(idx)
-            residuals_before.append(rb)
-            step_norms.append(sn)
+        if dense or want(k):
+            add_k(k)
+            add_iterate(y)
+            add_set(idx)
+            add_residual(rb)
+            add_step(sn)
         else:
             skipped[idx] = (k, y, idx, rb, sn)
         x = y
@@ -338,8 +346,8 @@ def estimate_limit(
         return LimitEstimate(point=oracle.point, radius=0.0, certified=True)
     x = trace.last_iterate()
     if refine_sweeps > 0:
-        # thinned recording; only the final point is used
-        _, after = _run_steps(problem, x, refine_sweeps, tol, record_cap=1, stop=None)
+        # only the final point is used, so only the final sweep is recorded
+        _, after = _run_steps(problem, x, refine_sweeps, tol, record_cap=0, stop=None)
         x = after[-1]
     if oracle is not None:
         return LimitEstimate(point=x, radius=2.0 * oracle.distance(x), certified=True)

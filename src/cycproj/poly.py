@@ -137,6 +137,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the terms; the compiled kernels are not copied but
+        # recompiled on first use
+        return (Polynomial, (self.dimension, dict(self._ordered)))
+
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -203,7 +208,8 @@ class Polynomial:
 
     def evaluate(self, x: Sequence[float]) -> float:
         """Value at ``x``; terms are summed in canonical graded-lex order."""
-        self._check_point(x)
+        if len(x) != self.dimension:
+            self._check_point(x)
         return (self._kernels.value or self._compile_value())(x)
 
     def __call__(self, x: Sequence[float]) -> float:

@@ -25,6 +25,7 @@ deterministic, so identical inputs -- the point and the optional warm start
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -65,7 +66,7 @@ class CapabilityError(RuntimeError):
 
 
 def vsub(a: Sequence[float], b: Sequence[float]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vdot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -91,7 +92,7 @@ def vdist(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def as_vector(x: Sequence[float]) -> Vector:
-    return tuple(float(v) for v in x)
+    return tuple(map(float, x))
 
 
 def finite_vector(x: Sequence[float], what: str) -> Vector:
@@ -201,7 +202,7 @@ class ConvexSetDescriptor:
     points that the constraint residual coincides with the hinted form.
     """
 
-    __slots__ = ("name", "constraints", "analytic_hint")
+    __slots__ = ("name", "constraints", "analytic_hint", "dimension")
 
     def __init__(
         self,
@@ -221,15 +222,16 @@ class ConvexSetDescriptor:
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "analytic_hint", analytic_hint)
+        object.__setattr__(self, "dimension", dim)
         if analytic_hint is not None:
             self._validate_hint()
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexSetDescriptor is immutable")
 
-    @property
-    def dimension(self) -> int:
-        return self.constraints[0].dimension
+    def __reduce__(self):
+        # rebuilt by the constructor, which re-validates the hint
+        return (ConvexSetDescriptor, (self.name, self.constraints, self.analytic_hint))
 
     def __repr__(self):
         return f"ConvexSetDescriptor({self.name!r}, dim={self.dimension}, m={len(self.constraints)})"
@@ -347,6 +349,9 @@ class FeasibilityProblem:
     def __setattr__(self, name, value):
         raise AttributeError("FeasibilityProblem is immutable")
 
+    def __reduce__(self):
+        return (FeasibilityProblem, (self.dimension, self.sets, self.intersection_oracle))
+
     def __repr__(self):
         return (
             f"FeasibilityProblem(n={self.dimension}, m={len(self.sets)}, "
@@ -393,14 +398,14 @@ def project(
         if v <= 0.0:
             return x
         nn = vdot(hint.a, hint.a)
-        return tuple(xi - v * ai / nn for xi, ai in zip(x, hint.a))
+        return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
     if isinstance(hint, Ball):
         dx = vsub(x, hint.center)
         nrm = vnorm(dx)
         if nrm <= hint.radius:
             return x
         f = hint.radius / nrm
-        return tuple(ci + f * di for ci, di in zip(hint.center, dx))
+        return tuple([ci + f * di for ci, di in zip(hint.center, dx)])
     try:
         active = [
             j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * tol.feasibility

@@ -417,3 +417,26 @@ def test_cmd_run_then_rate_on_tangent_disks(tmp_path):
     assert report["chosen_model"] == "power"
     assert -0.52 <= report["power_fit"]["exponent"] <= -0.48
     assert report["verdict"] == "CONSISTENT"
+
+
+@pytest.mark.parametrize(
+    "bounds, option",
+    [
+        (["--t-lo", "0"], "--t-lo"),
+        (["--t-lo=-1e-3"], "--t-lo"),
+        (["--t-lo", "nan"], "--t-lo"),
+        (["--t-lo", "inf"], "--t-lo"),
+        (["--t-hi", "nan"], "--t-hi"),
+        (["--t-hi", "inf"], "--t-hi"),
+        (["--t-lo", "0.1", "--t-hi", "0.001"], "--t-hi"),
+        (["--t-lo", "0.1", "--t-hi", "0.1"], "--t-hi"),
+    ],
+)
+def test_cmd_errorbound_curve_rejects_bad_parameter_range(tmp_path, capsys, bounds, option):
+    out = tmp_path / "curve.json"
+    args = ["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "50",
+            "--out", str(out)] + bounds
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be")
+    assert not out.exists()

@@ -338,3 +338,67 @@ def test_tolerances_reject_nan():
         ProjectionTolerances(feasibility=math.nan)
     with pytest.raises(ValueError):
         ProjectionTolerances(optimality=math.nan)
+
+
+# -- copying and pickling ------------------------------------------------------------
+
+
+def _assert_same_problem(a, b, points):
+    assert a is not b
+    assert (a.dimension, a.max_degree, a.intersection_oracle) == (
+        b.dimension, b.max_degree, b.intersection_oracle
+    )
+    assert len(a.sets) == len(b.sets)
+    for sa, sb in zip(a.sets, b.sets):
+        assert sa is not sb
+        assert (sa.name, sa.constraints, sa.analytic_hint, sa.dimension) == (
+            sb.name, sb.constraints, sb.analytic_hint, sb.dimension
+        )
+        for ga, gb in zip(sa.constraints, sb.constraints):
+            assert ga is not gb and ga == gb
+            for x in points:
+                assert ga.evaluate(x).hex() == gb.evaluate(x).hex()
+                assert [v.hex() for v in ga.gradient(x)] == [v.hex() for v in gb.gradient(x)]
+
+
+@pytest.mark.parametrize("entry_id", ["ex5.1", "ex5.7:d=4"])
+def test_problem_copy_deepcopy_and_pickle_round_trip(entry_id):
+    import copy
+    import pickle
+
+    problem = get_entry(entry_id).problem
+    rng = np.random.default_rng(5)
+    points = [tuple(rng.uniform(-2.0, 2.0, size=problem.dimension)) for _ in range(20)]
+    for s in problem.sets:  # compile every kernel of the original first
+        for g in s.constraints:
+            g.evaluate(points[0])
+            g.gradient(points[0])
+    for clone in (copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+        # kernels are not copied; derivative kernels compile on first use (a
+        # hinted set's value kernel already compiled when its hint was checked)
+        cloned = [g for s in clone.sets for g in s.constraints]
+        assert all(g._kernels.gradient is None for g in cloned)
+        _assert_same_problem(problem, clone, points)
+        assert all(g._kernels.value is not None for g in cloned)
+        assert all(g._kernels.hessian_rows is not None for g in cloned)
+    shallow = copy.copy(problem)
+    assert shallow is not problem and shallow.sets == problem.sets
+    for s in problem.sets:
+        for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert clone is not s
+            assert (clone.name, clone.constraints, clone.analytic_hint) == (
+                s.name, s.constraints, s.analytic_hint
+            )
+
+
+def test_polynomial_pickle_recompiles_lazily():
+    import pickle
+
+    p = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): -0.5, (0, 0): -1.0})
+    p.hessian_rows((0.3, 0.4))
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert (q._kernels.value, q._kernels.gradient, q._kernels.hessian_rows) == (None, None, None)
+    assert q.evaluate((0.3, 0.4)) == p.evaluate((0.3, 0.4))
+    assert q._kernels.value is not None and q._kernels.gradient is None
+    assert q.hessian_rows((0.3, 0.4)) == p.hessian_rows((0.3, 0.4))
