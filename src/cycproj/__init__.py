@@ -15,7 +15,6 @@ from .analysis import (
     compare_with_theory,
     error_bound_exponent_on_curve,
     error_bound_probe,
-    estimate_index_partition,
     fit_geometric_rate,
     fit_power_rate,
     trace_error_sequence,
@@ -35,7 +34,6 @@ from .engine import (
 from .poly import ConvexityReport, Monomial, Polynomial, sample_convexity_check
 from .rates import (
     ExponentOverflowError,
-    IndexPartition,
     Linear,
     PowerLaw,
     central_binomial,
@@ -54,7 +52,6 @@ from .sets import (
     NumericalError,
     PowerEpigraph,
     ProjectionError,
-    ProjectionTolerances,
     Singleton,
     distance,
     project,

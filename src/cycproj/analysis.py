@@ -17,12 +17,11 @@ import numpy as np
 
 from . import rates
 from .engine import Trace, _run_steps
-from .rates import IndexPartition, PowerLaw, RateClass
+from .rates import PowerLaw, RateClass
 from .sets import (
-    DEFAULT_TOL,
+    OPTIMALITY_TOL,
     CapabilityError,
     FeasibilityProblem,
-    ProjectionTolerances,
     Singleton,
     as_vector,
     distance,
@@ -227,11 +226,7 @@ _CERT_TOL = 1e-8
 _REFINE_SWEEPS = 2000
 
 
-def _dist_to_intersection(
-    problem: FeasibilityProblem,
-    x,
-    tol: ProjectionTolerances,
-) -> Tuple[float, bool]:
+def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool]:
     """dist(x, C): exact via the oracle, else via long cyclic refinement.
 
     The refined value carries a heuristic flag; it is accepted only when the
@@ -241,15 +236,15 @@ def _dist_to_intersection(
     oracle = problem.intersection_oracle
     if oracle is not None:
         return oracle.distance(x), False
-    stop_tol = tol.optimality * 1e-2
+    stop_tol = OPTIMALITY_TOL * 1e-2
     # only the final point is used, so only the final sweep is recorded
     _, after = _run_steps(
-        problem, as_vector(x), _REFINE_SWEEPS, tol, 0, lambda moved, before, after: moved < stop_tol
+        problem, as_vector(x), _REFINE_SWEEPS, 0, lambda moved, before, after: moved < stop_tol
     )
     xhat = after[-1]
     surrogate = 0.0
     for s in problem.sets:
-        surrogate += distance(s, xhat, tol)
+        surrogate += distance(s, xhat)
     if surrogate > _CERT_TOL:
         raise CapabilityError(
             "distance to the intersection could not be certified; provide an oracle"
@@ -264,7 +259,6 @@ def error_bound_probe(
     n_samples: int,
     radius: float,
     seed: int,
-    tol: ProjectionTolerances = DEFAULT_TOL,
 ) -> ErrorBoundReport:
     """Sample the ball around ``xbar`` and fit the regularity exponent.
 
@@ -298,11 +292,11 @@ def error_bound_probe(
             continue
         drawn += 1
         x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand))
-        dist_c, heur = _dist_to_intersection(problem, x, tol)
+        dist_c, heur = _dist_to_intersection(problem, x)
         heuristic = heuristic or heur
         r_sum = 0.0
         for s in problem.sets:
-            r_sum += distance(s, x, tol) ** theta
+            r_sum += distance(s, x) ** theta
         l_theta = dist_c**theta
         if r_sum > 0.0:
             ratio = l_theta / r_sum**tau_theory
@@ -336,7 +330,6 @@ def error_bound_exponent_on_curve(
     problem: FeasibilityProblem,
     curve: Callable[[float], Sequence[float]],
     ts: Sequence[float],
-    tol: ProjectionTolerances = DEFAULT_TOL,
 ) -> Tuple[float, float]:
     """Fitted exponent of dist(x(t), C) against the pooled constraint residual
     max_i [g_i(x(t))]_+ along a parametrized curve; needs a singleton oracle.
@@ -358,31 +351,3 @@ def error_bound_exponent_on_curve(
     slope, _, r2 = _ols(log_r, log_d)
     return slope, r2
 
-
-# ---------------------------------------------------------------------------
-# index partition
-
-
-_PARTITION_ZERO_TOL = 1e-8
-
-
-def estimate_index_partition(
-    problem: FeasibilityProblem,
-    oracle_samples: Sequence[Sequence[float]],
-) -> IndexPartition:
-    """Sample-based split of the flattened constraint list: index i lands in
-    j0 when |g_i| <= 1e-8 at every sample.  Heuristic by construction."""
-    samples = [as_vector(p) for p in oracle_samples]
-    if not samples:
-        raise ValueError("at least one feasible sample is required")
-    for p in samples:
-        for s in problem.sets:
-            if residual(s, p) > _PROBE_FEAS_TOL:
-                raise ValueError(f"sample {p} is infeasible for set {s.name!r}")
-    flat = [g for s in problem.sets for g in s.constraints]
-    j0 = set()
-    for i, g in enumerate(flat):
-        if all(abs(g.evaluate(p)) <= _PARTITION_ZERO_TOL for p in samples):
-            j0.add(i)
-    j1 = set(range(len(flat))) - j0
-    return IndexPartition(j0=frozenset(j0), j1=frozenset(j1))

@@ -81,11 +81,6 @@ def alpha_after(alpha0: float, steps: int) -> float:
     return a
 
 
-def radius_from_alpha(alpha: float) -> float:
-    """On either disk boundary the distance to the origin satisfies r^2 = 2 alpha."""
-    return math.sqrt(2.0 * alpha)
-
-
 def power_chain_step(y: float, d: int) -> float:
     """Solve d t^(2d-1) + t = y for t by bracketed Newton to 1e-14.
 

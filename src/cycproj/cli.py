@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -61,11 +62,30 @@ def _expect(cond, msg):
         raise ProblemFileError(msg)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _hint_field(hdoc: dict, key: str, hw: str, check, what: str):
+    _expect(key in hdoc, f"missing key '{hw}.{key}'")
+    _expect(check(hdoc[key]), f"{hw}.{key} must be {what}")
+    return hdoc[key]
+
+
 def problem_from_dict(doc: dict) -> FeasibilityProblem:
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect("dimension" in doc, "missing key 'dimension'")
     dim = doc["dimension"]
-    _expect(isinstance(dim, int) and dim >= 1, "'dimension' must be a positive integer")
+    _expect(_is_int(dim) and dim >= 1, "'dimension' must be a positive integer")
     _expect(isinstance(doc.get("sets"), list) and doc["sets"], "'sets' must be a non-empty array")
     sets = []
     for si, sdoc in enumerate(doc["sets"]):
@@ -88,10 +108,10 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
                 _expect(
                     isinstance(exps, list)
                     and len(exps) == dim
-                    and all(isinstance(e, int) and e >= 0 for e in exps),
+                    and all(_is_int(e) and e >= 0 for e in exps),
                     f"{tw}.exponents must be {dim} non-negative integers",
                 )
-                _expect(isinstance(coef, (int, float)), f"{tw}.coefficient must be a number")
+                _expect(_is_number(coef), f"{tw}.coefficient must be a number")
                 key = tuple(exps)
                 terms[key] = terms.get(key, 0.0) + float(coef)
             cons.append(Polynomial(dim, terms))
@@ -102,11 +122,15 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
             _expect(isinstance(hdoc, dict) and "type" in hdoc, f"{hw} must be an object with 'type'")
             kind = hdoc["type"]
             if kind == "halfspace":
-                hint = Halfspace(a=tuple(hdoc["a"]), b=float(hdoc["b"]))
+                a = _hint_field(hdoc, "a", hw, _is_number_list, "an array of numbers")
+                b = _hint_field(hdoc, "b", hw, _is_number, "a number")
+                hint = Halfspace(a=tuple(a), b=b)
             elif kind == "ball":
-                hint = Ball(center=tuple(hdoc["center"]), radius=float(hdoc["radius"]))
+                center = _hint_field(hdoc, "center", hw, _is_number_list, "an array of numbers")
+                radius = _hint_field(hdoc, "radius", hw, _is_number, "a number")
+                hint = Ball(center=tuple(center), radius=radius)
             elif kind == "power_epigraph":
-                hint = PowerEpigraph(degree=int(hdoc["degree"]))
+                hint = PowerEpigraph(degree=_hint_field(hdoc, "degree", hw, _is_int, "an integer"))
             else:
                 raise ProblemFileError(f"{hw}.type {kind!r} is not one of halfspace/ball/power_epigraph")
         sets.append(ConvexSetDescriptor(name, cons, hint))
@@ -116,7 +140,7 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
         _expect(isinstance(odoc, dict) and odoc.get("type") == "singleton", "'oracle.type' must be 'singleton'")
         point = odoc.get("point")
         _expect(
-            isinstance(point, list) and len(point) == dim and all(isinstance(v, (int, float)) for v in point),
+            _is_number_list(point) and len(point) == dim,
             f"'oracle.point' must be {dim} numbers",
         )
         oracle = Singleton(tuple(float(v) for v in point))
@@ -613,21 +637,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose value is a coordinate list, which may start with a minus sign
-_COORDINATE_OPTIONS = ("--x0", "--center", "--limit")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
-def _attach_coordinate_values(argv: Sequence[str]) -> List[str]:
-    """Rewrite ``--x0 -1.6,0.3`` as ``--x0=-1.6,0.3``: argparse would take a
-    value with a leading minus for an option."""
-    out = []
-    it = iter(argv)
-    for tok in it:
-        if tok in _COORDINATE_OPTIONS:
-            value = next(it, None)
-            if value is not None:
-                tok = f"{tok}={value}"
-        out.append(tok)
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite ``--opt -1e-3`` as ``--opt=-1e-3``: argparse takes a token that
+    starts with a minus sign for an option unless it looks like a plain
+    negative number, which ``-1e-3`` and ``-1.6,0.3`` do not.  A token that
+    starts with ``-`` and then a digit or ``.`` is attached to the
+    ``--option`` before it, when that option has no ``=``."""
+    out: List[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -636,7 +661,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_coordinate_values(argv))
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; the interface reserves 2 for
         # solver failures and 1 for input errors

@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .sets import (
-    DEFAULT_TOL,
+    FEASIBILITY_TOL,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
     ProjectionError,
-    ProjectionTolerances,
     Singleton,
     Vector,
     as_vector,
@@ -118,7 +117,6 @@ def _run_steps(
     problem: FeasibilityProblem,
     x0: Vector,
     max_sweeps: int,
-    tol: ProjectionTolerances,
     record_cap: int,
     stop: Optional[Callable[..., bool]],
 ):
@@ -173,7 +171,6 @@ def _run_steps(
         )
 
     sets = problem.sets
-    feasibility = tol.feasibility
     dense, want = rec.dense, rec.want
     add_k, add_iterate, add_set, add_residual, add_step = (column.append for column in columns)
     k = 0
@@ -183,7 +180,7 @@ def _run_steps(
         s = sets[idx]
         try:
             rb = residual(s, x)
-            y = project(s, x, tol, start=last[idx])
+            y = project(s, x, start=last[idx])
         except ProjectionError as exc:
             raise ProjectionStepError(
                 f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}",
@@ -192,7 +189,7 @@ def _run_steps(
                 partial_trace=make_trace(k),
                 cause=exc,
             ) from exc
-        if not residual(s, y) <= feasibility:  # NaN fails too
+        if not residual(s, y) <= FEASIBILITY_TOL:  # NaN fails too
             raise ProjectionStepError(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}",
@@ -228,7 +225,6 @@ def cyclic_project(
     x0: Sequence[float],
     max_sweeps: int,
     stop_tol: float,
-    tol: ProjectionTolerances = DEFAULT_TOL,
     record_cap: int = RECORD_CAP_DEFAULT,
 ) -> Trace:
     """Run cyclic projections P_1, P_2, ..., P_m, P_1, ... from ``x0``.
@@ -245,7 +241,7 @@ def cyclic_project(
     if len(x0) != problem.dimension:
         raise ValueError(f"x0 length {len(x0)} != dimension {problem.dimension}")
     trace, _ = _run_steps(
-        problem, x0, max_sweeps, tol, record_cap, lambda moved, before, after: moved < stop_tol
+        problem, x0, max_sweeps, record_cap, lambda moved, before, after: moved < stop_tol
     )
     return trace
 
@@ -294,7 +290,6 @@ def alternating_project(
     b0: Sequence[float],
     max_iters: int,
     stop_tol: float,
-    tol: ProjectionTolerances = DEFAULT_TOL,
     record_cap: int = RECORD_CAP_DEFAULT,
     oracle=None,
 ) -> AlternatingResult:
@@ -318,7 +313,7 @@ def alternating_project(
             and vdist(after[0], before[0]) + vdist(after[1], before[1]) < stop_tol
         )
 
-    combined, (a_last, b_last) = _run_steps(problem, b0, max_iters, tol, record_cap, pair_settled)
+    combined, (a_last, b_last) = _run_steps(problem, b0, max_iters, record_cap, pair_settled)
     return AlternatingResult(
         a_trace=_subtrace(combined, 1),
         b_trace=_subtrace(combined, 0),
@@ -332,7 +327,6 @@ def estimate_limit(
     trace: Trace,
     problem: FeasibilityProblem,
     refine_sweeps: int,
-    tol: ProjectionTolerances = DEFAULT_TOL,
 ) -> LimitEstimate:
     """Estimate the run's limit point with a radius bound.
 
@@ -347,7 +341,7 @@ def estimate_limit(
     x = trace.last_iterate()
     if refine_sweeps > 0:
         # only the final point is used, so only the final sweep is recorded
-        _, after = _run_steps(problem, x, refine_sweeps, tol, record_cap=0, stop=None)
+        _, after = _run_steps(problem, x, refine_sweeps, record_cap=0, stop=None)
         x = after[-1]
     if oracle is not None:
         return LimitEstimate(point=x, radius=2.0 * oracle.distance(x), certified=True)
@@ -355,7 +349,7 @@ def estimate_limit(
 
     surrogate = 0.0
     for s in problem.sets:
-        surrogate += set_distance(s, x, tol)
+        surrogate += set_distance(s, x)
     return LimitEstimate(point=x, radius=2.0 * surrogate, certified=False)
 
 

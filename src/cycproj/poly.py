@@ -172,18 +172,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.dimension, self._ordered))
 
-    # -- algebra (add / scale / differentiate only) ------------------------
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch in add")
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Polynomial(self.dimension, out)
-
-    def scale(self, a: float) -> "Polynomial":
-        return Polynomial(self.dimension, {e: a * c for e, c in self._terms.items()})
+    # -- differentiation ---------------------------------------------------
 
     def partial(self, var: int) -> "Polynomial":
         """Partial derivative with respect to variable ``var``."""
@@ -211,9 +200,6 @@ class Polynomial:
         if len(x) != self.dimension:
             self._check_point(x)
         return (self._kernels.value or self._compile_value())(x)
-
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.evaluate(x)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an ``(N, n)`` array of points."""

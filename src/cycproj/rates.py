@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Union
+from typing import List, Sequence, Union
 
 _INT64_MAX = 2**63 - 1
 
@@ -43,19 +43,6 @@ class PowerLaw:
 
 
 RateClass = Union[Linear, PowerLaw]
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """Split of (0-based) constraint indices into the identically-zero-on-the-set
-    part ``j0`` and the remainder ``j1``."""
-
-    j0: FrozenSet[int]
-    j1: FrozenSet[int]
-
-    def __post_init__(self):
-        if self.j0 & self.j1:
-            raise ValueError("j0 and j1 must be disjoint")
 
 
 def central_binomial(s: int) -> int:

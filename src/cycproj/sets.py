@@ -15,6 +15,10 @@ projector dispatches, in order:
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
 
+Every projection meets two fixed module constants: its constraint residual
+is at most ``FEASIBILITY_TOL`` and its first-order optimality and
+complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
+
 A power-epigraph hint documents and validates the set's shape but does not
 add a dispatch branch; such sets go through (d)/(e) like any other smooth
 constraint.  All vectors are plain tuples of floats and every path is
@@ -164,20 +168,11 @@ AnalyticHint = Union[Halfspace, Ball, PowerEpigraph]
 
 
 # ---------------------------------------------------------------------------
-# tolerances
+# tolerances: a projection's constraint residual and its first-order
+# optimality/complementarity defect
 
-
-@dataclass(frozen=True)
-class ProjectionTolerances:
-    feasibility: float = 1e-10
-    optimality: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.feasibility > 0.0 and self.optimality > 0.0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = ProjectionTolerances()
+FEASIBILITY_TOL = 1e-10
+OPTIMALITY_TOL = 1e-10
 
 # solver budgets: Newton iterations, top penalty rung, gradient steps per rung
 _NEWTON_MAX_ITER = 100
@@ -370,13 +365,12 @@ def residual(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
 def project(
     s: ConvexSetDescriptor,
     x: Sequence[float],
-    tol: ProjectionTolerances = DEFAULT_TOL,
     start: Optional[Sequence[float]] = None,
 ) -> Vector:
     """Euclidean projection of ``x`` onto ``s``.
 
-    The result y satisfies residual(s, y) <= tol.feasibility and the
-    first-order optimality/complementarity conditions within tol.optimality.
+    The result y satisfies residual(s, y) <= FEASIBILITY_TOL and the
+    first-order optimality/complementarity conditions within OPTIMALITY_TOL.
     Raises :class:`ProjectionError` (with best iterate attached) if no branch
     converges, :class:`NumericalError` on NaN or overflow during the solve,
     and ``ValueError`` when ``x`` has a NaN or infinite coordinate.
@@ -407,25 +401,19 @@ def project(
         f = hint.radius / nrm
         return tuple([ci + f * di for ci, di in zip(hint.center, dx)])
     try:
-        active = [
-            j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * tol.feasibility
-        ]
+        active = [j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * FEASIBILITY_TOL]
         if len(active) == 1:
-            y = _kkt_newton(s, active, x, tol, start=start)
+            y = _kkt_newton(s, active, x, start=start)
             if y is not None:
                 return y
-        return _project_penalty(s, x, tol)
+        return _project_penalty(s, x)
     except OverflowError as exc:
         raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
 
 
-def distance(
-    s: ConvexSetDescriptor,
-    x: Sequence[float],
-    tol: ProjectionTolerances = DEFAULT_TOL,
-) -> float:
+def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
     """||x - P_s(x)||; exactly 0 for feasible x."""
-    return vdist(as_vector(x), project(s, x, tol))
+    return vdist(as_vector(x), project(s, x))
 
 
 # -- branch (d): damped Newton on the active-constraint KKT system ----------
@@ -499,7 +487,7 @@ def _warm_seed(g, x, start):
     return y, [lam], stat, vals, [grad], math.sqrt(vdot(stat, stat) + vdot(vals, vals))
 
 
-def _kkt_newton(s, active, x, tol, y0=None, lam0=None, start=None):
+def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
@@ -531,13 +519,13 @@ def _kkt_newton(s, active, x, tol, y0=None, lam0=None, start=None):
         if warm is not None and warm[-1] < cold[-1]:  # smaller ||F|| goes first
             seeds.insert(0, warm)
     for seed in seeds:
-        y = _newton_from_seed(s, active, gs, x, tol, seed)
+        y = _newton_from_seed(s, active, gs, x, seed)
         if y is not None:
             return y
     return None
 
 
-def _newton_from_seed(s, active, gs, x, tol, seed):
+def _newton_from_seed(s, active, gs, x, seed):
     """One damped Newton attempt from ``seed`` (see :func:`_kkt_seed`);
     the solution as a tuple, or None when abandoned."""
     n = len(x)
@@ -563,7 +551,7 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
     for _ in range(_NEWTON_MAX_ITER):
         if not math.isfinite(fnorm):
             return None
-        if max(abs(v) for v in vals) <= tol.feasibility and vnorm(stat) <= tol.optimality:
+        if max(abs(v) for v in vals) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
             converged = True
             break
         step = newton_direction()
@@ -588,7 +576,7 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
         # steps on the worst constraint alone, then pick the least-squares
         # multipliers, which minimize the stationarity defect achievable at
         # the restored point
-        target = tol.feasibility * 1e-4
+        target = FEASIBILITY_TOL * 1e-4
         for _ in range(120):
             worst = max(range(p), key=lambda jj: abs(vals[jj]))
             v = vals[worst]
@@ -602,7 +590,7 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
             y = [yi - f * gi for yi, gi in zip(y, grad)]
             vals = [g.evaluate(y) for g in gs]
             grads = [g.gradient(y) for g in gs]
-        if max(abs(v) for v in vals) > tol.feasibility:
+        if max(abs(v) for v in vals) > FEASIBILITY_TOL:
             return None
         G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
         N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
@@ -611,7 +599,7 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
         if lam_ls is None:
             return None
         stat, vals, grads = _kkt_state(gs, x, y, lam_ls)
-        if vnorm(stat) > tol.optimality or max(abs(v) for v in vals) > tol.feasibility:
+        if vnorm(stat) > OPTIMALITY_TOL or max(abs(v) for v in vals) > FEASIBILITY_TOL:
             return None
         lams = lam_ls
         fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
@@ -632,14 +620,14 @@ def _newton_from_seed(s, active, gs, x, tol, seed):
             break
         y, lams = y_new, lam_new
         stat, vals, grads, fnorm = stat_new, vals_new, grads_new, fn_new
-    if any(lam < -tol.optimality for lam in lams):
+    if any(lam < -OPTIMALITY_TOL for lam in lams):
         return None
     result = tuple(y)
     active_set = set(active)
     for j, other in enumerate(s.constraints):
-        if j not in active_set and other.evaluate(result) > tol.feasibility:
+        if j not in active_set and other.evaluate(result) > FEASIBILITY_TOL:
             return None
-    if s.residual(result) > tol.feasibility:
+    if s.residual(result) > FEASIBILITY_TOL:
         return None
     return result
 
@@ -667,7 +655,7 @@ def _penalty_value_grad(s, x, y, mu):
     return val, grad
 
 
-def _project_penalty(s, x, tol):
+def _project_penalty(s, x):
     """Quadratic-penalty continuation with Armijo gradient descent inner loops.
 
     The penalty ladder alone cannot certify 1e-10 stationarity in double
@@ -684,7 +672,7 @@ def _project_penalty(s, x, tol):
     tried = set()
     feas_history = []
     while mu <= _PENALTY_MU_MAX:
-        inner_tol = max(tol.optimality, min(1e-4, 1.0 / mu))
+        inner_tol = max(OPTIMALITY_TOL, min(1e-4, 1.0 / mu))
         for _ in range(_PENALTY_INNER_MAX_ITER):
             val, grad = _penalty_value_grad(s, x, y, mu)
             if not math.isfinite(val):
@@ -717,19 +705,19 @@ def _project_penalty(s, x, tol):
         comp = max((mu * max(g.evaluate(yt), 0.0) ** 2 for g in s.constraints), default=0.0)
         if feas < best_feas or (feas == best_feas and opt < best_opt):
             best, best_feas, best_opt = yt, feas, opt
-        if feas <= tol.feasibility and opt <= tol.optimality and comp <= tol.optimality:
+        if feas <= FEASIBILITY_TOL and opt <= OPTIMALITY_TOL and comp <= OPTIMALITY_TOL:
             return yt
         if feas <= 1e-3:
             active = [
                 j
                 for j, g in enumerate(s.constraints)
-                if g.evaluate(yt) > -10.0 * max(tol.feasibility, feas)
+                if g.evaluate(yt) > -10.0 * max(FEASIBILITY_TOL, feas)
             ]
             key = tuple(active)
             if active and key not in tried:
                 tried.add(key)
                 lam0 = [mu * max(s.constraints[j].evaluate(yt), 0.0) for j in active]
-                polished = _kkt_newton(s, active, x, tol, y0=y, lam0=lam0)
+                polished = _kkt_newton(s, active, x, y0=y, lam0=lam0)
                 if polished is not None:
                     return polished
         # feasibility of a convergent ladder halves per rung; six doublings
@@ -737,7 +725,7 @@ def _project_penalty(s, x, tol):
         feas_history.append(feas)
         if (
             len(feas_history) >= 6
-            and feas > 1000.0 * tol.feasibility
+            and feas > 1000.0 * FEASIBILITY_TOL
             and feas >= 0.9 * feas_history[-6]
         ):
             break

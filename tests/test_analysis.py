@@ -12,7 +12,6 @@ from cycproj.analysis import (
     default_fit_window,
     error_bound_exponent_on_curve,
     error_bound_probe,
-    estimate_index_partition,
     fit_geometric_rate,
     fit_power_rate,
 )
@@ -232,39 +231,3 @@ def test_curve_mode_needs_singleton_oracle():
     with pytest.raises(CapabilityError):
         error_bound_exponent_on_curve(prob, lambda t: (t, t), [0.1, 0.2])
 
-
-# -- index partition -----------------------------------------------------------------
-
-
-def test_partition_chain_sets_all_active():
-    entry = get_entry("ex5.7:d=2")
-    part = estimate_index_partition(entry.problem, [(0.0, 0.0)])
-    assert part.j0 == {0, 1}
-    assert part.j1 == set()
-
-
-def test_partition_interior_constraint_goes_to_j1():
-    half = ConvexSetDescriptor(
-        "x<=-1", [Polynomial(2, {(1, 0): 1.0, (0, 0): 1.0})], Halfspace((1.0, 0.0), -1.0)
-    )
-    ball = ConvexSetDescriptor(
-        "ball",
-        [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 4.0, (0, 0): 3.0})],
-        Ball((-2.0, 0.0), 1.0),
-    )
-    prob = FeasibilityProblem(2, (half, ball))
-    part = estimate_index_partition(prob, [(-2.0, 0.0), (-1.8, 0.1)])
-    assert 0 in part.j1  # halfspace is slack at interior samples
-
-
-def test_partition_singleton_square():
-    s = ConvexSetDescriptor("x^2<=0", [Polynomial(1, {(2,): 1.0})])
-    prob = FeasibilityProblem(1, (s,))
-    part = estimate_index_partition(prob, [(0.0,)])
-    assert part.j0 == {0}
-
-
-def test_partition_rejects_infeasible_sample():
-    entry = get_entry("ex5.5")
-    with pytest.raises(ValueError):
-        estimate_index_partition(entry.problem, [(3.0, 3.0)])

@@ -8,7 +8,6 @@ from cycproj.catalog import (
     alpha_step,
     get_entry,
     power_chain_step,
-    radius_from_alpha,
 )
 from cycproj.engine import alternating_project
 from cycproj.rates import PowerLaw
@@ -91,13 +90,6 @@ def test_ex55_alpha_step_fixed_point():
 def test_ex55_alpha_after_one_million():
     value = alpha_after(1.0, 10**6)
     assert abs(value - 2.499992442e-7) / 2.499992442e-7 <= 1e-6
-
-
-def test_ex55_radius_asymptotics():
-    a = 1.0
-    for k in range(1, 10**5 + 1):
-        a = alpha_step(a)
-    assert abs(radius_from_alpha(a) * math.sqrt(2.0 * 10**5) - 1.0) <= 0.02
 
 
 def test_ex55_oracle_engine_agreement():

@@ -118,6 +118,59 @@ def test_problem_file_non_finite_values_rejected(tmp_path):
     assert not out.exists()
 
 
+def _hinted_problem_doc():
+    """ex5.7:d=2 (a halfspace, a power epigraph and an oracle) plus a ball."""
+    doc = problem_to_dict(get_entry("ex5.7:d=2").problem)
+    doc["sets"].append(problem_to_dict(get_entry("ex5.5").problem)["sets"][0])
+    return doc
+
+
+def _load_doc_through_cli(tmp_path, capsys, doc):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "run.csv"
+    code = cli.main(["run", "--problem", str(pfile), "--x0", "1,1", "--sweeps", "2", "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("dimension",), "'dimension'"),
+        (("sets", 0, "constraints", 0, "terms", 0, "exponents", 0), "sets[0].constraints[0].terms[0].exponents"),
+        (("sets", 1, "constraints", 0, "terms", 1, "coefficient"), "sets[1].constraints[0].terms[1].coefficient"),
+        (("oracle", "point", 1), "'oracle.point'"),
+        (("sets", 0, "hint", "a", 0), "sets[0].hint.a"),
+        (("sets", 0, "hint", "b"), "sets[0].hint.b"),
+        (("sets", 1, "hint", "degree"), "sets[1].hint.degree"),
+        (("sets", 2, "hint", "center", 1), "sets[2].hint.center"),
+        (("sets", 2, "hint", "radius"), "sets[2].hint.radius"),
+    ],
+)
+def test_problem_file_rejects_booleans_as_numbers(tmp_path, capsys, path, field):
+    doc = _hinted_problem_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
+    assert code == 1
+    assert field in err and "must be" in err and "True" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "set_index, key", [(0, "a"), (0, "b"), (1, "degree"), (2, "center"), (2, "radius")]
+)
+def test_hint_missing_field_is_named(tmp_path, capsys, set_index, key):
+    doc = _hinted_problem_doc()
+    del doc["sets"][set_index]["hint"][key]
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
+    assert code == 1
+    assert f"missing key 'sets[{set_index}].hint.{key}'" in err
+    assert not out.exists()
+
+
 # -- run -------------------------------------------------------------------------
 
 
@@ -170,6 +223,22 @@ def test_cmd_run_negative_start(tmp_path):
     assert cli.main(["run", "--example", "ex5.5", "--x0=-1.6,0.3", "--out", str(joined)]) == 0
     assert out.read_bytes() == joined.read_bytes()
     assert read_trace(str(out)).ks[0] == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--t-lo", "-1e-3"], "--t-lo must be positive"),
+        (["run", "--example", "ex5.5", "--x0", "0,2", "--stop-tol", "-1e-3"], "stop_tol must be positive"),
+        (["errorbound", "--example", "ex5.5", "--center", "0,0", "--radius", "-5e-1"], "radius must be positive"),
+        (["errorbound", "--example", "ex5.5", "--center", "0,0", "--theta", "-2e0"], "theta must be positive"),
+    ],
+)
+def test_negative_value_with_exponent_reaches_its_option_check(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_cmd_run_solver_failure_writes_partial(tmp_path):

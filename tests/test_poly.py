@@ -124,20 +124,6 @@ def test_hessian_exactly_symmetric():
                 assert H[i, j] == H[j, i]  # bitwise, by construction
 
 
-def test_evaluate_is_linear():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        p = _random_poly(rng, n, 4)
-        q = _random_poly(rng, n, 4)
-        a, b = rng.uniform(-2, 2, size=2)
-        x = tuple(rng.uniform(-2, 2, size=n))
-        combo = p.scale(a).add(q.scale(b))
-        lhs = combo.evaluate(x)
-        rhs = a * p.evaluate(x) + b * q.evaluate(x)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
 def test_degree_of_products_is_additive():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -5,7 +5,6 @@ import pytest
 
 from cycproj.rates import (
     ExponentOverflowError,
-    IndexPartition,
     Linear,
     PowerLaw,
     central_binomial,
@@ -148,10 +147,3 @@ def test_recurrence_bound_dominates_admissible_sequences():
         bound = recurrence_bound(beta0, p, deltas)
         for k in range(1, len(betas)):
             assert betas[k] <= bound[k - 1] + 1e-12
-
-
-def test_index_partition_disjointness():
-    with pytest.raises(ValueError):
-        IndexPartition(j0=frozenset({1}), j1=frozenset({1}))
-    part = IndexPartition(j0=frozenset({0}), j1=frozenset({1, 2}))
-    assert part.j0 == {0}

@@ -13,7 +13,6 @@ from cycproj.sets import (
     NumericalError,
     PowerEpigraph,
     ProjectionError,
-    ProjectionTolerances,
     Singleton,
     AffineSegment,
     distance,
@@ -230,11 +229,6 @@ def test_project_bad_warm_start_gives_cold_result():
     assert vdist(project(quartic, x, start=cold), cold) <= 1e-12
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        ProjectionTolerances(feasibility=0.0)
-
-
 # -- distance -----------------------------------------------------------------
 
 
@@ -331,13 +325,6 @@ def test_ball_hint_with_nan_center_rejected():
     g = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     with pytest.raises(ValueError):
         ConvexSetDescriptor("disk", [g], Ball(center=(0.0, math.nan), radius=1.0))
-
-
-def test_tolerances_reject_nan():
-    with pytest.raises(ValueError):
-        ProjectionTolerances(feasibility=math.nan)
-    with pytest.raises(ValueError):
-        ProjectionTolerances(optimality=math.nan)
 
 
 # -- copying and pickling ------------------------------------------------------------

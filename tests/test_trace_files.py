@@ -16,7 +16,6 @@ from cycproj import cli, engine
 from cycproj.catalog import get_entry
 from cycproj.cli import read_trace, write_trace
 from cycproj.engine import Trace, alternating_project, cyclic_project
-from cycproj.sets import DEFAULT_TOL
 
 DENSE_EX55_SHA = "933c82e940436f78fbdb0d17693b1a9d77e7e42c6c634301eb3db9d886f7e64b"
 RATE_EX55_SHA = "268096575c4eeb04371f4946478239b49cd45581e988a966e1911db31e5b9bcf"
@@ -181,8 +180,8 @@ def _write_lens_problem(tmp_path):
 
 def test_final_sweep_only_recording():
     problem = get_entry("ex5.5").problem
-    thinned, after_thinned = engine._run_steps(problem, (0.3, 1.9), 2000, DEFAULT_TOL, 1, None)
-    final, after = engine._run_steps(problem, (0.3, 1.9), 2000, DEFAULT_TOL, 0, None)
+    thinned, after_thinned = engine._run_steps(problem, (0.3, 1.9), 2000, 1, None)
+    final, after = engine._run_steps(problem, (0.3, 1.9), 2000, 0, None)
     assert len(thinned.ks) == 4000
     assert final.ks == [3999, 4000] and final.set_indices == [0, 1]
     assert final.thinned and final.total_steps == 4000
