@@ -87,6 +87,10 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
     dim = doc["dimension"]
     _expect(_is_int(dim) and dim >= 1, "'dimension' must be a positive integer")
     _expect(isinstance(doc.get("sets"), list) and doc["sets"], "'sets' must be a non-empty array")
+
+    def is_point(value) -> bool:
+        return _is_number_list(value) and len(value) == dim
+
     sets = []
     for si, sdoc in enumerate(doc["sets"]):
         where = f"sets[{si}]"
@@ -122,14 +126,15 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
             _expect(isinstance(hdoc, dict) and "type" in hdoc, f"{hw} must be an object with 'type'")
             kind = hdoc["type"]
             if kind == "halfspace":
-                a = _hint_field(hdoc, "a", hw, _is_number_list, "an array of numbers")
+                a = _hint_field(hdoc, "a", hw, is_point, f"{dim} numbers")
                 b = _hint_field(hdoc, "b", hw, _is_number, "a number")
                 hint = Halfspace(a=tuple(a), b=b)
             elif kind == "ball":
-                center = _hint_field(hdoc, "center", hw, _is_number_list, "an array of numbers")
+                center = _hint_field(hdoc, "center", hw, is_point, f"{dim} numbers")
                 radius = _hint_field(hdoc, "radius", hw, _is_number, "a number")
                 hint = Ball(center=tuple(center), radius=radius)
             elif kind == "power_epigraph":
+                _expect(dim == 2, f"{hw} of type 'power_epigraph' needs dimension 2, got {dim}")
                 hint = PowerEpigraph(degree=_hint_field(hdoc, "degree", hw, _is_int, "an integer"))
             else:
                 raise ProblemFileError(f"{hw}.type {kind!r} is not one of halfspace/ball/power_epigraph")
@@ -139,10 +144,7 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
     if odoc is not None:
         _expect(isinstance(odoc, dict) and odoc.get("type") == "singleton", "'oracle.type' must be 'singleton'")
         point = odoc.get("point")
-        _expect(
-            _is_number_list(point) and len(point) == dim,
-            f"'oracle.point' must be {dim} numbers",
-        )
+        _expect(is_point(point), f"'oracle.point' must be {dim} numbers")
         oracle = Singleton(tuple(float(v) for v in point))
     return FeasibilityProblem(dim, sets, oracle)
 
@@ -319,6 +321,26 @@ def _emit(doc: dict, out: Optional[str]):
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _checked(convert, ok, what: str):
+    """An argparse ``type=`` that converts an option's text and rejects a
+    value failing ``ok``; argparse puts the option's name in the message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _checked(float, lambda v: v > 0.0, "a positive number")  # NaN fails too
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
@@ -599,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--problem", help="problem file (JSON)")
     src.add_argument("--example", help="catalog entry id, e.g. ex5.1 or ex5.7:d=4")
     p_run.add_argument("--x0", required=True, help="start point, comma-separated")
-    p_run.add_argument("--sweeps", type=int, default=1000)
-    p_run.add_argument("--stop-tol", type=float, default=1e-12, dest="stop_tol")
+    p_run.add_argument("--sweeps", type=_count, default=1000)
+    p_run.add_argument("--stop-tol", type=_positive, default=1e-12, dest="stop_tol")
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=0, help="reserved; runs are deterministic")
     p_run.set_defaults(func=cmd_run)
@@ -620,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--example")
     p_eb.add_argument("--center", help="feasible center point (ball mode)")
     p_eb.add_argument("--theta", type=float, default=2.0)
-    p_eb.add_argument("--samples", type=int, default=200)
+    p_eb.add_argument("--samples", type=_count, default=200)
     p_eb.add_argument("--radius", type=float, default=0.5)
     p_eb.add_argument("--seed", type=int, default=0)
     p_eb.add_argument("--curve", action="store_true", help="sample along the entry's curve instead")

@@ -8,12 +8,17 @@ projector dispatches, in order:
   (c) ball analytic hint      -> closed form,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
-                                 an optional warm start; each Newton step
-                                 builds the bordered KKT matrix and its
-                                 right-hand side in one pass and reduces
-                                 them in place,
+                                 an optional warm start; the multiplier and
+                                 the constraint value are floats, and each
+                                 Newton step builds the bordered KKT matrix
+                                 and its right-hand side in one pass and
+                                 solves them with elimination code compiled
+                                 once per system size,
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
+
+The penalty ladder polishes its candidate active sets with the same Newton
+solve, in a list form for two or more active constraints.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -419,58 +424,141 @@ def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
 # -- branch (d): damped Newton on the active-constraint KKT system ----------
 
 
-def _solve_dense(A, b):
-    """Solve A z = b by Gaussian elimination with partial pivoting, reducing
-    the lists ``A`` and ``b`` in place; None if singular."""
-    n = len(b)
+def _compile_solver(n: int):
+    """Compile ``solve(A, b)`` for n x n systems: Gaussian elimination with
+    partial pivoting, unrolled into straight-line code over one local name
+    per entry.  Column by column it searches the pivot (first largest
+    ``abs``), returns None on a zero or non-finite pivot, swaps the pivot row
+    up, and subtracts ``f * pivot row`` from each row below whose factor
+    ``f`` is nonzero; then it back-substitutes from the last row.  Entries
+    left of the diagonal are never read again once their column is done, so
+    they are neither swapped nor updated."""
+    a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
+    b = [f"b{r}" for r in range(n)]
+    lines = [
+        "def solve(A, b):",
+        "    " + "".join("(" + "".join(f"{v}, " for v in row) + "), " for row in a) + "= A",
+        "    " + "".join(f"{v}, " for v in b) + "= b",
+    ]
     for col in range(n):
-        piv = col
-        best = abs(A[col][col])
-        for r in range(col + 1, n):
-            v = abs(A[r][col])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0 or not math.isfinite(best):
-            return None
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            b[col], b[piv] = b[piv], b[col]
-        prow = A[col]
-        bcol = b[col]
-        inv = 1.0 / prow[col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f != 0.0:
-                row = A[r]
-                for c in range(col, n):
-                    row[c] -= f * prow[c]
-                b[r] -= f * bcol
-    out = [0.0] * n
+        below = range(col + 1, n)
+        lines.append(f"    piv = {col}")
+        lines.append(f"    best = abs({a[col][col]})")
+        for r in below:
+            lines.append(f"    v = abs({a[r][col]})")
+            lines += ["    if v > best:", "        best = v", f"        piv = {r}"]
+        lines += ["    if best == 0.0 or not isfinite(best):", "        return None"]
+        for r in below:
+            top = a[col][col:] + [b[col]]
+            low = a[r][col:] + [b[r]]
+            lines.append(f"    {'if' if r == col + 1 else 'elif'} piv == {r}:")
+            lines.append(f"        {', '.join(top + low)} = {', '.join(low + top)}")
+        if below:
+            lines.append(f"    inv = 1.0 / {a[col][col]}")
+        for r in below:
+            lines += [f"    f = {a[r][col]} * inv", "    if f != 0.0:"]
+            lines += [f"        {a[r][c]} -= f * {a[col][c]}" for c in range(col + 1, n)]
+            lines.append(f"        {b[r]} -= f * {b[col]}")
     for r in range(n - 1, -1, -1):
-        acc = b[r]
-        row = A[r]
-        for c in range(r + 1, n):
-            acc -= row[c] * out[c]
-        out[r] = acc / row[r]
-    return out
+        acc = b[r] + "".join(f" - {a[r][c]} * x{c}" for c in range(r + 1, n))
+        lines.append(f"    x{r} = ({acc}) / {a[r][r]}")
+    lines.append("    return [" + ", ".join(f"x{r}" for r in range(n)) + "]")
+    namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite}
+    exec("\n".join(lines), namespace)
+    return namespace["solve"]
+
+
+_SOLVERS = {}  # compiled solvers by system size
+
+
+def _solve_dense(A, b):
+    """Solve A z = b (lists of rows and of values) by the solver compiled
+    for ``len(b)`` on first use (see :func:`_compile_solver`); None if a
+    pivot is zero or non-finite.  ``A`` and ``b`` are left unchanged."""
+    n = len(b)
+    return (_SOLVERS.get(n) or _SOLVERS.setdefault(n, _compile_solver(n)))(A, b)
+
+
+# Newton on the KKT system comes in two forms with the same signatures:
+# ``_kkt_state1`` & co. for one active constraint g, whose multiplier lam and
+# value g(y) are floats and gradient a single vector, and ``_kkt_state`` &
+# co. for a list of constraints gs with lists of multipliers, values and
+# gradients.  On one constraint both give the same bits: the first form only
+# drops the list bookkeeping and the exact addition of 0.0 to a square.
+
+
+def _kkt_state1(g, x, y, lam):
+    """(stationarity vector, g(y), grad g(y), ||F||) at (y, lam), where F
+    stacks the stationarity vector and the constraint value."""
+    grad = g.gradient(y)
+    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
+    v = g.evaluate(y)
+    return stat, v, grad, math.sqrt(vdot(stat, stat) + v * v)
 
 
 def _kkt_state(gs, x, y, lams):
-    """Stationarity vector, constraint values, and gradients at (y, lams)."""
     grads = [g.gradient(y) for g in gs]
     stat = [yi - xi for yi, xi in zip(y, x)]
     for lam, grad in zip(lams, grads):
         for i, gi in enumerate(grad):
             stat[i] += lam * gi
     vals = [g.evaluate(y) for g in gs]
-    return stat, vals, grads
+    return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
 
 
-def _kkt_seed(gs, x, y, lams):
-    """A Newton start: (y, lams, stat, vals, grads, ||F||) at (y, lams)."""
-    stat, vals, grads = _kkt_state(gs, x, y, lams)
-    return y, lams, stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+def _kkt_direction1(g, y, lam, stat, v, grad):
+    """Newton step (dy, dlam) as one list, from the bordered KKT matrix
+    [[I + lam H, grad], [grad^T, 0]] and right-hand side -F, both built row
+    by row; None if the matrix is singular."""
+    A = []
+    for i, (hrow, gi) in enumerate(zip(g.hessian_rows(y), grad)):
+        row = [0.0 + lam * h for h in hrow]
+        row[i] += 1.0
+        row.append(gi)
+        A.append(row)
+    A.append([*grad, 0.0])
+    b = [-si for si in stat]
+    b.append(-v)
+    return _solve_dense(A, b)
+
+
+def _kkt_direction(gs, y, lams, stat, vals, grads):
+    n = len(y)
+    A = []
+    hessians = [g.hessian_rows(y) for g in gs]
+    for i in range(n):
+        row = [0.0] * n
+        for lam, H in zip(lams, hessians):
+            row = [a + lam * h for a, h in zip(row, H[i])]
+        row[i] += 1.0
+        A.append(row + [grad[i] for grad in grads])
+    zeros = [0.0] * len(gs)
+    for grad in grads:
+        A.append(list(grad) + zeros)
+    return _solve_dense(A, [-v for v in stat] + [-v for v in vals])
+
+
+def _max_abs(vals):
+    return max(map(abs, vals))
+
+
+def _kkt_trial1(g, x, y, lam, step, t):
+    """The point (y, lam) + t * step and its state: (y, lam, stat, g(y),
+    grad g(y), ||F||)."""
+    y_new = [yi + t * si for yi, si in zip(y, step)]
+    lam_new = lam + t * step[len(y)]
+    return (y_new, lam_new) + _kkt_state1(g, x, y_new, lam_new)
+
+
+def _kkt_trial(gs, x, y, lams, step, t):
+    y_new = [yi + t * si for yi, si in zip(y, step)]
+    lam_new = [li + t * si for li, si in zip(lams, step[len(y):])]
+    return (y_new, lam_new) + _kkt_state(gs, x, y_new, lam_new)
+
+
+# (state, direction, trial, largest |constraint value|) of each form
+_ONE_FORM = (_kkt_state1, _kkt_direction1, _kkt_trial1, abs)
+_LIST_FORM = (_kkt_state, _kkt_direction, _kkt_trial, _max_abs)
 
 
 def _warm_seed(g, x, start):
@@ -483,8 +571,8 @@ def _warm_seed(g, x, start):
         return None
     lam = max(0.0, vdot(vsub(x, y), grad) / gn2)
     stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
-    vals = [g.evaluate(y)]
-    return y, [lam], stat, vals, [grad], math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+    v = g.evaluate(y)
+    return y, lam, stat, v, grad, math.sqrt(vdot(stat, stat) + v * v)
 
 
 def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
@@ -512,7 +600,13 @@ def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
         lam_seed = gx / gn2
         y0 = [xi - lam_seed * gi for xi, gi in zip(x, grad0)]
         lam0 = [lam_seed] + [0.0] * (len(gs) - 1)
-    cold = _kkt_seed(gs, x, list(y0), list(lam0))
+    y0 = list(y0)
+    if len(gs) == 1:
+        lam0 = lam0[0]
+        cold = (y0, lam0) + _kkt_state1(gs[0], x, y0, lam0)
+    else:
+        lam0 = list(lam0)
+        cold = (y0, lam0) + _kkt_state(gs, x, y0, lam0)
     seeds = [cold]
     if start is not None:
         warm = _warm_seed(gs[0], x, start)
@@ -526,71 +620,56 @@ def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
 
 
 def _newton_from_seed(s, active, gs, x, seed):
-    """One damped Newton attempt from ``seed`` (see :func:`_kkt_seed`);
-    the solution as a tuple, or None when abandoned."""
-    n = len(x)
+    """One damped Newton attempt from ``seed`` = (y, lam, stat, g(y),
+    grad g(y), ||F||), in the one-constraint form when ``gs`` has one
+    constraint and in the list form otherwise; the solution as a tuple, or
+    None when abandoned."""
     p = len(gs)
-    y, lams, stat, vals, grads, fnorm = seed
-
-    def newton_direction():
-        # bordered KKT matrix [[I + sum_j lam_j H_j, G], [G^T, 0]], row by row
-        hessians = [g.hessian_rows(y) for g in gs]
-        A = []
-        for i in range(n):
-            row = [0.0] * n
-            for lam, H in zip(lams, hessians):
-                row = [a + lam * h for a, h in zip(row, H[i])]
-            row[i] += 1.0
-            A.append(row + [grad[i] for grad in grads])
-        zeros = [0.0] * p
-        for grad in grads:
-            A.append(list(grad) + zeros)
-        return _solve_dense(A, [-v for v in stat] + [-v for v in vals])
-
+    kkt, (state, direction, trial, violation) = (gs[0], _ONE_FORM) if p == 1 else (gs, _LIST_FORM)
+    y, lam, stat, val, grad, fnorm = seed
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
         if not math.isfinite(fnorm):
             return None
-        if max(abs(v) for v in vals) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
+        if violation(val) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
             converged = True
             break
-        step = newton_direction()
+        step = direction(kkt, y, lam, stat, val, grad)
         if step is None:
             return None
         t = 1.0
         while True:
-            y_new = [yi + t * si for yi, si in zip(y, step[:n])]
-            lam_new = [li + t * si for li, si in zip(lams, step[n:])]
-            stat_new, vals_new, grads_new = _kkt_state(gs, x, y_new, lam_new)
-            fn_new = math.sqrt(vdot(stat_new, stat_new) + vdot(vals_new, vals_new))
+            new = trial(kkt, x, y, lam, step, t)
+            fn_new = new[-1]
             if math.isfinite(fn_new) and fn_new <= (1.0 - 1e-4 * t) * fnorm:
                 break
             t *= 0.5
             if t < 2.0**-40:
                 return None
-        y, lams = y_new, lam_new
-        stat, vals, grads, fnorm = stat_new, vals_new, grads_new, fn_new
+        y, lam, stat, val, grad, fnorm = new
     if not converged:
         # rescue for degenerate constraints (gradients vanishing on the set,
         # hence no finite KKT point): restore feasibility by Gauss-Newton
         # steps on the worst constraint alone, then pick the least-squares
         # multipliers, which minimize the stationarity defect achievable at
         # the restored point
+        n = len(x)
+        vals, grads = ([val], [grad]) if p == 1 else (val, grad)
         target = FEASIBILITY_TOL * 1e-4
         for _ in range(120):
             worst = max(range(p), key=lambda jj: abs(vals[jj]))
             v = vals[worst]
             if abs(v) <= target:
                 break
-            grad = grads[worst]
-            gn2 = vdot(grad, grad)
+            worst_grad = grads[worst]
+            gn2 = vdot(worst_grad, worst_grad)
             if gn2 <= 0.0:
                 break
             f = v / gn2
-            y = [yi - f * gi for yi, gi in zip(y, grad)]
+            y = [yi - f * gi for yi, gi in zip(y, worst_grad)]
             vals = [g.evaluate(y) for g in gs]
             grads = [g.gradient(y) for g in gs]
-        if max(abs(v) for v in vals) > FEASIBILITY_TOL:
+        if _max_abs(vals) > FEASIBILITY_TOL:
             return None
         G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
         N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
@@ -598,29 +677,25 @@ def _newton_from_seed(s, active, gs, x, seed):
         lam_ls = _solve_dense(N, r)
         if lam_ls is None:
             return None
-        stat, vals, grads = _kkt_state(gs, x, y, lam_ls)
-        if vnorm(stat) > OPTIMALITY_TOL or max(abs(v) for v in vals) > FEASIBILITY_TOL:
+        lam = lam_ls[0] if p == 1 else lam_ls
+        stat, val, grad, fnorm = state(kkt, x, y, lam)
+        if vnorm(stat) > OPTIMALITY_TOL or violation(val) > FEASIBILITY_TOL:
             return None
-        lams = lam_ls
-        fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
     # polish: full steps are quadratically convergent here, so a couple more
     # drive the residual toward machine precision; keep them only while ||F||
-    # strictly decreases
+    # strictly decreases (a step times 1.0 is the step itself, bit for bit)
     for _ in range(2):
         if fnorm == 0.0:
             break
-        step = newton_direction()
+        step = direction(kkt, y, lam, stat, val, grad)
         if step is None:
             break
-        y_new = [yi + si for yi, si in zip(y, step[:n])]
-        lam_new = [li + si for li, si in zip(lams, step[n:])]
-        stat_new, vals_new, grads_new = _kkt_state(gs, x, y_new, lam_new)
-        fn_new = math.sqrt(vdot(stat_new, stat_new) + vdot(vals_new, vals_new))
+        new = trial(kkt, x, y, lam, step, 1.0)
+        fn_new = new[-1]
         if not math.isfinite(fn_new) or fn_new >= fnorm:
             break
-        y, lams = y_new, lam_new
-        stat, vals, grads, fnorm = stat_new, vals_new, grads_new, fn_new
-    if any(lam < -OPTIMALITY_TOL for lam in lams):
+        y, lam, stat, val, grad, fnorm = new
+    if any(mult < -OPTIMALITY_TOL for mult in ([lam] if p == 1 else lam)):
         return None
     result = tuple(y)
     active_set = set(active)

@@ -1,5 +1,7 @@
 """Shared test utilities: brute-force oracles kept independent of the solvers."""
 
+import math
+
 import numpy as np
 
 
@@ -43,3 +45,41 @@ def poly_multiply(p, q):
             e = tuple(a + b for a, b in zip(mp.exponents, mq.exponents))
             out[e] = out.get(e, 0.0) + mp.coefficient * mq.coefficient
     return Polynomial(p.dimension, out)
+
+
+def reference_solve_dense(A, b):
+    """Gaussian elimination with partial pivoting as a plain loop, reducing
+    the lists ``A`` and ``b`` in place; None on a zero or non-finite pivot.
+    The compiled ``cycproj.sets._solve_dense`` must match it bit for bit."""
+    n = len(b)
+    for col in range(n):
+        piv = col
+        best = abs(A[col][col])
+        for r in range(col + 1, n):
+            v = abs(A[r][col])
+            if v > best:
+                best = v
+                piv = r
+        if best == 0.0 or not math.isfinite(best):
+            return None
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            b[col], b[piv] = b[piv], b[col]
+        prow = A[col]
+        bcol = b[col]
+        inv = 1.0 / prow[col]
+        for r in range(col + 1, n):
+            f = A[r][col] * inv
+            if f != 0.0:
+                row = A[r]
+                for c in range(col, n):
+                    row[c] -= f * prow[c]
+                b[r] -= f * bcol
+    out = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        row = A[r]
+        for c in range(r + 1, n):
+            acc -= row[c] * out[c]
+        out[r] = acc / row[r]
+    return out

@@ -171,6 +171,45 @@ def test_hint_missing_field_is_named(tmp_path, capsys, set_index, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "set_index, key, value, message",
+    [
+        (0, "a", [1.0, 0.0, 0.0], "sets[0].hint.a must be 2 numbers"),
+        (0, "a", [1.0], "sets[0].hint.a must be 2 numbers"),
+        (2, "center", [0.0, 0.0, 0.0], "sets[2].hint.center must be 2 numbers"),
+        (2, "center", [0.0], "sets[2].hint.center must be 2 numbers"),
+    ],
+)
+def test_hint_vector_length_is_checked_against_dimension(tmp_path, capsys, set_index, key, value, message):
+    doc = _hinted_problem_doc()
+    doc["sets"][set_index]["hint"][key] = value
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
+    assert code == 1
+    assert f".json: {message}" in err
+    assert not out.exists()
+
+
+def test_power_epigraph_hint_outside_the_plane_is_named(tmp_path, capsys):
+    doc = {
+        "dimension": 3,
+        "sets": [{
+            "name": "power",
+            "constraints": [{"terms": [
+                {"exponents": [0, 2, 0], "coefficient": 1.0},
+                {"exponents": [1, 0, 0], "coefficient": -1.0},
+            ]}],
+            "hint": {"type": "power_epigraph", "degree": 2},
+        }],
+    }
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "run.csv"
+    code = cli.main(["run", "--problem", str(pfile), "--x0", "1,1,1", "--out", str(out)])
+    assert code == 1
+    assert ".json: sets[0].hint of type 'power_epigraph' needs dimension 2, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- run -------------------------------------------------------------------------
 
 
@@ -229,7 +268,7 @@ def test_cmd_run_negative_start(tmp_path):
     "args, message",
     [
         (["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--t-lo", "-1e-3"], "--t-lo must be positive"),
-        (["run", "--example", "ex5.5", "--x0", "0,2", "--stop-tol", "-1e-3"], "stop_tol must be positive"),
+        (["run", "--example", "ex5.5", "--x0", "-1e-3"], "--x0 has 1 coordinates"),
         (["errorbound", "--example", "ex5.5", "--center", "0,0", "--radius", "-5e-1"], "radius must be positive"),
         (["errorbound", "--example", "ex5.5", "--center", "0,0", "--theta", "-2e0"], "theta must be positive"),
     ],
@@ -238,6 +277,30 @@ def test_negative_value_with_exponent_reaches_its_option_check(tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "--example", "ex5.5", "--x0", "0,2", "--stop-tol", "-1e-3"],
+         "argument --stop-tol: must be a positive number, got '-1e-3'"),
+        (["run", "--example", "ex5.5", "--x0", "0,2", "--stop-tol", "nan"],
+         "argument --stop-tol: must be a positive number, got 'nan'"),
+        (["run", "--example", "ex5.5", "--x0", "0,2", "--sweeps", "0"],
+         "argument --sweeps: must be an integer >= 1, got '0'"),
+        (["run", "--example", "ex5.5", "--x0", "0,2", "--sweeps", "1e3"],
+         "argument --sweeps: must be an integer >= 1, got '1e3'"),
+        (["errorbound", "--example", "ex5.5", "--center", "0,0", "--samples", "0"],
+         "argument --samples: must be an integer >= 1, got '0'"),
+        (["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "-5"],
+         "argument --samples: must be an integer >= 1, got '-5'"),
+    ],
+)
+def test_option_checks_name_the_option(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,8 +4,9 @@ report and the ``errorbound`` report are pinned by SHA-256.
 The digests were first computed with the earlier csv.writer-based trace
 writer, so a change in row formatting, line ends, the header or the thinned
 marker shows up here.  They assume IEEE-754 doubles and an x86-64 glibc
-``pow``; the runs use closed-form ball projections and single-constraint KKT
-Newton solves.
+``pow``; the runs use closed-form ball projections, single-constraint KKT
+Newton solves, and penalty-ladder solves polished by Newton on two active
+constraints.
 """
 
 import hashlib
@@ -23,6 +24,8 @@ THINNED_EX55_SHA = "d470e1295cf54d86c326684587735a57267897d4788eed1cae74cf015597
 EX58_N3_SHA = "8578210eaabc65868cc805e4e7cbeb40daabb9cbca100841cb5a62d6d3955dec"
 HAND_BUILT_SHA = "297f3e2b5eb93672831e74d27c3aa6b3881c3b7ffd8445d556d22f3465013a14"
 LENS_ERRORBOUND_SHA = "e6ccd337a5178688eaae9f6bea2ee9e8218d9dc098a3e922d1280dbd563247a6"
+EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
+CROSSED_LENS_ERRORBOUND_SHA = "49dd87e4bcc6623ea41a342b67148ce1183b873455dcef68c67b5e0f9efead41"
 
 
 def _sha256(path) -> str:
@@ -95,6 +98,16 @@ def test_three_dimensional_quartic_trace_bytes(tmp_path):
     path = tmp_path / "ex58.csv"
     write_trace(trace, str(path))
     assert _sha256(path) == EX58_N3_SHA
+    _assert_round_trip(trace, path, tmp_path)
+
+
+def test_power_region_trace_bytes(tmp_path):
+    entry = get_entry("ex5.7:d=4")
+    trace = cyclic_project(entry.problem, entry.default_start, max_sweeps=2000, stop_tol=1e-300)
+    assert len(trace.ks) == 4000
+    path = tmp_path / "ex57.csv"
+    write_trace(trace, str(path))
+    assert _sha256(path) == EX57_D4_SHA
     _assert_round_trip(trace, path, tmp_path)
 
 
@@ -207,3 +220,42 @@ def test_refinement_records_at_most_one_sweep(tmp_path, monkeypatch):
     assert cli.main(args) == 0
     assert len(sizes) == 40 and max(sizes) <= 2
     assert _sha256(out) == LENS_ERRORBOUND_SHA
+
+
+def _disk_constraint(cx, cy):
+    # (x - cx)^2 + (y - cy)^2 - 1
+    return {"terms": [
+        {"exponents": [2, 0], "coefficient": 1.0},
+        {"exponents": [1, 0], "coefficient": -2.0 * cx},
+        {"exponents": [0, 2], "coefficient": 1.0},
+        {"exponents": [0, 1], "coefficient": -2.0 * cy},
+        {"exponents": [0, 0], "coefficient": cx * cx + cy * cy - 1.0},
+    ]}
+
+
+def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
+    # each set is a lens given as two unhinted disk constraints, so samples
+    # beyond a lens tip go through the penalty ladder, whose polish runs the
+    # KKT Newton solve on both constraints
+    from cycproj import sets
+
+    doc = {"dimension": 2, "sets": [
+        {"name": "lens", "constraints": [_disk_constraint(-0.5, 0.0), _disk_constraint(0.5, 0.0)]},
+        {"name": "lens-t", "constraints": [_disk_constraint(0.0, -0.5), _disk_constraint(0.0, 0.5)]},
+    ]}
+    problem = tmp_path / "crossed-lenses.json"
+    problem.write_text(json.dumps(doc))
+    active_sizes = []
+    kkt_newton = sets._kkt_newton
+
+    def recording(s, active, *args, **kwargs):
+        active_sizes.append(len(active))
+        return kkt_newton(s, active, *args, **kwargs)
+
+    monkeypatch.setattr(sets, "_kkt_newton", recording)
+    out = tmp_path / "eb.json"
+    args = ["errorbound", "--problem", str(problem), "--center", "0,0", "--samples", "40",
+            "--radius", "1.2", "--seed", "5", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert active_sizes.count(2) == 4 and set(active_sizes) == {1, 2}
+    assert _sha256(out) == CROSSED_LENS_ERRORBOUND_SHA
