@@ -15,6 +15,17 @@ starts from 0.0 in graded-lex order, so the arithmetic is that of a plain
 loop over the terms.  Coefficients are bound as names in the kernel's
 namespace, never written into its source, so they stay exact.
 
+``kkt_kernels()`` compiles, on first use, the two kernels of the projection's
+one-constraint KKT Newton solve, cached with the others.  ``kkt_state(point,
+y, lam)`` returns the stationarity vector ``(y_i - point_i) + lam * g_i``,
+g(y), grad g(y) and ``sqrt((0.0 + s_0 * s_0 + ...) + v * v)``;
+``kkt_system(y, lam, stat, v, grad)`` returns the bordered KKT matrix, with
+entries ``0.0 + lam * h_ij`` of the Hessian's upper triangle, mirrored, plus
+1.0 on the diagonal, then the gradient column and row, and the right-hand
+side ``[-stat_i..., -v]``.  Their value, gradient and Hessian sums are those
+of the single kernels, so both agree bit for bit with composing
+``evaluate``, ``gradient`` and ``hessian_rows``.
+
 Instances are immutable after construction and safe to share across
 threads.  The kernel cache is filled lazily; two threads may both compile a
 kernel, and whichever store lands last is kept, which is benign because the
@@ -62,12 +73,17 @@ def _grlex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
-def _compile(dimension: int, sums, result: str):
-    """Compile ``kernel(x)``: unpack x into x0, x1, ..., accumulate each
+def _names(prefix: str, n: int) -> str:
+    """``"p0, p1, "`` for prefix p and n = 2: a tuple body that also unpacks."""
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+def _compile(dimension: int, sums, result: str, args: str = "x", body=()):
+    """Compile ``kernel(args)``: unpack x into x0, x1, ..., accumulate each
     ``(name, ordered terms)`` of ``sums`` from 0.0, one statement per term,
-    and return the expression ``result`` over those names."""
-    namespace = {"__builtins__": {}}
-    lines = ["def kernel(x):", "    " + "".join(f"x{i}, " for i in range(dimension)) + "= x"]
+    run the statements of ``body`` and return the expression ``result``."""
+    namespace = {"__builtins__": {}, "sqrt": math.sqrt}
+    lines = [f"def kernel({args}):", f"    {_names('x', dimension)}= x"]
     for name, terms in sums:
         lines.append(f"    {name} = 0.0")
         for exps, coeff in terms:
@@ -78,6 +94,7 @@ def _compile(dimension: int, sums, result: str):
                 f" * x{i}" if e == 1 else f" * x{i} ** {e}" for i, e in enumerate(exps) if e
             )
             lines.append(f"    {name} += {c}{factors}")
+    lines += [f"    {statement}" for statement in body]
     lines.append(f"    return {result}")
     exec("\n".join(lines), namespace)
     return namespace["kernel"]
@@ -86,10 +103,11 @@ def _compile(dimension: int, sums, result: str):
 class _Kernels:
     """The compiled kernels of one polynomial, each None until first use."""
 
-    __slots__ = ("value", "gradient", "hessian_rows")
+    __slots__ = ("value", "gradient", "hessian_rows", "kkt_state", "kkt_system")
 
     def __init__(self):
         self.value = self.gradient = self.hessian_rows = None
+        self.kkt_state = self.kkt_system = None
 
 
 class Polynomial:
@@ -224,21 +242,64 @@ class Polynomial:
         self._kernels.value = _compile(self.dimension, [("v", self._ordered)], "v")
         return self._kernels.value
 
-    def _compile_derivatives(self) -> _Kernels:
+    def kkt_kernels(self) -> _Kernels:
+        """The kernels with the one-constraint KKT Newton pair compiled:
+        ``kkt_state(point, y, lam)`` and ``kkt_system(y, lam, stat, v, grad)``
+        (see the module docstring)."""
+        kernels = self._kernels
+        return kernels if kernels.kkt_system is not None else self._compile_kkt()
+
+    def _derivative_sums(self):
+        """The gradient's sums g0, g1, ... and the Hessian's upper triangle
+        h0_0, h0_1, ..., each as (name, ordered terms)."""
         n = self.dimension
         grads = [self.partial(i) for i in range(n)]
-        kernels = self._kernels
-        kernels.gradient = _compile(
-            n,
-            [(f"g{i}", g._ordered) for i, g in enumerate(grads)],
-            "(" + "".join(f"g{i}, " for i in range(n)) + ")",
-        )
-        # upper triangle only; the returned rows mirror it
+        gradient = [(f"g{i}", g._ordered) for i, g in enumerate(grads)]
         upper = [(f"h{i}_{j}", grads[i].partial(j)._ordered) for i in range(n) for j in range(i, n)]
+        return gradient, upper
+
+    def _compile_derivatives(self) -> _Kernels:
+        n = self.dimension
+        gradient, upper = self._derivative_sums()
+        kernels = self._kernels
+        kernels.gradient = _compile(n, gradient, f"({_names('g', n)})")
+        # upper triangle only; the returned rows mirror it
         rows = ", ".join(
             "[" + ", ".join(f"h{min(i, j)}_{max(i, j)}" for j in range(n)) + "]" for i in range(n)
         )
         kernels.hessian_rows = _compile(n, upper, f"[{rows}]")
+        return kernels
+
+    def _compile_kkt(self) -> _Kernels:
+        n = self.dimension
+        gradient, upper = self._derivative_sums()
+        stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
+        squares = "".join(f" + s{i} * s{i}" for i in range(n))
+        kernels = self._kernels
+        kernels.kkt_state = _compile(
+            n,
+            gradient + [("v", self._ordered)],
+            f"({_names('s', n)}), v, ({_names('g', n)}), sqrt(0.0{squares} + v * v)",
+            args="point, x, lam",
+            body=[f"{_names('p', n)}= point"] + stat,
+        )
+        # entry (i, j) of I + lam H, shared by (j, i)
+        entries = [
+            f"a{i}_{j} = 0.0 + lam * h{i}_{j}" + (" + 1.0" if i == j else "")
+            for i in range(n)
+            for j in range(i, n)
+        ]
+        rows = "".join(
+            "[" + "".join(f"a{min(i, j)}_{max(i, j)}, " for j in range(n)) + f"g{i}], "
+            for i in range(n)
+        )
+        kernels.kkt_system = _compile(
+            n,
+            upper,
+            f"[{rows}[{_names('g', n)}0.0]], [{_names('-s', n)}-v]",
+            args="x, lam, stat, v, grad",
+            body=[f"{_names('s', n)}= stat", f"{_names('g', n)}= grad"] + entries,
+        )
         return kernels
 
     def hessian(self, x: Sequence[float]) -> np.ndarray:

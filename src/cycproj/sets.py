@@ -9,16 +9,23 @@ projector dispatches, in order:
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
                                  an optional warm start; the multiplier and
-                                 the constraint value are floats, and each
-                                 Newton step builds the bordered KKT matrix
-                                 and its right-hand side in one pass and
-                                 solves them with elimination code compiled
-                                 once per system size,
+                                 the constraint value are floats, and two
+                                 kernels compiled once per constraint do the
+                                 work: ``kkt_state`` gives the stationarity
+                                 vector, g(y), grad g(y) and ||F|| in one
+                                 call, ``kkt_system`` the bordered KKT
+                                 matrix and its right-hand side, which
+                                 elimination code compiled once per system
+                                 size solves,
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
 
-The penalty ladder polishes its candidate active sets with the same Newton
-solve, in a list form for two or more active constraints.
+Without a closed form, each constraint is evaluated once at the input
+point, for the feasibility test, the active-set test and the cold Newton
+seed, and the result's membership check reuses the Newton state's value of
+the active constraint.  The penalty ladder polishes its candidate active
+sets with the same Newton solve, in a list form for two or more active
+constraints.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -247,10 +254,15 @@ class ConvexSetDescriptor:
 
     def _validate_hint(self):
         h = self.analytic_hint
-        if isinstance(h, (Halfspace, Ball)) and len(self._hint_center()) != self.dimension:
-            raise ValueError("hint dimension does not match constraints")
-        if isinstance(h, PowerEpigraph) and self.dimension != 2:
-            raise ValueError("power epigraph hint requires dimension 2")
+        if isinstance(h, PowerEpigraph):
+            kind, coords = "power_epigraph", 2
+        else:
+            kind, coords = "ball" if isinstance(h, Ball) else "halfspace", len(self._hint_center())
+        if coords != self.dimension:
+            raise ValueError(
+                f"{kind} hint of {self.name!r} has {coords} coordinates, "
+                f"set dimension is {self.dimension}"
+            )
         rng = np.random.default_rng(_HINT_CHECK_SEED)
         center = self._hint_center()
         pts = rng.normal(0.0, 1.5, size=(_HINT_CHECK_POINTS, self.dimension))
@@ -389,31 +401,57 @@ def project(
     x = finite_vector(x, "point to project")
     if len(x) != s.dimension:
         raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
-    if s.residual(x) == 0.0:
-        return x
     hint = s.analytic_hint
-    if isinstance(hint, Halfspace):
-        v = vdot(hint.a, x) - hint.b
-        if v <= 0.0:
+    if hint is not None and not isinstance(hint, PowerEpigraph):  # closed forms
+        if s.residual(x) == 0.0:
             return x
-        nn = vdot(hint.a, hint.a)
-        return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
-    if isinstance(hint, Ball):
+        if isinstance(hint, Halfspace):
+            v = vdot(hint.a, x) - hint.b
+            if v <= 0.0:
+                return x
+            nn = vdot(hint.a, hint.a)
+            return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
         dx = vsub(x, hint.center)
         nrm = vnorm(dx)
         if nrm <= hint.radius:
             return x
         f = hint.radius / nrm
         return tuple([ci + f * di for ci, di in zip(hint.center, dx)])
+    # one pass over the constraints at x serves the feasibility test, the
+    # active-set test and the cold Newton seed
+    values = []
     try:
-        active = [j for j, g in enumerate(s.constraints) if g.evaluate(x) > -10.0 * FEASIBILITY_TOL]
+        for g in s.constraints:
+            values.append(g.evaluate(x))
+    except OverflowError as exc:
+        # ConvexSetDescriptor.residual stops at a NaN value, so an overflow
+        # past one is met while projecting
+        nan_seen = any(v != v for v in values)
+        where = "while projecting onto" if nan_seen else "evaluating the constraints of"
+        raise NumericalError(f"overflow {where} {s.name!r}") from exc
+    if _max_violation(values) == 0.0:
+        return x
+    try:
+        active = [j for j, v in enumerate(values) if v > -10.0 * FEASIBILITY_TOL]
         if len(active) == 1:
-            y = _kkt_newton(s, active, x, start=start)
+            y = _kkt_newton(s, active, x, gx=values[active[0]], start=start)
             if y is not None:
                 return y
         return _project_penalty(s, x)
     except OverflowError as exc:
         raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
+
+
+def _max_violation(values) -> float:
+    """max_j [v_j]_+ of the constraint values, as ConvexSetDescriptor.residual
+    takes it: zero exactly when every value is <= 0, NaN at the first NaN."""
+    worst = 0.0
+    for v in values:
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+    return worst
 
 
 def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
@@ -480,20 +518,19 @@ def _solve_dense(A, b):
 
 
 # Newton on the KKT system comes in two forms with the same signatures:
-# ``_kkt_state1`` & co. for one active constraint g, whose multiplier lam and
+# ``_kkt_state1`` & co. for one active constraint, whose multiplier lam and
 # value g(y) are floats and gradient a single vector, and ``_kkt_state`` &
 # co. for a list of constraints gs with lists of multipliers, values and
-# gradients.  On one constraint both give the same bits: the first form only
-# drops the list bookkeeping and the exact addition of 0.0 to a square.
+# gradients.  The first form runs the constraint's compiled kernels ``k`` =
+# ``g.kkt_kernels()``, straight-line code for the same float operations as
+# the list form on one constraint, without the list bookkeeping and the
+# exact addition of 0.0 to a square.
 
 
-def _kkt_state1(g, x, y, lam):
+def _kkt_state1(k, x, y, lam):
     """(stationarity vector, g(y), grad g(y), ||F||) at (y, lam), where F
     stacks the stationarity vector and the constraint value."""
-    grad = g.gradient(y)
-    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
-    v = g.evaluate(y)
-    return stat, v, grad, math.sqrt(vdot(stat, stat) + v * v)
+    return k.kkt_state(x, y, lam)
 
 
 def _kkt_state(gs, x, y, lams):
@@ -506,19 +543,11 @@ def _kkt_state(gs, x, y, lams):
     return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
 
 
-def _kkt_direction1(g, y, lam, stat, v, grad):
+def _kkt_direction1(k, y, lam, stat, v, grad):
     """Newton step (dy, dlam) as one list, from the bordered KKT matrix
-    [[I + lam H, grad], [grad^T, 0]] and right-hand side -F, both built row
-    by row; None if the matrix is singular."""
-    A = []
-    for i, (hrow, gi) in enumerate(zip(g.hessian_rows(y), grad)):
-        row = [0.0 + lam * h for h in hrow]
-        row[i] += 1.0
-        row.append(gi)
-        A.append(row)
-    A.append([*grad, 0.0])
-    b = [-si for si in stat]
-    b.append(-v)
+    [[I + lam H, grad], [grad^T, 0]] and right-hand side -F; None if the
+    matrix is singular."""
+    A, b = k.kkt_system(y, lam, stat, v, grad)
     return _solve_dense(A, b)
 
 
@@ -542,12 +571,12 @@ def _max_abs(vals):
     return max(map(abs, vals))
 
 
-def _kkt_trial1(g, x, y, lam, step, t):
+def _kkt_trial1(k, x, y, lam, step, t):
     """The point (y, lam) + t * step and its state: (y, lam, stat, g(y),
     grad g(y), ||F||)."""
     y_new = [yi + t * si for yi, si in zip(y, step)]
     lam_new = lam + t * step[len(y)]
-    return (y_new, lam_new) + _kkt_state1(g, x, y_new, lam_new)
+    return (y_new, lam_new) + k.kkt_state(x, y_new, lam_new)
 
 
 def _kkt_trial(gs, x, y, lams, step, t):
@@ -570,15 +599,15 @@ def _warm_seed(g, x, start):
     if gn2 <= 0.0:
         return None
     lam = max(0.0, vdot(vsub(x, y), grad) / gn2)
-    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
-    v = g.evaluate(y)
-    return y, lam, stat, v, grad, math.sqrt(vdot(stat, stat) + v * v)
+    return (y, lam) + g.kkt_kernels().kkt_state(x, y, lam)
 
 
-def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
+def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
+    Without a seed ``y0``, ``lam0`` Newton starts from a first-order step
+    from x, which needs ``gx``, the first active constraint's value at x.
     ``start`` (single active constraint only) is a previous projection onto
     the same set.  It adds a warm seed, and Newton starts from whichever of
     the warm and cold seeds has the smaller ||F||; if the warm attempt is
@@ -592,7 +621,6 @@ def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
     if y0 is None or lam0 is None:
         # first-order seed along the dominant constraint's gradient
         g = gs[0]
-        gx = g.evaluate(x)
         grad0 = g.gradient(x)
         gn2 = vdot(grad0, grad0)
         if gn2 <= 0.0:
@@ -603,7 +631,7 @@ def _kkt_newton(s, active, x, y0=None, lam0=None, start=None):
     y0 = list(y0)
     if len(gs) == 1:
         lam0 = lam0[0]
-        cold = (y0, lam0) + _kkt_state1(gs[0], x, y0, lam0)
+        cold = (y0, lam0) + _kkt_state1(gs[0].kkt_kernels(), x, y0, lam0)
     else:
         lam0 = list(lam0)
         cold = (y0, lam0) + _kkt_state(gs, x, y0, lam0)
@@ -625,7 +653,10 @@ def _newton_from_seed(s, active, gs, x, seed):
     constraint and in the list form otherwise; the solution as a tuple, or
     None when abandoned."""
     p = len(gs)
-    kkt, (state, direction, trial, violation) = (gs[0], _ONE_FORM) if p == 1 else (gs, _LIST_FORM)
+    if p == 1:
+        kkt, (state, direction, trial, violation) = gs[0].kkt_kernels(), _ONE_FORM
+    else:
+        kkt, (state, direction, trial, violation) = gs, _LIST_FORM
     y, lam, stat, val, grad, fnorm = seed
     converged = False
     for _ in range(_NEWTON_MAX_ITER):
@@ -697,12 +728,16 @@ def _newton_from_seed(s, active, gs, x, seed):
         y, lam, stat, val, grad, fnorm = new
     if any(mult < -OPTIMALITY_TOL for mult in ([lam] if p == 1 else lam)):
         return None
+    # membership of the result: the active constraints' values are the
+    # Newton state's, the others are evaluated, then the residual is taken
     result = tuple(y)
-    active_set = set(active)
+    values = dict(zip(active, [val] if p == 1 else val))
     for j, other in enumerate(s.constraints):
-        if j not in active_set and other.evaluate(result) > FEASIBILITY_TOL:
-            return None
-    if s.residual(result) > FEASIBILITY_TOL:
+        if j not in values:
+            values[j] = other.evaluate(result)
+            if values[j] > FEASIBILITY_TOL:
+                return None
+    if _max_violation([values[j] for j in range(len(values))]) > FEASIBILITY_TOL:
         return None
     return result
 

@@ -83,3 +83,35 @@ def reference_solve_dense(A, b):
             acc -= row[c] * out[c]
         out[r] = acc / row[r]
     return out
+
+
+def reference_kkt_state(g, x, y, lam):
+    """The one-constraint KKT Newton state as composed from the polynomial's
+    own kernels: (stationarity vector, g(y), grad g(y), ||F||), with
+    stationarity ``(y_i - x_i) + lam * g_i`` and ``||F||`` summed in index
+    order from 0.0, the value's square last.  The compiled
+    ``Polynomial.kkt_kernels().kkt_state`` must match it bit for bit."""
+    grad = g.gradient(y)
+    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
+    v = g.evaluate(y)
+    s = 0.0
+    for si in stat:
+        s += si * si
+    return stat, v, grad, math.sqrt(s + v * v)
+
+
+def reference_kkt_system(g, y, lam, stat, v, grad):
+    """The bordered KKT matrix [[I + lam H, grad], [grad^T, 0]], entries
+    ``0.0 + lam * h`` plus 1.0 on the diagonal, and the right-hand side
+    ``-F``, built row by row from ``Polynomial.hessian_rows``.  The compiled
+    ``Polynomial.kkt_kernels().kkt_system`` must match it bit for bit."""
+    A = []
+    for i, (hrow, gi) in enumerate(zip(g.hessian_rows(y), grad)):
+        row = [0.0 + lam * h for h in hrow]
+        row[i] += 1.0
+        row.append(gi)
+        A.append(row)
+    A.append([*grad, 0.0])
+    b = [-si for si in stat]
+    b.append(-v)
+    return A, b

@@ -112,6 +112,21 @@ def test_hint_must_match_constraints():
         )
 
 
+def test_hint_dimension_mismatch_names_set_hint_and_dimensions():
+    with pytest.raises(ValueError, match=r"^ball hint of 'disk' has 3 coordinates, set dimension is 2$"):
+        ConvexSetDescriptor("disk", [LEFT_DISK_POLY], Ball((-1.0, 0.0, 0.0), 1.0))
+    with pytest.raises(
+        ValueError, match=r"^halfspace hint of 'x<=0' has 1 coordinates, set dimension is 2$"
+    ):
+        ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0,), 0.0))
+    with pytest.raises(
+        ValueError, match=r"^power_epigraph hint of 'chain' has 2 coordinates, set dimension is 3$"
+    ):
+        ConvexSetDescriptor(
+            "chain", [Polynomial(3, {(0, 4, 0): 1.0, (1, 0, 0): -1.0})], PowerEpigraph(4)
+        )
+
+
 def test_problem_max_degree_and_validation():
     prob = FeasibilityProblem(2, [left_disk(), halfplane_x()])
     assert prob.max_degree == 2

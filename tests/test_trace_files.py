@@ -26,6 +26,8 @@ HAND_BUILT_SHA = "297f3e2b5eb93672831e74d27c3aa6b3881c3b7ffd8445d556d22f3465013a
 LENS_ERRORBOUND_SHA = "e6ccd337a5178688eaae9f6bea2ee9e8218d9dc098a3e922d1280dbd563247a6"
 EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
 CROSSED_LENS_ERRORBOUND_SHA = "49dd87e4bcc6623ea41a342b67148ce1183b873455dcef68c67b5e0f9efead41"
+EX58_N2_ALTERNATING_SHA = "e7c0143c8a667c1dfe5cba6e147ad0fd083ecefb5ceaa1fc2bdc078becbf57ab"
+EX57_D2_SHA = "ae629e28f6d2b06095362f34ad80baa1621a30b585c70421f21a79f6a8b3d022"
 
 
 def _sha256(path) -> str:
@@ -108,6 +110,28 @@ def test_power_region_trace_bytes(tmp_path):
     path = tmp_path / "ex57.csv"
     write_trace(trace, str(path))
     assert _sha256(path) == EX57_D4_SHA
+    _assert_round_trip(trace, path, tmp_path)
+
+
+def test_quartic_balls_alternating_trace_bytes(tmp_path):
+    # the replicate entry: warm-started Newton projections onto two quartic balls
+    entry = get_entry("ex5.8:n=2")
+    A, B = entry.pair
+    trace = alternating_project(A, B, entry.default_start, max_iters=1000, stop_tol=1e-300).combined
+    assert len(trace.ks) == 2000 and not trace.thinned
+    path = tmp_path / "ex58-alt.csv"
+    write_trace(trace, str(path))
+    assert _sha256(path) == EX58_N2_ALTERNATING_SHA
+    _assert_round_trip(trace, path, tmp_path)
+
+
+def test_quadratic_power_region_trace_bytes(tmp_path):
+    entry = get_entry("ex5.7:d=2")
+    trace = cyclic_project(entry.problem, entry.default_start, max_sweeps=1000, stop_tol=1e-300)
+    assert len(trace.ks) == 2000
+    path = tmp_path / "ex57-d2.csv"
+    write_trace(trace, str(path))
+    assert _sha256(path) == EX57_D2_SHA
     _assert_round_trip(trace, path, tmp_path)
 
 
