@@ -25,6 +25,7 @@ from .sets import (
     Singleton,
     as_vector,
     distance,
+    finite_vector,
     residual,
     vdist,
 )
@@ -84,6 +85,8 @@ def _window_points(errors: ErrorSeq, window: Tuple[int, int]) -> List[Tuple[int,
             f"window {window} holds {len(pts)} points; at least {MIN_FIT_POINTS} required"
         )
     for k, e in pts:
+        if not math.isfinite(e):
+            raise ValueError(f"non-finite error {e} at k={k} inside the fit window")
         if e <= 0.0:
             raise ValueError(f"nonpositive error {e} at k={k} inside the fit window")
     return pts
@@ -272,9 +275,9 @@ def error_bound_probe(
         raise ValueError("n_samples must be >= 1")
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
-    xbar = as_vector(xbar)
+    xbar = finite_vector(xbar, "center")
     for s in problem.sets:
-        if residual(s, xbar) > _PROBE_FEAS_TOL:
+        if not residual(s, xbar) <= _PROBE_FEAS_TOL:
             raise ValueError(f"center is infeasible for set {s.name!r}")
     n = problem.dimension
     rng = np.random.default_rng(seed)

@@ -25,7 +25,6 @@ from .sets import (
     ProjectionError,
     Singleton,
     Vector,
-    as_vector,
     finite_vector,
     project,
     residual,
@@ -370,10 +369,10 @@ def check_fejer(trace: Trace, witnesses: Sequence[Sequence[float]]) -> FejerRepo
     <= 1e-8).  A pair (k, w) is reported when the distance to witness w
     increased by more than 1e-9 between consecutive recorded sweep ends.
     """
-    ws = [as_vector(w) for w in witnesses]
+    ws = [finite_vector(w, f"witness {i}") for i, w in enumerate(witnesses)]
     for i, w in enumerate(ws):
         for s in trace.problem.sets:
-            if residual(s, w) > _WITNESS_FEAS_TOL:
+            if not residual(s, w) <= _WITNESS_FEAS_TOL:
                 raise ValueError(f"witness {i} is infeasible for set {s.name!r}")
     points = trace.sweep_points()
     violations = []

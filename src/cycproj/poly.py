@@ -12,19 +12,37 @@ and Hessian kernels together on the first ``gradient`` or ``hessian_rows``,
 from the symbolic partial derivatives.  Each term multiplies its coefficient
 by ``x_i ** e_i`` for the variables it uses, in index order, and the sum
 starts from 0.0 in graded-lex order, so the arithmetic is that of a plain
-loop over the terms.  Coefficients are bound as names in the kernel's
-namespace, never written into its source, so they stay exact.
+loop over the terms.  Coefficients are bound as closure cells c0, c1, ...,
+never written into the source, so they stay exact, and the source depends
+only on the dimension and the exponent structure: polynomials of one
+structure share one compiled factory (``_factory``, cached by source text)
+and differ only in their cells.
 
 ``kkt_kernels()`` compiles, on first use, the two kernels of the projection's
-one-constraint KKT Newton solve, cached with the others.  ``kkt_state(point,
-y, lam)`` returns the stationarity vector ``(y_i - point_i) + lam * g_i``,
-g(y), grad g(y) and ``sqrt((0.0 + s_0 * s_0 + ...) + v * v)``;
-``kkt_system(y, lam, stat, v, grad)`` returns the bordered KKT matrix, with
-entries ``0.0 + lam * h_ij`` of the Hessian's upper triangle, mirrored, plus
-1.0 on the diagonal, then the gradient column and row, and the right-hand
-side ``[-stat_i..., -v]``.  Their value, gradient and Hessian sums are those
-of the single kernels, so both agree bit for bit with composing
-``evaluate``, ``gradient`` and ``hessian_rows``.
+one-constraint KKT Newton solve from the templates ``_SEED_SOURCE`` and
+``_NEWTON_SOURCE``, cached with the others.  A state at (y, lam) is the flat
+tuple ``(y..., lam, s..., v, g..., ||F||)`` of the stationarity vector
+``s_i = (y_i - point_i) + lam * g_i``, v = g(y), grad g(y) and
+``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + v * v)``.
+
+- ``kkt_seed(point, gx, start)`` returns the states of the seeds: the
+  first-order step ``point - lam * grad g(point)`` with ``lam = gx /
+  |grad g(point)|^2``, preceded, when ``start`` is given and has the smaller
+  ||F||, by ``start`` with the least-squares multiplier of ``point - start =
+  lam * grad g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
+- ``kkt_newton(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs at
+  most ``max_iter`` Newton steps from a seed state until ``|v| <= feas_tol``
+  and ``|s| <= opt_tol``, each solving the bordered KKT system
+  ``[[I + lam H, grad], [grad^T, 0]]`` (entries ``0.0 + lam * h_ij``) with
+  right-hand side ``-F`` by ``solve(A, b)`` and damped by Armijo halving
+  down to t = 2^-40; then up to two full polish steps, each kept only while
+  ||F|| strictly falls.  It returns ``(converged, y, lam, v, grad)``, or
+  None when abandoned (non-finite ||F||, a singular system or the
+  backtracking floor).
+
+Their value, gradient and Hessian sums are those of the single kernels, so
+they agree bit for bit with the same loops composed from ``evaluate``,
+``gradient`` and ``hessian_rows``.
 
 Instances are immutable after construction and safe to share across
 threads.  The kernel cache is filled lazily; two threads may both compile a
@@ -34,6 +52,7 @@ kernels are equal pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -78,36 +97,140 @@ def _names(prefix: str, n: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(n))
 
 
-def _compile(dimension: int, sums, result: str, args: str = "x", body=()):
-    """Compile ``kernel(args)``: unpack x into x0, x1, ..., accumulate each
-    ``(name, ordered terms)`` of ``sums`` from 0.0, one statement per term,
-    run the statements of ``body`` and return the expression ``result``."""
-    namespace = {"__builtins__": {}, "sqrt": math.sqrt}
-    lines = [f"def kernel({args}):", f"    {_names('x', dimension)}= x"]
+@functools.lru_cache(maxsize=128)
+def _factory(source: str):
+    """``make(c0, c1, ...)``, which returns the kernel of ``source`` with its
+    coefficients bound as closure cells.  One factory, its code and its
+    globals serve every polynomial whose kernel has this text: a kernel's
+    global lookups are cached per code object against one globals dict, so
+    kernels sharing code must share their globals too."""
+    namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite, "range": range, "sqrt": math.sqrt}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def _kernel(source: str, coeffs):
+    """The function ``kernel`` defined by ``source``, with the names c0,
+    c1, ... bound to ``coeffs``."""
+    names = ", ".join(f"c{i}" for i in range(len(coeffs)))
+    wrapped = f"def make({names}):\n{_block(source.splitlines(), 1)}\n    return kernel\n"
+    return _factory(wrapped)(*coeffs)
+
+
+def _sum(coeffs, name, terms, var: str = "x"):
+    """Statements accumulating the ordered ``terms`` into ``name`` from 0.0,
+    one per term, over the variables var0, var1, ...; each coefficient is
+    appended to ``coeffs`` and named c0, c1, ... by its position there."""
+    lines = [f"{name} = 0.0"]
+    for exps, coeff in terms:
+        c = f"c{len(coeffs)}"
+        coeffs.append(coeff)
+        # x ** 1 == x exactly, so the factor is the variable itself
+        factors = "".join(
+            f" * {var}{i}" if e == 1 else f" * {var}{i} ** {e}" for i, e in enumerate(exps) if e
+        )
+        lines.append(f"{name} += {c}{factors}")
+    return lines
+
+
+def _block(lines, depth: int) -> str:
+    return "\n".join("    " * depth + line for line in lines)
+
+
+def _compile(dimension: int, sums, result: str):
+    """Compile ``kernel(x)``: unpack x into x0, x1, ..., accumulate each
+    ``(name, ordered terms)`` of ``sums`` and return the expression
+    ``result``."""
+    coeffs = []
+    body = [f"{_names('x', dimension)}= x"]
     for name, terms in sums:
-        lines.append(f"    {name} = 0.0")
-        for exps, coeff in terms:
-            c = f"c{len(namespace)}"
-            namespace[c] = coeff
-            # x ** 1 == x exactly, so the factor is the variable itself
-            factors = "".join(
-                f" * x{i}" if e == 1 else f" * x{i} ** {e}" for i, e in enumerate(exps) if e
-            )
-            lines.append(f"    {name} += {c}{factors}")
-    lines += [f"    {statement}" for statement in body]
-    lines.append(f"    return {result}")
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+        body += _sum(coeffs, name, terms)
+    return _kernel("def kernel(x):\n" + _block(body + [f"return {result}"], 1), coeffs)
+
+
+# The one-constraint KKT Newton kernels (see the module docstring), filled in
+# per polynomial: {grad}, {value} and {stat} compute g..., v and s... at
+# (x..., lam), and a state is the tuple {state}.
+_SEED_SOURCE = """\
+def kernel(point, gx, start):
+    {p}= point
+{grad_at_point}
+    gn = {gn}
+    if gn <= 0.0:
+        return None
+    lam = gx / gn
+{first_order}
+{grad}
+{value}
+{stat}
+    cold = {state}
+    if start is None:
+        return (cold,)
+    {x}= start
+{grad}
+    gn = {gn}
+    if gn <= 0.0:
+        return (cold,)
+    lam = {least_squares} / gn
+    if not lam > 0.0:  # max(0.0, lam)
+        lam = 0.0
+{value}
+{stat}
+    warm = {state}
+    return (warm, cold) if warm[-1] < cold[-1] else (cold,)
+"""
+
+# The state is held in y..., lam, s..., v, g..., fn; {system} solves the
+# bordered KKT system at it for the step d..., dl, and {trial} computes the
+# trial state x..., lt, r..., w, u..., ft at (y..., lam) + t * step.
+_NEWTON_SOURCE = """\
+def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
+    {p}= point
+    {state} = seed
+    for _ in range(max_iter):
+        if not isfinite(fn):
+            return None
+        if abs(v) <= feas_tol and sqrt({stat_squares}) <= opt_tol:
+            break
+{system2}
+        if d is None:
+            return None
+        {d}dl = d
+        t = 1.0
+        while True:
+{trial3}
+            if isfinite(ft) and ft <= (1.0 - 1e-4 * t) * fn:
+                break
+            t *= 0.5
+            if t < 2.0 ** -40:
+                return None
+        {state} = {trial_state}
+    else:
+        return False, {result}
+    for _ in range(2):
+        if fn == 0.0:
+            break
+{system2}
+        if d is None:
+            break
+        {d}dl = d
+        t = 1.0
+{trial2}
+        if not isfinite(ft) or ft >= fn:
+            break
+        {state} = {trial_state}
+    return True, {result}
+"""
 
 
 class _Kernels:
     """The compiled kernels of one polynomial, each None until first use."""
 
-    __slots__ = ("value", "gradient", "hessian_rows", "kkt_state", "kkt_system")
+    __slots__ = ("value", "gradient", "hessian_rows", "kkt_seed", "kkt_newton")
 
     def __init__(self):
         self.value = self.gradient = self.hessian_rows = None
-        self.kkt_state = self.kkt_system = None
+        self.kkt_seed = self.kkt_newton = None
 
 
 class Polynomial:
@@ -244,10 +367,10 @@ class Polynomial:
 
     def kkt_kernels(self) -> _Kernels:
         """The kernels with the one-constraint KKT Newton pair compiled:
-        ``kkt_state(point, y, lam)`` and ``kkt_system(y, lam, stat, v, grad)``
-        (see the module docstring)."""
+        ``kkt_seed(point, gx, start)`` and ``kkt_newton(point, seed, solve,
+        max_iter, feas_tol, opt_tol)`` (see the module docstring)."""
         kernels = self._kernels
-        return kernels if kernels.kkt_system is not None else self._compile_kkt()
+        return kernels if kernels.kkt_newton is not None else self._compile_kkt()
 
     def _derivative_sums(self):
         """The gradient's sums g0, g1, ... and the Hessian's upper triangle
@@ -273,16 +396,37 @@ class Polynomial:
     def _compile_kkt(self) -> _Kernels:
         n = self.dimension
         gradient, upper = self._derivative_sums()
+        ordered = self._ordered
+
+        def squares(v):
+            return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
+
+        def grad(coeffs, var="x", prefix="g"):
+            lines = []
+            for i, (_, terms) in enumerate(gradient):
+                lines += _sum(coeffs, f"{prefix}{i}", terms, var)
+            return lines
+
+        coeffs = []
         stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
-        squares = "".join(f" + s{i} * s{i}" for i in range(n))
         kernels = self._kernels
-        kernels.kkt_state = _compile(
-            n,
-            gradient + [("v", self._ordered)],
-            f"({_names('s', n)}), v, ({_names('g', n)}), sqrt(0.0{squares} + v * v)",
-            args="point, x, lam",
-            body=[f"{_names('p', n)}= point"] + stat,
+        kernels.kkt_seed = _kernel(
+            _SEED_SOURCE.format(
+                p=_names("p", n),
+                x=_names("x", n),
+                grad_at_point=_block(grad(coeffs, "p"), 1),
+                gn=squares("g"),
+                first_order=_block([f"x{i} = p{i} - lam * g{i}" for i in range(n)], 1),
+                grad=_block(grad(coeffs), 1),
+                value=_block(_sum(coeffs, "v", ordered), 1),
+                stat=_block(stat, 1),
+                state=f"({_names('x', n)}lam, {_names('s', n)}v, {_names('g', n)}"
+                f"sqrt({squares('s')} + v * v))",
+                least_squares="(0.0" + "".join(f" + (p{i} - x{i}) * g{i}" for i in range(n)) + ")",
+            ),
+            coeffs,
         )
+        coeffs = []
         # entry (i, j) of I + lam H, shared by (j, i)
         entries = [
             f"a{i}_{j} = 0.0 + lam * h{i}_{j}" + (" + 1.0" if i == j else "")
@@ -293,12 +437,25 @@ class Polynomial:
             "[" + "".join(f"a{min(i, j)}_{max(i, j)}, " for j in range(n)) + f"g{i}], "
             for i in range(n)
         )
-        kernels.kkt_system = _compile(
-            n,
-            upper,
-            f"[{rows}[{_names('g', n)}0.0]], [{_names('-s', n)}-v]",
-            args="x, lam, stat, v, grad",
-            body=[f"{_names('s', n)}= stat", f"{_names('g', n)}= grad"] + entries,
+        system = [line for name, terms in upper for line in _sum(coeffs, name, terms, "y")] + entries
+        system.append(f"d = solve([{rows}[{_names('g', n)}0.0]], [{_names('-s', n)}-v])")
+        trial = [f"x{i} = y{i} + t * d{i}" for i in range(n)] + ["lt = lam + t * dl"]
+        trial += grad(coeffs, prefix="u") + _sum(coeffs, "w", ordered)
+        trial += [f"r{i} = x{i} - p{i} + lt * u{i}" for i in range(n)]
+        trial.append(f"ft = sqrt({squares('r')} + w * w)")
+        kernels.kkt_newton = _kernel(
+            _NEWTON_SOURCE.format(
+                p=_names("p", n),
+                d=_names("d", n),
+                state=f"{_names('y', n)}lam, {_names('s', n)}v, {_names('g', n)}fn",
+                trial_state=f"{_names('x', n)}lt, {_names('r', n)}w, {_names('u', n)}ft",
+                stat_squares=squares("s"),
+                system2=_block(system, 2),
+                trial2=_block(trial, 2),
+                trial3=_block(trial, 3),
+                result=f"({_names('y', n)}), lam, v, ({_names('g', n)})",
+            ),
+            coeffs,
         )
         return kernels
 

@@ -8,15 +8,13 @@ projector dispatches, in order:
   (c) ball analytic hint      -> closed form,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
-                                 an optional warm start; the multiplier and
-                                 the constraint value are floats, and two
-                                 kernels compiled once per constraint do the
-                                 work: ``kkt_state`` gives the stationarity
-                                 vector, g(y), grad g(y) and ||F|| in one
-                                 call, ``kkt_system`` the bordered KKT
-                                 matrix and its right-hand side, which
-                                 elimination code compiled once per system
-                                 size solves,
+                                 an optional warm start, in two kernels
+                                 compiled once per constraint: ``kkt_seed``
+                                 makes the seeds, ``kkt_newton`` runs the
+                                 steps and the polish, and elimination code
+                                 compiled once per system size, passed in
+                                 as ``_solve_dense``, solves each bordered
+                                 KKT system,
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves.
 
@@ -24,8 +22,8 @@ Without a closed form, each constraint is evaluated once at the input
 point, for the feasibility test, the active-set test and the cold Newton
 seed, and the result's membership check reuses the Newton state's value of
 the active constraint.  The penalty ladder polishes its candidate active
-sets with the same Newton solve, in a list form for two or more active
-constraints.
+sets with the same Newton solve in a list form, which also takes over a
+kernel's attempt that does not converge (a degenerate constraint).
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -517,23 +515,17 @@ def _solve_dense(A, b):
     return (_SOLVERS.get(n) or _SOLVERS.setdefault(n, _compile_solver(n)))(A, b)
 
 
-# Newton on the KKT system comes in two forms with the same signatures:
-# ``_kkt_state1`` & co. for one active constraint, whose multiplier lam and
-# value g(y) are floats and gradient a single vector, and ``_kkt_state`` &
-# co. for a list of constraints gs with lists of multipliers, values and
-# gradients.  The first form runs the constraint's compiled kernels ``k`` =
-# ``g.kkt_kernels()``, straight-line code for the same float operations as
-# the list form on one constraint, without the list bookkeeping and the
-# exact addition of 0.0 to a square.
-
-
-def _kkt_state1(k, x, y, lam):
-    """(stationarity vector, g(y), grad g(y), ||F||) at (y, lam), where F
-    stacks the stationarity vector and the constraint value."""
-    return k.kkt_state(x, y, lam)
+# Newton on the KKT system of one active constraint runs in that
+# constraint's compiled kernels ``g.kkt_kernels()`` (see ``cycproj.poly``);
+# the list form below, for a list of constraints gs with lists of
+# multipliers, values and gradients, serves two or more active constraints,
+# the penalty ladder's polish and the rescue.  On one constraint both forms
+# do the same float operations.
 
 
 def _kkt_state(gs, x, y, lams):
+    """(stationarity vector, constraint values, gradients, ||F||) at
+    (y, lams), where F stacks the stationarity vector and the values."""
     grads = [g.gradient(y) for g in gs]
     stat = [yi - xi for yi, xi in zip(y, x)]
     for lam, grad in zip(lams, grads):
@@ -543,15 +535,10 @@ def _kkt_state(gs, x, y, lams):
     return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
 
 
-def _kkt_direction1(k, y, lam, stat, v, grad):
-    """Newton step (dy, dlam) as one list, from the bordered KKT matrix
-    [[I + lam H, grad], [grad^T, 0]] and right-hand side -F; None if the
-    matrix is singular."""
-    A, b = k.kkt_system(y, lam, stat, v, grad)
-    return _solve_dense(A, b)
-
-
 def _kkt_direction(gs, y, lams, stat, vals, grads):
+    """Newton step (dy, dlams) as one list, from the bordered KKT matrix
+    [[I + sum_j lam_j H_j, G], [G^T, 0]] and right-hand side -F; None if the
+    matrix is singular."""
     n = len(y)
     A = []
     hessians = [g.hessian_rows(y) for g in gs]
@@ -571,167 +558,146 @@ def _max_abs(vals):
     return max(map(abs, vals))
 
 
-def _kkt_trial1(k, x, y, lam, step, t):
-    """The point (y, lam) + t * step and its state: (y, lam, stat, g(y),
-    grad g(y), ||F||)."""
-    y_new = [yi + t * si for yi, si in zip(y, step)]
-    lam_new = lam + t * step[len(y)]
-    return (y_new, lam_new) + k.kkt_state(x, y_new, lam_new)
-
-
 def _kkt_trial(gs, x, y, lams, step, t):
+    """The point (y, lams) + t * step and its state."""
     y_new = [yi + t * si for yi, si in zip(y, step)]
     lam_new = [li + t * si for li, si in zip(lams, step[len(y):])]
     return (y_new, lam_new) + _kkt_state(gs, x, y_new, lam_new)
-
-
-# (state, direction, trial, largest |constraint value|) of each form
-_ONE_FORM = (_kkt_state1, _kkt_direction1, _kkt_trial1, abs)
-_LIST_FORM = (_kkt_state, _kkt_direction, _kkt_trial, _max_abs)
-
-
-def _warm_seed(g, x, start):
-    """Seed at a previous projection ``start`` onto {g <= 0}, with the
-    least-squares multiplier of x - start = lam grad g(start), clipped at 0."""
-    y = list(start)
-    grad = g.gradient(y)
-    gn2 = vdot(grad, grad)
-    if gn2 <= 0.0:
-        return None
-    lam = max(0.0, vdot(vsub(x, y), grad) / gn2)
-    return (y, lam) + g.kkt_kernels().kkt_state(x, y, lam)
 
 
 def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
-    Without a seed ``y0``, ``lam0`` Newton starts from a first-order step
-    from x, which needs ``gx``, the first active constraint's value at x.
-    ``start`` (single active constraint only) is a previous projection onto
-    the same set.  It adds a warm seed, and Newton starts from whichever of
-    the warm and cold seeds has the smaller ||F||; if the warm attempt is
-    abandoned, the cold seed is tried next.
+    With a seed ``y0``, ``lam0`` Newton runs in the list form from it.
+    Without one, ``active`` holds a single constraint, whose ``kkt_seed``
+    kernel makes a first-order seed from x, which needs ``gx``, the
+    constraint's value at x.  ``start``, a previous projection onto the same
+    set, adds a warm seed, and Newton starts from whichever of the warm and
+    cold seeds has the smaller ||F||; if the warm attempt is abandoned, the
+    cold seed is tried next.  Each attempt runs the ``kkt_newton`` kernel,
+    and the list form's rescue takes over from its state when it does not
+    converge.
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     negative multiplier, or an inactive constraint violated at the would-be
     solution); the caller falls through to / continues the penalty ladder.
     """
     gs = [s.constraints[j] for j in active]
-    if y0 is None or lam0 is None:
-        # first-order seed along the dominant constraint's gradient
-        g = gs[0]
-        grad0 = g.gradient(x)
-        gn2 = vdot(grad0, grad0)
-        if gn2 <= 0.0:
-            return None
-        lam_seed = gx / gn2
-        y0 = [xi - lam_seed * gi for xi, gi in zip(x, grad0)]
-        lam0 = [lam_seed] + [0.0] * (len(gs) - 1)
-    y0 = list(y0)
-    if len(gs) == 1:
-        lam0 = lam0[0]
-        cold = (y0, lam0) + _kkt_state1(gs[0].kkt_kernels(), x, y0, lam0)
-    else:
-        lam0 = list(lam0)
-        cold = (y0, lam0) + _kkt_state(gs, x, y0, lam0)
-    seeds = [cold]
-    if start is not None:
-        warm = _warm_seed(gs[0], x, start)
-        if warm is not None and warm[-1] < cold[-1]:  # smaller ||F|| goes first
-            seeds.insert(0, warm)
-    for seed in seeds:
-        y = _newton_from_seed(s, active, gs, x, seed)
+    if y0 is not None:
+        y0, lam0 = list(y0), list(lam0)
+        return _newton_from_seed(s, active, gs, x, (y0, lam0) + _kkt_state(gs, x, y0, lam0))
+    if start is not None and len(start) != len(x):
+        raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
+    kernels = gs[0].kkt_kernels()
+    for seed in kernels.kkt_seed(x, gx, start) or ():
+        # _solve_dense is looked up here, so a replaced solver sees every solve
+        state = kernels.kkt_newton(
+            x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL
+        )
+        if state is None:
+            continue
+        converged, y, lam, val, grad = state
+        if converged:
+            y = _accept(s, active, y, [lam], [val])
+        else:
+            y = _rescue(s, active, gs, x, y, [val], [grad])
         if y is not None:
             return y
     return None
 
 
 def _newton_from_seed(s, active, gs, x, seed):
-    """One damped Newton attempt from ``seed`` = (y, lam, stat, g(y),
-    grad g(y), ||F||), in the one-constraint form when ``gs`` has one
-    constraint and in the list form otherwise; the solution as a tuple, or
-    None when abandoned."""
-    p = len(gs)
-    if p == 1:
-        kkt, (state, direction, trial, violation) = gs[0].kkt_kernels(), _ONE_FORM
-    else:
-        kkt, (state, direction, trial, violation) = gs, _LIST_FORM
-    y, lam, stat, val, grad, fnorm = seed
-    converged = False
+    """One damped Newton attempt in the list form from ``seed`` = (y, lams,
+    stat, values, gradients, ||F||); the solution as a tuple, or None when
+    abandoned."""
+    y, lam, stat, vals, grads, fnorm = seed
     for _ in range(_NEWTON_MAX_ITER):
         if not math.isfinite(fnorm):
             return None
-        if violation(val) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
-            converged = True
+        if _max_abs(vals) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
             break
-        step = direction(kkt, y, lam, stat, val, grad)
+        step = _kkt_direction(gs, y, lam, stat, vals, grads)
         if step is None:
             return None
         t = 1.0
         while True:
-            new = trial(kkt, x, y, lam, step, t)
+            new = _kkt_trial(gs, x, y, lam, step, t)
             fn_new = new[-1]
             if math.isfinite(fn_new) and fn_new <= (1.0 - 1e-4 * t) * fnorm:
                 break
             t *= 0.5
             if t < 2.0**-40:
                 return None
-        y, lam, stat, val, grad, fnorm = new
-    if not converged:
-        # rescue for degenerate constraints (gradients vanishing on the set,
-        # hence no finite KKT point): restore feasibility by Gauss-Newton
-        # steps on the worst constraint alone, then pick the least-squares
-        # multipliers, which minimize the stationarity defect achievable at
-        # the restored point
-        n = len(x)
-        vals, grads = ([val], [grad]) if p == 1 else (val, grad)
-        target = FEASIBILITY_TOL * 1e-4
-        for _ in range(120):
-            worst = max(range(p), key=lambda jj: abs(vals[jj]))
-            v = vals[worst]
-            if abs(v) <= target:
-                break
-            worst_grad = grads[worst]
-            gn2 = vdot(worst_grad, worst_grad)
-            if gn2 <= 0.0:
-                break
-            f = v / gn2
-            y = [yi - f * gi for yi, gi in zip(y, worst_grad)]
-            vals = [g.evaluate(y) for g in gs]
-            grads = [g.gradient(y) for g in gs]
-        if _max_abs(vals) > FEASIBILITY_TOL:
-            return None
-        G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
-        N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
-        r = [-sum(G[i][a] * (y[i] - x[i]) for i in range(n)) for a in range(p)]
-        lam_ls = _solve_dense(N, r)
-        if lam_ls is None:
-            return None
-        lam = lam_ls[0] if p == 1 else lam_ls
-        stat, val, grad, fnorm = state(kkt, x, y, lam)
-        if vnorm(stat) > OPTIMALITY_TOL or violation(val) > FEASIBILITY_TOL:
-            return None
-    # polish: full steps are quadratically convergent here, so a couple more
-    # drive the residual toward machine precision; keep them only while ||F||
-    # strictly decreases (a step times 1.0 is the step itself, bit for bit)
+        y, lam, stat, vals, grads, fnorm = new
+    else:
+        return _rescue(s, active, gs, x, y, vals, grads)
+    return _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm)
+
+
+def _rescue(s, active, gs, x, y, vals, grads):
+    """Finish a Newton attempt that did not converge, for degenerate
+    constraints (gradients vanishing on the set, hence no finite KKT point):
+    restore feasibility by Gauss-Newton steps on the worst constraint alone,
+    then pick the least-squares multipliers, which minimize the stationarity
+    defect achievable at the restored point."""
+    n = len(x)
+    p = len(gs)
+    target = FEASIBILITY_TOL * 1e-4
+    for _ in range(120):
+        worst = max(range(p), key=lambda jj: abs(vals[jj]))
+        v = vals[worst]
+        if abs(v) <= target:
+            break
+        worst_grad = grads[worst]
+        gn2 = vdot(worst_grad, worst_grad)
+        if gn2 <= 0.0:
+            break
+        f = v / gn2
+        y = [yi - f * gi for yi, gi in zip(y, worst_grad)]
+        vals = [g.evaluate(y) for g in gs]
+        grads = [g.gradient(y) for g in gs]
+    if _max_abs(vals) > FEASIBILITY_TOL:
+        return None
+    G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
+    N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
+    r = [-sum(G[i][a] * (y[i] - x[i]) for i in range(n)) for a in range(p)]
+    lam = _solve_dense(N, r)
+    if lam is None:
+        return None
+    stat, vals, grads, fnorm = _kkt_state(gs, x, y, lam)
+    if vnorm(stat) > OPTIMALITY_TOL or _max_abs(vals) > FEASIBILITY_TOL:
+        return None
+    return _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm)
+
+
+def _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm):
+    """Up to two full Newton steps, which converge quadratically here and
+    drive the residual toward machine precision, each kept only while ||F||
+    strictly decreases (a step times 1.0 is the step itself, bit for bit);
+    then the result as :func:`_accept` takes it."""
     for _ in range(2):
         if fnorm == 0.0:
             break
-        step = direction(kkt, y, lam, stat, val, grad)
+        step = _kkt_direction(gs, y, lam, stat, vals, grads)
         if step is None:
             break
-        new = trial(kkt, x, y, lam, step, 1.0)
+        new = _kkt_trial(gs, x, y, lam, step, 1.0)
         fn_new = new[-1]
         if not math.isfinite(fn_new) or fn_new >= fnorm:
             break
-        y, lam, stat, val, grad, fnorm = new
-    if any(mult < -OPTIMALITY_TOL for mult in ([lam] if p == 1 else lam)):
+        y, lam, stat, vals, grads, fnorm = new
+    return _accept(s, active, y, lam, vals)
+
+
+def _accept(s, active, y, lams, vals):
+    """``tuple(y)``, or None when a multiplier is negative or the point is
+    not in the set.  The active constraints' values are the Newton state's,
+    the others are evaluated, then the residual is taken."""
+    if any(mult < -OPTIMALITY_TOL for mult in lams):
         return None
-    # membership of the result: the active constraints' values are the
-    # Newton state's, the others are evaluated, then the residual is taken
     result = tuple(y)
-    values = dict(zip(active, [val] if p == 1 else val))
+    values = dict(zip(active, vals))
     for j, other in enumerate(s.constraints):
         if j not in values:
             values[j] = other.evaluate(result)

@@ -60,6 +60,15 @@ def test_fit_power_window_validation():
         fit_power_rate(errors, (50, 10))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_error_naming_k(bad):
+    errors = [(k, bad if k == 40 else 1.0 / k) for k in range(1, 100)]
+    for fit in (fit_power_rate, fit_geometric_rate):
+        with pytest.raises(ValueError, match="non-finite error .* at k=40 inside the fit window"):
+            fit(errors, (1, 99))
+    assert fit_power_rate(errors, (41, 99)).exponent == pytest.approx(-1.0)
+
+
 def test_fit_geometric_exact_ratio():
     errors = [(k, (2.0 / 3.0) ** k) for k in range(1, 80)]
     fit = fit_geometric_rate(errors, (1, 79))
@@ -184,6 +193,14 @@ def test_probe_rejects_infeasible_center():
     entry = get_entry("ex5.5")
     with pytest.raises(ValueError):
         error_bound_probe(entry.problem, (2.0, 2.0), theta=2.0, n_samples=60, radius=0.1, seed=0)
+
+
+def test_probe_rejects_non_finite_center():
+    # a NaN center used to pass the feasibility check and fail on a sample
+    entry = get_entry("ex5.5")
+    for center in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="center must be finite"):
+            error_bound_probe(entry.problem, center, theta=2.0, n_samples=60, radius=0.1, seed=0)
 
 
 def test_probe_input_validation():

@@ -383,6 +383,19 @@ def test_cmd_rate_short_window_is_input_error(tmp_path):
     assert cli.main(["rate", "--trace", str(tr), "--n", "2", "--d", "1", "--window", "a:b"]) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("limit", [[], ["--limit", "0,0"]])
+def test_cmd_rate_non_finite_coordinate_in_window_is_input_error(tmp_path, capsys, bad, limit):
+    # a NaN error used to exit 0 with "exponent": NaN, an inf one to fail in fsum
+    tr = tmp_path / "geo.csv"
+    _write_synthetic_trace(tr, [(0.5**k, bad if k == 30 else 0.0) for k in range(1, 61)])
+    argv = ["rate", "--trace", str(tr), "--n", "2", "--d", "1", "--window", "10:50"] + limit
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite error ")
+    # outside the window the coordinate is not read by the fit
+    assert cli.main(argv[:-2 - len(limit)] + ["--window", "31:50", "--limit", "0,0"]) == 0
+
+
 def test_cmd_rate_header_only_trace_is_input_error(tmp_path, capsys):
     out = tmp_path / "run.csv"
     assert cli.main(["run", "--example", "ex5.8:n=2", "--x0", "1e100,0", "--out", str(out)]) == 2

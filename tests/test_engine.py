@@ -329,6 +329,15 @@ def test_check_fejer_rejects_infeasible_witness():
         check_fejer(trace, [(5.0, 5.0)])
 
 
+def test_check_fejer_rejects_non_finite_witness():
+    # a NaN witness used to pass the feasibility check and report no violation
+    entry = get_entry("ex5.5")
+    trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=5, stop_tol=1e-14)
+    for witness in ((math.nan, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="witness 1 must be finite"):
+            check_fejer(trace, [(0.0, 0.0), witness])
+
+
 def test_check_fejer_detects_corruption():
     entry = get_entry("ex5.5")
     trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=100, stop_tol=1e-14)

@@ -1,34 +1,49 @@
-"""The compiled one-constraint KKT Newton kernels against their composition.
+"""The compiled one-constraint KKT Newton kernels against plain loops.
 
-``Polynomial.kkt_kernels()`` carries ``kkt_state`` and ``kkt_system``,
+``Polynomial.kkt_kernels()`` carries ``kkt_seed`` and ``kkt_newton``,
 straight-line code that fuses the value, gradient and Hessian sums with the
-stationarity vector, ||F||, the bordered KKT matrix and its right-hand side.
-``reference_kkt_state`` and ``reference_kkt_system`` in ``helpers`` compose
-the same quantities from ``evaluate``, ``gradient`` and ``hessian_rows`` with
-list code.  Results are compared through ``float.hex``, so the sign of zero
-counts.
+Newton seeds, the bordered KKT systems, the damped steps and the polish.
+``reference_seeds1`` and ``reference_newton1`` in ``helpers`` compute the
+same from ``evaluate``, ``gradient`` and ``hessian_rows`` with list code and
+``reference_solve_dense``.  Results are compared through ``float.hex``, so
+the sign of zero counts.
 """
 
-from hypothesis import given, settings
+import copy
+import pickle
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cycproj import sets
+from cycproj import poly, sets
 from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
-from cycproj.sets import ConvexSetDescriptor, project
-from helpers import reference_kkt_state, reference_kkt_system
+from cycproj.sets import FEASIBILITY_TOL, OPTIMALITY_TOL, ConvexSetDescriptor, project
+from helpers import reference_kkt_state, reference_newton1, reference_seeds1
 
 
 def bits(v):
     if isinstance(v, (list, tuple)):
         return [bits(u) for u in v]
+    if v is None or isinstance(v, bool):
+        return v
     return float(v).hex()
+
+
+def outcome(f, *args):
+    """bits of f(*args), or "OverflowError" when a power overflows"""
+    try:
+        return bits(f(*args))
+    except OverflowError:
+        return "OverflowError"
 
 
 coefficients = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.integers(-4, 4).map(float),
     st.floats(-1e-6, 1e-6, allow_nan=False),
+    # gradients whose squares overflow, and products that underflow
+    st.sampled_from([1e200, -1e200, 1e-200]),
 )
 coordinates = st.one_of(
     st.floats(-50.0, 50.0, allow_nan=False),
@@ -44,37 +59,148 @@ def kkt_cases(draw):
     exponents = st.tuples(*[st.integers(0, 4)] * n)
     terms = draw(st.dictionaries(exponents, coefficients, max_size=12))
     point = st.lists(coordinates, min_size=n, max_size=n)
-    return Polynomial(n, terms), tuple(draw(point)), draw(point), draw(multipliers)
+    start = draw(st.one_of(st.none(), point.map(tuple)))
+    return Polynomial(n, terms), tuple(draw(point)), draw(point), draw(multipliers), start
 
 
-def assert_kernels_match(g, x, y, lam):
+def newton(g, x, seed, events=None):
+    """The Newton kernel's outcome from ``seed``, which must equal the
+    reference loop's."""
+    limits = (100, FEASIBILITY_TOL, OPTIMALITY_TOL)
+    got = outcome(g.kkt_kernels().kkt_newton, x, seed, sets._solve_dense, *limits)
+    assert got == outcome(reference_newton1, g, x, seed, *limits, events)
+    return got
+
+
+def state_at(g, x, y, lam):
+    stat, v, grad, fnorm = reference_kkt_state(g, x, y, lam)
+    return (*y, lam, *stat, v, *grad, fnorm)
+
+
+def assert_kernels_match(g, x, y, lam, start=None):
+    """The seed kernel from x (and start), then the Newton kernel from each
+    of its seeds and from the state at (y, lam)."""
     k = g.kkt_kernels()
-    state = reference_kkt_state(g, x, y, lam)
-    assert bits(k.kkt_state(x, y, lam)) == bits(state)
-    stat, v, grad, _ = state
-    assert bits(k.kkt_system(y, lam, stat, v, grad)) == bits(
-        reference_kkt_system(g, y, lam, stat, v, grad)
-    )
+    try:
+        gx = g.evaluate(x)
+        seed = state_at(g, x, y, lam)
+    except OverflowError:
+        assume(False)
+    seeds = outcome(k.kkt_seed, x, gx, start)
+    assert seeds == outcome(reference_seeds1, g, x, gx, start)
+    if seeds != "OverflowError":
+        for s in (k.kkt_seed(x, gx, start) or ()) + (seed,):
+            newton(g, x, s)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(kkt_cases())
+# a warm multiplier of -0.0 (|grad|^2 overflows) is clipped to 0.0
+@example(
+    (
+        Polynomial(2, {(4, 3): -74366.85411703389, (1, 2): -845316.1503185369,
+                       (2, 0): -115121.31276638433, (1, 1): -1e200}),
+        (1.0, -7.198781527773939e-09), [1.0, 0.0], 0.0, (-10.732342932569303, -0.0),
+    )
+)
+# a Newton step whose KKT matrix has entries 0.0 + (-0.0)
+@example(
+    (
+        Polynomial(2, {(2, 4): -3.0, (1, 1): 1e-200, (0, 1): -3.0,
+                       (2, 0): -148888.39398211753, (3, 0): -5.1073801683050086e-08}),
+        (-0.0, -2.3799381505380146e-09), [-0.0, 0.0], -0.0, None,
+    )
+)
+# Armijo accepts a step at t = 2^-40, the backtracking floor itself
+@example(
+    (
+        Polynomial(1, {(1,): -4.0, (0,): -376091.46507410205, (3,): -4.62833132778385e-07,
+                       (4,): -5.31140429366064e-07}),
+        (-0.0,), [37.441208385026215], -0.0, None,
+    )
+)
 def test_kkt_kernels_match_composition_bit_for_bit(case):
     assert_kernels_match(*case)
 
 
 def test_kkt_kernels_of_zero_and_constant_polynomials():
+    # grad g = 0: no seed, and the singular KKT system abandons Newton
+    x, y = (1.0, -0.0, 2.0), [0.5, 0.0, -0.0]
     for g in (Polynomial(3), Polynomial(3, {(0, 0, 0): -2.5})):
+        assert g.kkt_kernels().kkt_seed(x, 1.0, None) is None
         for lam in (0.0, -0.0, 1.5):
-            assert_kernels_match(g, (1.0, -0.0, 2.0), [0.5, 0.0, -0.0], lam)
+            assert_kernels_match(g, x, y, lam, (0.5, 0.0, 1.0))
+            assert newton(g, x, state_at(g, x, y, lam)) is None
+
+
+def _newton_events(g, x, start=None):
+    """(events, kernel outcome) of each seed's Newton attempt from x"""
+    seeds = g.kkt_kernels().kkt_seed(x, g.evaluate(x), start)
+    runs = []
+    for seed in seeds:
+        events = []
+        runs.append((events, newton(g, x, seed, events)))
+    return runs
+
+
+def test_newton_kernel_backtracking_floor():
+    # coefficients of 1e12 put ||F|| at a rounding floor far above 1e-10
+    g = Polynomial(2, {(2, 0): 1e12, (0, 2): 1e12, (0, 0): -1e12})
+    assert _newton_events(g, (2.0, 1.0)) == [(["floor"], None)]
+
+
+def test_newton_kernel_rejected_polish_step():
+    g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
+    [(events, result)] = _newton_events(g, (0.9095578363365777, 1.732340106813079))
+    assert events == ["polish rejected"] and result[0] is True
+
+
+def test_newton_kernel_hands_a_degenerate_set_to_the_rescue():
+    # {x_1^2 <= 0} has a zero gradient on the set, so Newton does not
+    # converge; the kernel returns its state and the list-form rescue
+    # finishes the projection
+    s = get_entry("ex3.2:n=2,d=2").problem.sets[0]
+    [(events, result)] = _newton_events(s.constraints[0], (0.3, 0.2))
+    assert events == ["not converged"] and result[0] is False
+    y = project(s, (0.3, 0.2))
+    assert s.residual(y) <= FEASIBILITY_TOL and abs(y[0]) < 1e-5 and y[1] == 0.2
+
+
+def test_newton_kernel_from_a_warm_seed():
+    g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
+    cold = project(ConvexSetDescriptor("ball", [g]), (2.0, 1.0))
+    seeds = g.kkt_kernels().kkt_seed((1.9, 1.1), g.evaluate((1.9, 1.1)), cold)
+    assert len(seeds) == 2 and seeds[0][:2] == cold  # the warm seed goes first
+    assert_kernels_match(g, (1.9, 1.1), list(cold), -0.0, cold)
 
 
 def test_kkt_kernels_compile_once_per_polynomial():
     g = Polynomial(2, {(4, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     k = g.kkt_kernels()
-    assert k is g._kernels and k.kkt_state is not None and k.kkt_system is not None
-    state = k.kkt_state
-    assert g.kkt_kernels().kkt_state is state
+    assert k is g._kernels and k.kkt_seed is not None and k.kkt_newton is not None
+    newton_kernel = k.kkt_newton
+    assert g.kkt_kernels().kkt_newton is newton_kernel
+
+
+def test_kernel_code_is_shared_by_polynomials_of_one_structure():
+    p = Polynomial(2, {(4, 0): 1.0, (1, 1): 2.0, (0, 0): -1.0})
+    q = Polynomial(2, {(4, 0): 3.0, (1, 1): -0.5, (0, 0): 2.0})
+    x = (1.5, -0.5)
+    assert p.evaluate(x) == 1.5**4 - 1.5 - 1.0 and q.evaluate(x) == 3.0 * 1.5**4 + 0.375 + 2.0
+    assert p.gradient(x) != q.gradient(x)
+    kp, kq = p.kkt_kernels(), q.kkt_kernels()
+    for name in ("value", "gradient", "hessian_rows", "kkt_seed", "kkt_newton"):
+        fp, fq = getattr(kp, name), getattr(kq, name)
+        # one factory: the same code and the same globals, its own coefficients
+        assert fp is not fq and fp.__code__ is fq.__code__ and fp.__globals__ is fq.__globals__
+    assert bits(kp.kkt_seed(x, p.evaluate(x), None)) == bits(reference_seeds1(p, x, p.evaluate(x), None))
+    assert bits(kq.kkt_seed(x, q.evaluate(x), None)) == bits(reference_seeds1(q, x, q.evaluate(x), None))
+    # copies are rebuilt from the terms and compile their own kernels
+    for c in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert c == p and c._kernels.value is None and c._kernels.kkt_newton is None
+        assert c.evaluate(x) == p.evaluate(x) and c._kernels.value is not p._kernels.value
+        assert c.kkt_kernels().kkt_newton.__code__ is kp.kkt_newton.__code__
+    assert poly._factory.cache_info().currsize <= poly._factory.cache_info().maxsize
 
 
 def _count_evaluations(monkeypatch):

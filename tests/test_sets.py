@@ -244,6 +244,12 @@ def test_project_bad_warm_start_gives_cold_result():
     assert vdist(project(quartic, x, start=cold), cold) <= 1e-12
 
 
+def test_project_rejects_a_warm_start_of_the_wrong_length():
+    quartic, _ = get_entry("ex5.8:n=2").pair
+    with pytest.raises(ValueError, match="warm start has length 3, set dimension is 2"):
+        project(quartic, (2.0, 1.0), start=(1.0, 0.0, 0.0))
+
+
 # -- distance -----------------------------------------------------------------
 
 
