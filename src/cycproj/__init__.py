@@ -43,14 +43,12 @@ from .rates import (
     recurrence_bound,
 )
 from .sets import (
-    AffineSegment,
     Ball,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
     Halfspace,
     NumericalError,
-    PowerEpigraph,
     ProjectionError,
     Singleton,
     distance,

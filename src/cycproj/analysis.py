@@ -130,15 +130,6 @@ def classify_rate(errors: ErrorSeq, window: Tuple[int, int]):
     return pf
 
 
-def default_fit_window(errors: ErrorSeq, noise_floor: float = 0.0) -> Tuple[int, int]:
-    """Last 80% of the recorded steps whose error exceeds 10x the noise floor."""
-    ks = [k for k, e in errors if e > 10.0 * noise_floor]
-    if not ks:
-        raise ValueError("no points above the noise floor")
-    lo = ks[max(0, int(math.ceil(len(ks) * 0.2)) - 1)]
-    return (lo, ks[-1])
-
-
 _POWER_SLACK = 0.05
 
 
@@ -146,18 +137,16 @@ def compare_with_theory(
     errors: ErrorSeq,
     n: int,
     d: int,
-    window: Optional[Tuple[int, int]] = None,
+    window: Tuple[int, int],
     errors_used: str = "unspecified",
-    noise_floor: float = 0.0,
 ) -> RateReport:
-    """Fit both empirical models and compare against the guaranteed class.
+    """Fit both empirical models over ``window`` (LO, HI in step index) and
+    compare against the guaranteed class.
 
     CONSISTENT means the observed decay is at least as fast as the guarantee:
     a fitted power exponent <= -rho + 0.05, or any genuinely decaying
     geometric fit (which beats every power law).
     """
-    if window is None:
-        window = default_fit_window(errors, noise_floor)
     theoretical = rates.cyclic_rate(n, d)
     ks, log_errors = _log_window(errors, window)
     pf = _power_fit(ks, log_errors)

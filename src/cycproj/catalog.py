@@ -20,7 +20,6 @@ from .sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
     Halfspace,
-    PowerEpigraph,
     Singleton,
     Vector,
     as_vector,
@@ -251,11 +250,7 @@ def example_5_7(d: int = 2) -> CatalogEntry:
         [Polynomial(2, {(1, 0): 1.0})],
         Halfspace(a=(1.0, 0.0), b=0.0),
     )
-    B = ConvexSetDescriptor(
-        "power-region",
-        [Polynomial(2, {(0, d): 1.0, (1, 0): -1.0})],
-        PowerEpigraph(degree=d),
-    )
+    B = ConvexSetDescriptor("power-region", [Polynomial(2, {(0, d): 1.0, (1, 0): -1.0})])
     problem = FeasibilityProblem(2, (A, B), Singleton((0.0, 0.0)))
     return CatalogEntry(
         id=f"ex5.7:d={d}",

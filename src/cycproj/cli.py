@@ -39,7 +39,6 @@ from .sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
     Halfspace,
-    PowerEpigraph,
     ProjectionError,
     Singleton,
     residual,
@@ -133,11 +132,8 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
                 center = _hint_field(hdoc, "center", hw, is_point, f"{dim} numbers")
                 radius = _hint_field(hdoc, "radius", hw, _is_number, "a number")
                 hint = Ball(center=tuple(center), radius=radius)
-            elif kind == "power_epigraph":
-                _expect(dim == 2, f"{hw} of type 'power_epigraph' needs dimension 2, got {dim}")
-                hint = PowerEpigraph(degree=_hint_field(hdoc, "degree", hw, _is_int, "an integer"))
             else:
-                raise ProblemFileError(f"{hw}.type {kind!r} is not one of halfspace/ball/power_epigraph")
+                raise ProblemFileError(f"{hw}.type {kind!r} is not one of halfspace/ball")
         sets.append(ConvexSetDescriptor(name, cons, hint))
     oracle = None
     odoc = doc.get("oracle")
@@ -169,8 +165,6 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
             sdoc["hint"] = {"type": "halfspace", "a": list(h.a), "b": h.b}
         elif isinstance(h, Ball):
             sdoc["hint"] = {"type": "ball", "center": list(h.center), "radius": h.radius}
-        elif isinstance(h, PowerEpigraph):
-            sdoc["hint"] = {"type": "power_epigraph", "degree": h.degree}
         sets.append(sdoc)
     doc = {"dimension": problem.dimension, "sets": sets}
     if isinstance(problem.intersection_oracle, Singleton):
@@ -381,6 +375,8 @@ def cmd_rate(args) -> int:
     data = read_trace(args.trace)
     if not data.ks:
         raise ValueError(f"{args.trace}: trace has no data rows")
+    if args.n != data.dimension:
+        raise ValueError(f"--n is {args.n}, but {args.trace} has {data.dimension} coordinates")
     lo_s, _, hi_s = args.window.partition(":")
     try:
         window = (int(lo_s), int(hi_s))
@@ -515,9 +511,7 @@ def _check_ex55() -> List[Tuple[str, bool]]:
         alpha = catalog.alpha_step(alpha)
     out.append((f"engine |x_1| matches recurrence k<=1000 (dev {worst_alpha:.1e})", worst_alpha <= 1e-9))
     out.append((f"r_k^2 = 2 alpha_k k<=1000 (dev {worst_r2:.1e})", worst_r2 <= 1e-9))
-    a = entry.scalar_start(entry.default_start)
-    for k in range(1, 10**5 + 1):
-        a = catalog.alpha_step(a)
+    a = catalog.alpha_after(entry.scalar_start(entry.default_start), 10**5)
     ratio = math.sqrt(2.0 * a) * math.sqrt(2.0 * 10**5)
     out.append((f"r_k sqrt(2k) = {ratio:.4f} within 2% of 1 at k=1e5", abs(ratio - 1.0) <= 0.02))
     return out
@@ -629,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="fit decay rates on a trace and compare with theory")
     p_rate.add_argument("--trace", required=True)
-    p_rate.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p_rate.add_argument("--n", type=int, required=True, help="ambient dimension, the trace's coordinate count")
     p_rate.add_argument("--d", type=int, required=True, help="maximum polynomial degree")
     p_rate.add_argument("--window", required=True, help="fit window LO:HI in step index")
     p_rate.add_argument("--limit", help="known limit point (comma-separated); default: final iterate")
@@ -692,7 +686,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "errorbound" and not args.curve and args.center is None:
             raise ValueError("--center is required unless --curve is given")
         return args.func(args)
-    except (ValueError, KeyError, OSError, CapabilityError) as exc:
+    except (ValueError, KeyError, OSError, CapabilityError, rates.ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ProjectionStepError as exc:

@@ -23,12 +23,13 @@ from .sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
     ProjectionError,
-    Singleton,
     Vector,
+    distance,
     finite_vector,
     project,
     residual,
     vdist,
+    vnorm,
     vsub,
 )
 
@@ -265,10 +266,7 @@ class AlternatingResult:
 
     @property
     def gap_norm(self) -> float:
-        s = 0.0
-        for v in self.gap_vector:
-            s += v * v
-        return math.sqrt(s)
+        return vnorm(self.gap_vector)
 
 
 def _subtrace(combined: Trace, parity: int) -> Trace:
@@ -330,25 +328,20 @@ def estimate_limit(
     """Estimate the run's limit point with a radius bound.
 
     With a singleton oracle the answer is exact.  Otherwise the last iterate
-    is refined by ``refine_sweeps`` extra sweeps; the radius is twice the
-    distance to the intersection when computable exactly (segment oracle),
-    else twice the sum of per-set distances, flagged as uncertified.
+    is refined by ``refine_sweeps`` extra sweeps, and the radius is twice
+    the sum of its distances to the sets, flagged as uncertified.
     """
     oracle = problem.intersection_oracle
-    if isinstance(oracle, Singleton):
+    if oracle is not None:
         return LimitEstimate(point=oracle.point, radius=0.0, certified=True)
     x = trace.last_iterate()
     if refine_sweeps > 0:
         # only the final point is used, so only the final sweep is recorded
         _, after = _run_steps(problem, x, refine_sweeps, record_cap=0, stop=None)
         x = after[-1]
-    if oracle is not None:
-        return LimitEstimate(point=x, radius=2.0 * oracle.distance(x), certified=True)
-    from .sets import distance as set_distance
-
     surrogate = 0.0
     for s in problem.sets:
-        surrogate += set_distance(s, x)
+        surrogate += distance(s, x)
     return LimitEstimate(point=x, radius=2.0 * surrogate, certified=False)
 
 

@@ -29,11 +29,11 @@ Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
 complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
 
-A power-epigraph hint documents and validates the set's shape but does not
-add a dispatch branch; such sets go through (d)/(e) like any other smooth
-constraint.  All vectors are plain tuples of floats and every path is
-deterministic, so identical inputs -- the point and the optional warm start
--- give bitwise identical projections.
+The only analytic hints are the halfspace and the ball, the two shapes with
+a closed form; every other set goes through (d)/(e) by its constraints.  All
+vectors are plain tuples of floats and every path is deterministic, so
+identical inputs -- the point and the optional warm start -- give bitwise
+identical projections.
 """
 
 from __future__ import annotations
@@ -158,23 +158,7 @@ class Ball:
         return max(d2 - self.radius * self.radius, 0.0)
 
 
-@dataclass(frozen=True)
-class PowerEpigraph:
-    """{(x, y) : y^degree <= x} in the first two coordinates; degree even."""
-
-    degree: int
-
-    def __post_init__(self):
-        d = int(self.degree)
-        if d < 2 or d % 2:
-            raise ValueError("power epigraph degree must be even and >= 2")
-        object.__setattr__(self, "degree", d)
-
-    def residual(self, x: Sequence[float]) -> float:
-        return max(x[1] ** self.degree - x[0], 0.0)
-
-
-AnalyticHint = Union[Halfspace, Ball, PowerEpigraph]
+AnalyticHint = Union[Halfspace, Ball]
 
 
 # ---------------------------------------------------------------------------
@@ -241,28 +225,20 @@ class ConvexSetDescriptor:
     def __repr__(self):
         return f"ConvexSetDescriptor({self.name!r}, dim={self.dimension}, m={len(self.constraints)})"
 
-    def _hint_center(self) -> Vector:
+    def _validate_hint(self):
+        # sample around the ball's center or the halfspace's point nearest 0
         h = self.analytic_hint
         if isinstance(h, Ball):
-            return h.center
-        if isinstance(h, Halfspace):
-            nn = vdot(h.a, h.a)
-            return tuple(h.b * ai / nn for ai in h.a)
-        return (0.0,) * self.dimension
-
-    def _validate_hint(self):
-        h = self.analytic_hint
-        if isinstance(h, PowerEpigraph):
-            kind, coords = "power_epigraph", 2
+            kind, center = "ball", h.center
         else:
-            kind, coords = "ball" if isinstance(h, Ball) else "halfspace", len(self._hint_center())
-        if coords != self.dimension:
+            nn = vdot(h.a, h.a)
+            kind, center = "halfspace", tuple(h.b * ai / nn for ai in h.a)
+        if len(center) != self.dimension:
             raise ValueError(
-                f"{kind} hint of {self.name!r} has {coords} coordinates, "
+                f"{kind} hint of {self.name!r} has {len(center)} coordinates, "
                 f"set dimension is {self.dimension}"
             )
         rng = np.random.default_rng(_HINT_CHECK_SEED)
-        center = self._hint_center()
         pts = rng.normal(0.0, 1.5, size=(_HINT_CHECK_POINTS, self.dimension))
         for row in pts:
             x = tuple(c + v for c, v in zip(center, row))
@@ -305,30 +281,6 @@ class Singleton:
         return vdist(x, self.point)
 
 
-@dataclass(frozen=True)
-class AffineSegment:
-    endpoints: Tuple[Vector, Vector]
-
-    def __post_init__(self):
-        a, b = self.endpoints
-        endpoints = (finite_vector(a, "segment endpoint"), finite_vector(b, "segment endpoint"))
-        object.__setattr__(self, "endpoints", endpoints)
-
-    def distance(self, x: Sequence[float]) -> float:
-        a, b = self.endpoints
-        ab = vsub(b, a)
-        denom = vdot(ab, ab)
-        if denom == 0.0:
-            return vdist(x, a)
-        t = vdot(vsub(x, a), ab) / denom
-        t = min(1.0, max(0.0, t))
-        proj = tuple(ai + t * di for ai, di in zip(a, ab))
-        return vdist(x, proj)
-
-
-IntersectionOracle = Union[Singleton, AffineSegment]
-
-
 class FeasibilityProblem:
     """Ambient dimension, an ordered family of sets, and optional exact
     knowledge of their intersection."""
@@ -339,7 +291,7 @@ class FeasibilityProblem:
         self,
         dimension: int,
         sets: Sequence[ConvexSetDescriptor],
-        intersection_oracle: Optional[IntersectionOracle] = None,
+        intersection_oracle: Optional[Singleton] = None,
         max_degree: Optional[int] = None,
     ):
         sets = tuple(sets)
@@ -400,7 +352,7 @@ def project(
     if len(x) != s.dimension:
         raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
     hint = s.analytic_hint
-    if hint is not None and not isinstance(hint, PowerEpigraph):  # closed forms
+    if hint is not None:  # closed forms
         if s.residual(x) == 0.0:
             return x
         if isinstance(hint, Halfspace):

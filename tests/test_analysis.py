@@ -9,7 +9,6 @@ from cycproj.analysis import (
     PowerFit,
     classify_rate,
     compare_with_theory,
-    default_fit_window,
     error_bound_exponent_on_curve,
     error_bound_probe,
     fit_geometric_rate,
@@ -145,13 +144,6 @@ def test_compare_verdict_stable_under_reindexing():
         rep = compare_with_theory(shifted, 2, 2, window=(200 + k0, 2000 + k0))
         assert rep.verdict == base.verdict
         assert abs(rep.power_fit.exponent - base.power_fit.exponent) <= 0.02
-
-
-def test_default_window_skips_noise_floor():
-    errors = [(k, max(1.0 / k, 1e-6)) for k in range(1, 10**4)]
-    lo, hi = default_fit_window(errors, noise_floor=1e-7)
-    assert hi == 9999
-    assert lo > 1
 
 
 # -- error-bound probe ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cycproj.cli import (
     write_trace,
 )
 from cycproj.engine import alternating_project, cyclic_project
-from cycproj.sets import vnorm
+from cycproj.sets import Ball, project, vnorm
 
 
 # -- problem files ---------------------------------------------------------------
@@ -53,10 +55,27 @@ def test_problem_file_schema_errors(tmp_path):
 def test_problem_hint_round_trip(tmp_path):
     prob = get_entry("ex5.7:d=2").problem
     doc = problem_to_dict(prob)
-    assert doc["sets"][0]["hint"]["type"] == "halfspace"
-    assert doc["sets"][1]["hint"]["type"] == "power_epigraph"
+    assert doc["sets"][0]["hint"] == {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0}
+    assert "hint" not in doc["sets"][1]
     back = problem_from_dict(doc)
-    assert back.sets[1].analytic_hint.degree == 2
+    assert back.sets[0].analytic_hint == prob.sets[0].analytic_hint
+    assert back.sets[1].analytic_hint is None
+
+
+def _readme_problem_doc():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    return json.loads(blocks[0])
+
+
+def test_readme_problem_file_loads_and_projects():
+    # the documented schema, hint included, must stay what the parser accepts
+    problem = problem_from_dict(_readme_problem_doc())
+    (disk,) = problem.sets
+    assert isinstance(disk.analytic_hint, Ball)
+    assert project(disk, (2.0, 0.0)) == (1.0, 0.0)
+    assert problem.intersection_oracle.distance((0.0, 3.0)) == 3.0
 
 
 # -- trace files -----------------------------------------------------------------
@@ -119,7 +138,7 @@ def test_problem_file_non_finite_values_rejected(tmp_path):
 
 
 def _hinted_problem_doc():
-    """ex5.7:d=2 (a halfspace, a power epigraph and an oracle) plus a ball."""
+    """ex5.7:d=2 (a halfspace, an unhinted power region and an oracle) plus a ball."""
     doc = problem_to_dict(get_entry("ex5.7:d=2").problem)
     doc["sets"].append(problem_to_dict(get_entry("ex5.5").problem)["sets"][0])
     return doc
@@ -142,7 +161,8 @@ def _load_doc_through_cli(tmp_path, capsys, doc):
         (("oracle", "point", 1), "'oracle.point'"),
         (("sets", 0, "hint", "a", 0), "sets[0].hint.a"),
         (("sets", 0, "hint", "b"), "sets[0].hint.b"),
-        (("sets", 1, "hint", "degree"), "sets[1].hint.degree"),
+        # the power region's degree, now carried only by its constraint's exponents
+        (("sets", 1, "constraints", 0, "terms", 1, "exponents", 1), "sets[1].constraints[0].terms[1].exponents"),
         (("sets", 2, "hint", "center", 1), "sets[2].hint.center"),
         (("sets", 2, "hint", "radius"), "sets[2].hint.radius"),
     ],
@@ -160,7 +180,7 @@ def test_problem_file_rejects_booleans_as_numbers(tmp_path, capsys, path, field)
 
 
 @pytest.mark.parametrize(
-    "set_index, key", [(0, "a"), (0, "b"), (1, "degree"), (2, "center"), (2, "radius")]
+    "set_index, key", [(0, "a"), (0, "b"), (2, "center"), (2, "radius")]
 )
 def test_hint_missing_field_is_named(tmp_path, capsys, set_index, key):
     doc = _hinted_problem_doc()
@@ -189,24 +209,14 @@ def test_hint_vector_length_is_checked_against_dimension(tmp_path, capsys, set_i
     assert not out.exists()
 
 
-def test_power_epigraph_hint_outside_the_plane_is_named(tmp_path, capsys):
-    doc = {
-        "dimension": 3,
-        "sets": [{
-            "name": "power",
-            "constraints": [{"terms": [
-                {"exponents": [0, 2, 0], "coefficient": 1.0},
-                {"exponents": [1, 0, 0], "coefficient": -1.0},
-            ]}],
-            "hint": {"type": "power_epigraph", "degree": 2},
-        }],
-    }
-    pfile = tmp_path / "p.json"
-    pfile.write_text(json.dumps(doc))
-    out = tmp_path / "run.csv"
-    code = cli.main(["run", "--problem", str(pfile), "--x0", "1,1,1", "--out", str(out)])
+def test_power_epigraph_hint_type_is_rejected(tmp_path, capsys):
+    # the hint type is gone; a problem file must drop it and keep the constraint
+    doc = _hinted_problem_doc()
+    doc["sets"][1]["hint"] = {"type": "power_epigraph", "degree": 2}
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
     assert code == 1
-    assert ".json: sets[0].hint of type 'power_epigraph' needs dimension 2, got 3" in capsys.readouterr().err
+    assert err.startswith("error: ") and "p.json: " in err
+    assert "sets[1].hint.type 'power_epigraph' is not one of halfspace/ball" in err
     assert not out.exists()
 
 
@@ -394,6 +404,38 @@ def test_cmd_rate_non_finite_coordinate_in_window_is_input_error(tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: non-finite error ")
     # outside the window the coordinate is not read by the fit
     assert cli.main(argv[:-2 - len(limit)] + ["--window", "31:50", "--limit", "0,0"]) == 0
+
+
+def test_cmd_rate_rejects_n_other_than_the_trace_dimension(tmp_path, capsys):
+    tr = tmp_path / "geo.csv"
+    _write_synthetic_trace(tr, [(0.5**k, 0.0) for k in range(1, 61)])
+    out = tmp_path / "report.json"
+    argv = ["rate", "--trace", str(tr), "--d", "2", "--window", "1:60", "--limit", "0,0", "--out", str(out)]
+    assert cli.main(argv + ["--n", "3"]) == 1
+    assert f"error: --n is 3, but {tr} has 2 coordinates" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--n", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--n", "2", "--d", "100000000000", "--window", "1:60", "--limit", "0,0"],
+        ["run", "--example", "ex3.2:n=41,d=2", "--x0", "1"],
+        ["errorbound", "--example", "ex3.2:n=41,d=2", "--center", "0"],
+        ["errorbound", "--example", "ex3.2:n=41,d=2", "--curve"],
+    ],
+)
+def test_exponent_overflow_is_input_error(tmp_path, capsys, argv):
+    # the rate formula's integers leave the 64-bit range: an input error, not a traceback
+    tr = tmp_path / "geo.csv"
+    _write_synthetic_trace(tr, [(0.5**k, 0.0) for k in range(1, 61)])
+    out = tmp_path / "run.csv"
+    argv = argv + {"rate": ["--trace", str(tr)], "run": ["--out", str(out)]}.get(argv[0], [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds 64-bit range" in err
+    assert not out.exists()
 
 
 def test_cmd_rate_header_only_trace_is_input_error(tmp_path, capsys):

@@ -11,10 +11,8 @@ from cycproj.sets import (
     FeasibilityProblem,
     Halfspace,
     NumericalError,
-    PowerEpigraph,
     ProjectionError,
     Singleton,
-    AffineSegment,
     distance,
     project,
     residual,
@@ -98,18 +96,6 @@ def test_hint_must_match_constraints():
         ConvexSetDescriptor("bad", [LEFT_DISK_POLY], Ball((-1.0, 0.0), 2.0))
     with pytest.raises(ValueError):
         ConvexSetDescriptor("bad", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 1.0), 0.0))
-    # power epigraph hint validates against y^d - x
-    ConvexSetDescriptor(
-        "ok",
-        [Polynomial(2, {(0, 4): 1.0, (1, 0): -1.0})],
-        PowerEpigraph(4),
-    )
-    with pytest.raises(ValueError):
-        ConvexSetDescriptor(
-            "bad",
-            [Polynomial(2, {(0, 2): 1.0, (1, 0): -1.0})],
-            PowerEpigraph(4),
-        )
 
 
 def test_hint_dimension_mismatch_names_set_hint_and_dimensions():
@@ -119,12 +105,6 @@ def test_hint_dimension_mismatch_names_set_hint_and_dimensions():
         ValueError, match=r"^halfspace hint of 'x<=0' has 1 coordinates, set dimension is 2$"
     ):
         ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0,), 0.0))
-    with pytest.raises(
-        ValueError, match=r"^power_epigraph hint of 'chain' has 2 coordinates, set dimension is 3$"
-    ):
-        ConvexSetDescriptor(
-            "chain", [Polynomial(3, {(0, 4, 0): 1.0, (1, 0, 0): -1.0})], PowerEpigraph(4)
-        )
 
 
 def test_problem_max_degree_and_validation():
@@ -329,17 +309,12 @@ def test_distance_matches_brute_force_grid_small():
 
 def test_singleton_and_segment_distance():
     assert Singleton((1.0, 2.0)).distance((1.0, 2.0)) == 0.0
-    seg = AffineSegment(((0.0, 0.0), (2.0, 0.0)))
-    assert seg.distance((1.0, 1.0)) == 1.0
-    assert seg.distance((3.0, 0.0)) == 1.0
-    assert seg.distance((-1.0, 0.0)) == 1.0
+    assert Singleton((1.0, 2.0)).distance((4.0, 6.0)) == 5.0
 
 
 def test_oracles_reject_non_finite_points():
     with pytest.raises(ValueError):
         Singleton((0.0, math.nan))
-    with pytest.raises(ValueError):
-        AffineSegment(((0.0, 0.0), (math.inf, 1.0)))
 
 
 def test_ball_hint_with_nan_center_rejected():
