@@ -75,7 +75,9 @@ def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _window_points(errors: ErrorSeq, window: Tuple[int, int]) -> List[Tuple[int, float]]:
+def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], List[float]]:
+    """The window's step indices and the logs of their errors, which both
+    fits share."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
@@ -89,13 +91,6 @@ def _window_points(errors: ErrorSeq, window: Tuple[int, int]) -> List[Tuple[int,
             raise ValueError(f"non-finite error {e} at k={k} inside the fit window")
         if e <= 0.0:
             raise ValueError(f"nonpositive error {e} at k={k} inside the fit window")
-    return pts
-
-
-def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], List[float]]:
-    """The window's step indices and the logs of their errors, which both
-    fits share."""
-    pts = _window_points(errors, window)
     return [k for k, _ in pts], [math.log(e) for _, e in pts]
 
 
@@ -119,15 +114,19 @@ def fit_geometric_rate(errors: ErrorSeq, window: Tuple[int, int]) -> GeometricFi
     return _geometric_fit(*_log_window(errors, window))
 
 
-def classify_rate(errors: ErrorSeq, window: Tuple[int, int]):
-    """The better-fitting of the two models; near-ties go to geometric, the
-    stronger claim."""
+def _fit_both(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[PowerFit, GeometricFit, str]:
+    """Both fits over the window and the better-fitting model's name; near
+    ties go to geometric, the stronger claim."""
     ks, log_errors = _log_window(errors, window)
     pf = _power_fit(ks, log_errors)
     gf = _geometric_fit(ks, log_errors)
-    if gf.r2 >= pf.r2 - _TIE_R2:
-        return gf
-    return pf
+    return pf, gf, "geometric" if gf.r2 >= pf.r2 - _TIE_R2 else "power"
+
+
+def classify_rate(errors: ErrorSeq, window: Tuple[int, int]):
+    """The better-fitting of the two models (see :func:`_fit_both`)."""
+    pf, gf, chosen = _fit_both(errors, window)
+    return gf if chosen == "geometric" else pf
 
 
 _POWER_SLACK = 0.05
@@ -148,10 +147,7 @@ def compare_with_theory(
     geometric fit (which beats every power law).
     """
     theoretical = rates.cyclic_rate(n, d)
-    ks, log_errors = _log_window(errors, window)
-    pf = _power_fit(ks, log_errors)
-    gf = _geometric_fit(ks, log_errors)
-    chosen = "geometric" if gf.r2 >= pf.r2 - _TIE_R2 else "power"
+    pf, gf, chosen = _fit_both(errors, window)
     if isinstance(theoretical, PowerLaw):
         if chosen == "geometric":
             consistent = gf.ratio < 1.0
@@ -180,7 +176,7 @@ def trace_error_sequence(
     if limit is None and isinstance(oracle, Singleton):
         target = oracle.point
     elif limit is not None:
-        target = as_vector(limit)
+        target = finite_vector(limit, "limit")
     else:
         target = trace.last_iterate()
     return [(k, vdist(x, target)) for k, x in zip(trace.ks, trace.iterates)]

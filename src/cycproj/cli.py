@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,10 +70,6 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
 def _hint_field(hdoc: dict, key: str, hw: str, check, what: str):
     _expect(key in hdoc, f"missing key '{hw}.{key}'")
     _expect(check(hdoc[key]), f"{hw}.{key} must be {what}")
@@ -88,7 +84,7 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
     _expect(isinstance(doc.get("sets"), list) and doc["sets"], "'sets' must be a non-empty array")
 
     def is_point(value) -> bool:
-        return _is_number_list(value) and len(value) == dim
+        return isinstance(value, list) and len(value) == dim and all(map(_is_number, value))
 
     sets = []
     for si, sdoc in enumerate(doc["sets"]):
@@ -287,21 +283,7 @@ def rate_report_dict(report: analysis.RateReport) -> dict:
 
 
 def error_bound_report_dict(report: analysis.ErrorBoundReport) -> dict:
-    return {
-        "mode": "ball",
-        "theta": report.theta,
-        "theoretical_tau": report.theoretical_tau,
-        "fitted_tau": report.fitted_tau,
-        "fitted_log_c": report.fitted_log_c,
-        "r2": report.r2,
-        "sample_count": report.sample_count,
-        "samples_used": report.samples_used,
-        "radius": report.radius,
-        "seed": report.seed,
-        "violations_at_theoretical_tau": report.violations_at_theoretical_tau,
-        "best_constant": report.best_constant,
-        "heuristic_distances": report.heuristic_distances,
-    }
+    return {"mode": "ball", **asdict(report)}
 
 
 def _emit(doc: dict, out: Optional[str]):

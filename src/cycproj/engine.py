@@ -14,6 +14,7 @@ Runs are strictly sequential and deterministic; traces are immutable once return
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -91,26 +92,17 @@ class Trace:
         return out
 
 
-class _Recorder:
-    """Decides which step indices are kept. Dense up to the cap; beyond it a
-    dense head plus checkpoints at rounded powers of 1.05.  A cap of 0 keeps
-    no step here; the driver still keeps the final sweep."""
-
-    def __init__(self, budget: int, cap: int):
-        self.dense = budget <= cap
-        self.head = _DENSE_HEAD if cap else 0
-        self.next_cp = _DENSE_HEAD + 1 if cap else math.inf
-        self.level = math.log(_DENSE_HEAD + 1) / math.log(_THIN_GROWTH)
-
-    def want(self, k: int) -> bool:
-        if self.dense or k <= self.head:
-            return True
-        if k < self.next_cp:
-            return False
-        while self.next_cp <= k:
-            self.level += 1.0
-            self.next_cp = max(self.next_cp + 1, round(_THIN_GROWTH**self.level))
-        return True
+def _checkpoints(max_steps: int) -> set:
+    """The step indices a thinned run records: the first 10^4, then
+    checkpoints at rounded powers of 1.05."""
+    keep = set(range(1, _DENSE_HEAD + 1))
+    level = math.log(_DENSE_HEAD + 1) / math.log(_THIN_GROWTH)
+    k = _DENSE_HEAD + 1
+    while k <= max_steps:
+        keep.add(k)
+        level += 1.0
+        k = max(k + 1, round(_THIN_GROWTH**level))
+    return keep
 
 
 def _run_steps(
@@ -130,12 +122,16 @@ def _run_steps(
     one (``before`` holds None before the first sweep end).  With ``stop``
     None the run takes all ``max_sweeps`` sweeps.  Returns the trace and
     ``after`` at the final sweep end; ``after[-1]`` is the final point.
-    Callers that need only that point pass ``record_cap`` 0, and the trace
-    then holds just the final sweep.
+
+    A run of at most ``record_cap`` steps records them all; a longer one
+    records its first 10^4 steps, checkpoints at rounded powers of 1.05 and
+    its final sweep, or only the final sweep for a cap of 0.
     """
     m = len(problem.sets)
     max_steps = max_sweeps * m
-    rec = _Recorder(max_steps, record_cap)
+    dense = max_steps <= record_cap
+    keep = _checkpoints(max_steps) if record_cap and not dense else set()
+    final_sweep = deque(maxlen=m)  # a thinned run's last m steps
     x = x0
     last: List[Optional[Vector]] = [None] * m
     before = after = (None,) * m
@@ -145,18 +141,15 @@ def _run_steps(
     residuals_before: List[float] = []
     step_norms: List[float] = []
     columns = (ks, iterates, set_indices, residuals_before, step_norms)
-    skipped: List[Optional[tuple]] = [None] * m  # per set, the latest step thinning left out
 
     def make_trace(total):
-        # always keep the final sweep, the last step onto each set: merge its
-        # left-out steps with its recorded ones in step order
-        tail = [step for step in skipped if step is not None and step[0] > total - m]
-        if tail:
-            while ks and ks[-1] > total - m:
-                tail.append(tuple(column.pop() for column in columns))
-            for step in sorted(tail, key=lambda step: step[0]):
-                for column, value in zip(columns, step):
-                    column.append(value)
+        # the final sweep replaces the recorded steps it holds
+        while final_sweep and ks and ks[-1] > total - m:
+            for column in columns:
+                column.pop()
+        for step in final_sweep:
+            for column, value in zip(columns, step):
+                column.append(value)
         return Trace(
             problem=problem,
             x0=x0,
@@ -167,11 +160,19 @@ def _run_steps(
             step_norms=step_norms,
             sets_per_sweep=m,
             total_steps=total,
-            thinned=not rec.dense,
+            thinned=not dense,
+        )
+
+    def step_error(message, cause):
+        return ProjectionStepError(
+            message,
+            step_index=k + 1,
+            set_index=idx,
+            partial_trace=make_trace(k),
+            cause=cause,
         )
 
     sets = problem.sets
-    dense, want = rec.dense, rec.want
     add_k, add_iterate, add_set, add_residual, add_step = (column.append for column in columns)
     k = 0
     moved = 0.0
@@ -182,33 +183,26 @@ def _run_steps(
             rb = residual(s, x)
             y = project(s, x, start=last[idx])
         except ProjectionError as exc:
-            raise ProjectionStepError(
-                f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}",
-                step_index=k + 1,
-                set_index=idx,
-                partial_trace=make_trace(k),
-                cause=exc,
+            raise step_error(
+                f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}", exc
             ) from exc
         if not residual(s, y) <= FEASIBILITY_TOL:  # NaN fails too
-            raise ProjectionStepError(
+            raise step_error(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}",
-                step_index=k + 1,
-                set_index=idx,
-                partial_trace=make_trace(k),
-                cause=None,
+                None,
             )
         last[idx] = y
         sn = vdist(y, x)
         k += 1
-        if dense or want(k):
+        if dense or k in keep:
             add_k(k)
             add_iterate(y)
             add_set(idx)
             add_residual(rb)
             add_step(sn)
-        else:
-            skipped[idx] = (k, y, idx, rb, sn)
+        if not dense:
+            final_sweep.append((k, y, idx, rb, sn))
         x = y
         moved += sn
         if idx == m - 1:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,41 +236,31 @@ class _Kernels:
 class Polynomial:
     """Immutable sparse polynomial in ``dimension`` real variables.
 
-    Construct from a mapping of exponent tuples to coefficients, or from an
-    iterable of :class:`Monomial`.  Duplicate exponent vectors are merged by
-    summation; exact-zero coefficients are dropped, so the zero polynomial
-    has no terms (and degree 0 by convention).
+    Construct from a mapping of exponent tuples to coefficients, or None for
+    the zero polynomial.  Exact-zero coefficients are dropped, so the zero
+    polynomial has no terms (and degree 0 by convention).
     """
 
-    __slots__ = ("dimension", "_terms", "_ordered", "_kernels")
+    __slots__ = ("dimension", "_ordered", "_kernels")
 
-    def __init__(
-        self,
-        dimension: int,
-        terms: Union[Mapping[Exponents, float], Iterable[Monomial], None] = None,
-    ):
+    def __init__(self, dimension: int, terms: Optional[Mapping[Exponents, float]] = None):
         dimension = int(dimension)
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        merged: dict = {}
-        if terms is not None:
-            items: Iterable
-            if isinstance(terms, Mapping):
-                items = (Monomial(e, c) for e, c in terms.items())
-            else:
-                items = terms
-            for mono in items:
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(*mono)
-                if len(mono.exponents) != dimension:
-                    raise ValueError(
-                        f"exponent vector {mono.exponents} has length "
-                        f"{len(mono.exponents)}, expected {dimension}"
-                    )
-                merged[mono.exponents] = merged.get(mono.exponents, 0.0) + mono.coefficient
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping, not {type(terms).__name__}")
+        cleaned = {}
+        for mono in (Monomial(e, c) for e, c in terms.items()):
+            if len(mono.exponents) != dimension:
+                raise ValueError(
+                    f"exponent vector {mono.exponents} has length "
+                    f"{len(mono.exponents)}, expected {dimension}"
+                )
+            if mono.coefficient != 0.0:
+                cleaned[mono.exponents] = mono.coefficient
         object.__setattr__(self, "dimension", dimension)
-        cleaned = {e: c for e, c in merged.items() if c != 0.0}
-        object.__setattr__(self, "_terms", cleaned)
         ordered = tuple(sorted(cleaned.items(), key=lambda item: _grlex_key(item[0])))
         object.__setattr__(self, "_ordered", ordered)
         object.__setattr__(self, "_kernels", _Kernels())
@@ -320,7 +310,7 @@ class Polynomial:
         if not 0 <= var < self.dimension:
             raise ValueError(f"variable index {var} out of range")
         out = {}
-        for e, c in self._terms.items():
+        for e, c in self._ordered:
             k = e[var]
             if k == 0:
                 continue

@@ -16,14 +16,16 @@ projector dispatches, in order:
                                  as ``_solve_dense``, solves each bordered
                                  KKT system,
   (e) anything else           -> quadratic-penalty continuation with
-                                 gradient-descent inner solves.
+                                 gradient-descent inner solves, whose
+                                 candidate active sets are finished by the
+                                 same Newton solve in the list form.
 
-Without a closed form, each constraint is evaluated once at the input
-point, for the feasibility test, the active-set test and the cold Newton
-seed, and the result's membership check reuses the Newton state's value of
-the active constraint.  The penalty ladder polishes its candidate active
-sets with the same Newton solve in a list form, which also takes over a
-kernel's attempt that does not converge (a degenerate constraint).
+Without a closed form, each constraint is evaluated once at the input point
+and once per penalty rung, and the result's membership check reuses the
+Newton state's values of the active constraints.  The list form of Newton,
+``_newton_list``, does the kernel's float operations over lists of
+constraints; it serves the penalty ladder and the rescue, which restores
+feasibility when an attempt does not converge (a degenerate constraint).
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -84,6 +86,8 @@ def vsub(a: Sequence[float], b: Sequence[float]) -> Vector:
 
 
 def vdot(a: Sequence[float], b: Sequence[float]) -> float:
+    if len(a) != len(b):  # cheaper than zip(..., strict=True)
+        raise ValueError(f"vector lengths {len(a)} and {len(b)} differ")
     s = 0.0
     for x, y in zip(a, b):
         s += x * y
@@ -98,6 +102,8 @@ def vnorm(a: Sequence[float]) -> float:
 
 
 def vdist(a: Sequence[float], b: Sequence[float]) -> float:
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths {len(a)} and {len(b)} differ")
     s = 0.0
     for x, y in zip(a, b):
         d = x - y
@@ -467,24 +473,22 @@ def _solve_dense(A, b):
     return (_SOLVERS.get(n) or _SOLVERS.setdefault(n, _compile_solver(n)))(A, b)
 
 
-# Newton on the KKT system of one active constraint runs in that
-# constraint's compiled kernels ``g.kkt_kernels()`` (see ``cycproj.poly``);
-# the list form below, for a list of constraints gs with lists of
-# multipliers, values and gradients, serves two or more active constraints,
-# the penalty ladder's polish and the rescue.  On one constraint both forms
-# do the same float operations.
-
-
 def _kkt_state(gs, x, y, lams):
     """(stationarity vector, constraint values, gradients, ||F||) at
     (y, lams), where F stacks the stationarity vector and the values."""
     grads = [g.gradient(y) for g in gs]
+    stat = _stationarity(x, y, lams, grads)
+    vals = [g.evaluate(y) for g in gs]
+    return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+
+
+def _stationarity(x, y, lams, grads):
+    """y - x + sum_j lam_j grad g_j, from the gradients at y."""
     stat = [yi - xi for yi, xi in zip(y, x)]
     for lam, grad in zip(lams, grads):
         for i, gi in enumerate(grad):
             stat[i] += lam * gi
-    vals = [g.evaluate(y) for g in gs]
-    return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+    return stat
 
 
 def _kkt_direction(gs, y, lams, stat, vals, grads):
@@ -504,10 +508,6 @@ def _kkt_direction(gs, y, lams, stat, vals, grads):
     for grad in grads:
         A.append(list(grad) + zeros)
     return _solve_dense(A, [-v for v in stat] + [-v for v in vals])
-
-
-def _max_abs(vals):
-    return max(map(abs, vals))
 
 
 def _kkt_trial(gs, x, y, lams, step, t):
@@ -535,12 +535,11 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
     negative multiplier, or an inactive constraint violated at the would-be
     solution); the caller falls through to / continues the penalty ladder.
     """
-    gs = [s.constraints[j] for j in active]
     if y0 is not None:
-        y0, lam0 = list(y0), list(lam0)
-        return _newton_from_seed(s, active, gs, x, (y0, lam0) + _kkt_state(gs, x, y0, lam0))
+        return _newton_list(s, active, x, y0, lam0)
     if start is not None and len(start) != len(x):
         raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
+    gs = [s.constraints[j] for j in active]
     kernels = gs[0].kkt_kernels()
     for seed in kernels.kkt_seed(x, gx, start) or ():
         # _solve_dense is looked up here, so a replaced solver sees every solve
@@ -559,15 +558,21 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
     return None
 
 
-def _newton_from_seed(s, active, gs, x, seed):
-    """One damped Newton attempt in the list form from ``seed`` = (y, lams,
-    stat, values, gradients, ||F||); the solution as a tuple, or None when
-    abandoned."""
-    y, lam, stat, vals, grads, fnorm = seed
+def _newton_list(s, active, x, y, lam):
+    """Newton in the list form from (y, lam), in the order of the
+    ``kkt_newton`` kernel: at most ``_NEWTON_MAX_ITER`` Armijo-damped steps
+    until the state is within tolerance, then up to two full polish steps,
+    which converge quadratically here and drive the residual toward machine
+    precision, each kept only while ||F|| strictly falls (a step times 1.0 is
+    the step itself, bit for bit).  Returns the result as :func:`_accept`
+    takes it, or None when abandoned; a loop that runs out hands over to
+    :func:`_rescue`."""
+    gs = [s.constraints[j] for j in active]
+    stat, vals, grads, fnorm = _kkt_state(gs, x, y, lam)
     for _ in range(_NEWTON_MAX_ITER):
         if not math.isfinite(fnorm):
             return None
-        if _max_abs(vals) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
+        if max(map(abs, vals)) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
             break
         step = _kkt_direction(gs, y, lam, stat, vals, grads)
         if step is None:
@@ -584,7 +589,18 @@ def _newton_from_seed(s, active, gs, x, seed):
         y, lam, stat, vals, grads, fnorm = new
     else:
         return _rescue(s, active, gs, x, y, vals, grads)
-    return _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm)
+    for _ in range(2):
+        if fnorm == 0.0:
+            break
+        step = _kkt_direction(gs, y, lam, stat, vals, grads)
+        if step is None:
+            break
+        new = _kkt_trial(gs, x, y, lam, step, 1.0)
+        fn_new = new[-1]
+        if not math.isfinite(fn_new) or fn_new >= fnorm:
+            break
+        y, lam, stat, vals, grads, fnorm = new
+    return _accept(s, active, y, lam, vals)
 
 
 def _rescue(s, active, gs, x, y, vals, grads):
@@ -592,7 +608,8 @@ def _rescue(s, active, gs, x, y, vals, grads):
     constraints (gradients vanishing on the set, hence no finite KKT point):
     restore feasibility by Gauss-Newton steps on the worst constraint alone,
     then pick the least-squares multipliers, which minimize the stationarity
-    defect achievable at the restored point."""
+    defect achievable at the restored point.  When that point is within
+    tolerance, :func:`_newton_list` polishes it from there."""
     n = len(x)
     p = len(gs)
     target = FEASIBILITY_TOL * 1e-4
@@ -609,53 +626,28 @@ def _rescue(s, active, gs, x, y, vals, grads):
         y = [yi - f * gi for yi, gi in zip(y, worst_grad)]
         vals = [g.evaluate(y) for g in gs]
         grads = [g.gradient(y) for g in gs]
-    if _max_abs(vals) > FEASIBILITY_TOL:
+    if max(map(abs, vals)) > FEASIBILITY_TOL:
         return None
     G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
     N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
     r = [-sum(G[i][a] * (y[i] - x[i]) for i in range(n)) for a in range(p)]
     lam = _solve_dense(N, r)
-    if lam is None:
+    if lam is None or vnorm(_stationarity(x, y, lam, grads)) > OPTIMALITY_TOL:
         return None
-    stat, vals, grads, fnorm = _kkt_state(gs, x, y, lam)
-    if vnorm(stat) > OPTIMALITY_TOL or _max_abs(vals) > FEASIBILITY_TOL:
-        return None
-    return _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm)
-
-
-def _polish(s, active, gs, x, y, lam, stat, vals, grads, fnorm):
-    """Up to two full Newton steps, which converge quadratically here and
-    drive the residual toward machine precision, each kept only while ||F||
-    strictly decreases (a step times 1.0 is the step itself, bit for bit);
-    then the result as :func:`_accept` takes it."""
-    for _ in range(2):
-        if fnorm == 0.0:
-            break
-        step = _kkt_direction(gs, y, lam, stat, vals, grads)
-        if step is None:
-            break
-        new = _kkt_trial(gs, x, y, lam, step, 1.0)
-        fn_new = new[-1]
-        if not math.isfinite(fn_new) or fn_new >= fnorm:
-            break
-        y, lam, stat, vals, grads, fnorm = new
-    return _accept(s, active, y, lam, vals)
+    return _newton_list(s, active, x, y, lam)
 
 
 def _accept(s, active, y, lams, vals):
     """``tuple(y)``, or None when a multiplier is negative or the point is
-    not in the set.  The active constraints' values are the Newton state's,
-    the others are evaluated, then the residual is taken."""
+    not in the set: the other constraints are evaluated and checked, then
+    the active constraints' values, which are the Newton state's."""
     if any(mult < -OPTIMALITY_TOL for mult in lams):
         return None
     result = tuple(y)
-    values = dict(zip(active, vals))
     for j, other in enumerate(s.constraints):
-        if j not in values:
-            values[j] = other.evaluate(result)
-            if values[j] > FEASIBILITY_TOL:
-                return None
-    if _max_violation([values[j] for j in range(len(values))]) > FEASIBILITY_TOL:
+        if j not in active and not other.evaluate(result) <= FEASIBILITY_TOL:  # NaN fails too
+            return None
+    if not _max_violation(vals) <= FEASIBILITY_TOL:
         return None
     return result
 
@@ -681,6 +673,15 @@ def _penalty_value_grad(s, x, y, mu):
             for i in range(n):
                 grad[i] += f * gg[i]
     return val, grad
+
+
+def _dependent_gradients(s, active, y) -> bool:
+    """Whether the gradients of the active constraints at y are linearly
+    dependent to 1e-8: their Gram determinant over the product of their
+    squared norms, which is 1 for orthogonal gradients."""
+    G = np.array([s.constraints[j].gradient(y) for j in active])
+    gram = G @ G.T
+    return bool(np.linalg.det(gram) <= 1e-8 * np.prod(np.diag(gram)))
 
 
 def _project_penalty(s, x):
@@ -726,26 +727,35 @@ def _project_penalty(s, x):
                 break
             y = cand
         yt = tuple(y)
-        feas = s.residual(yt)
+        # one evaluation of each constraint serves the residual, the
+        # complementarity term, the active-set test and the multipliers
+        values = [g.evaluate(yt) for g in s.constraints]
+        feas = _max_violation(values)
+        if feas != feas:
+            raise NumericalError("constraint residual became NaN", best=yt, feasibility=feas)
         # with lam_j = mu [g_j]_+ the stationarity defect is half the gradient
         _, grad = _penalty_value_grad(s, x, y, mu)
         opt = 0.5 * vnorm(grad)
-        comp = max((mu * max(g.evaluate(yt), 0.0) ** 2 for g in s.constraints), default=0.0)
+        comp = max(mu * max(v, 0.0) ** 2 for v in values)
         if feas < best_feas or (feas == best_feas and opt < best_opt):
             best, best_feas, best_opt = yt, feas, opt
         if feas <= FEASIBILITY_TOL and opt <= OPTIMALITY_TOL and comp <= OPTIMALITY_TOL:
             return yt
         if feas <= 1e-3:
-            active = [
-                j
-                for j, g in enumerate(s.constraints)
-                if g.evaluate(yt) > -10.0 * max(FEASIBILITY_TOL, feas)
-            ]
+            active = [j for j, v in enumerate(values) if v > -10.0 * max(FEASIBILITY_TOL, feas)]
             key = tuple(active)
             if active and key not in tried:
                 tried.add(key)
-                lam0 = [mu * max(s.constraints[j].evaluate(yt), 0.0) for j in active]
+                lam0 = [mu * max(values[j], 0.0) for j in active]
                 polished = _kkt_newton(s, active, x, y0=y, lam0=lam0)
+                if polished is None and len(active) > 1 and _dependent_gradients(s, active, yt):
+                    # dependent gradients (repeated or tangent constraints) make
+                    # the KKT system singular; a subset one short may solve it
+                    for i in range(len(active)):
+                        subset, lams = active[:i] + active[i + 1 :], lam0[:i] + lam0[i + 1 :]
+                        polished = _kkt_newton(s, subset, x, y0=y, lam0=lams)
+                        if polished is not None:
+                            break
                 if polished is not None:
                     return polished
         # feasibility of a convergent ladder halves per rung; six doublings

@@ -13,8 +13,10 @@ from cycproj.analysis import (
     error_bound_probe,
     fit_geometric_rate,
     fit_power_rate,
+    trace_error_sequence,
 )
 from cycproj.catalog import alpha_step, get_entry
+from cycproj.engine import cyclic_project
 from cycproj.poly import Polynomial
 from cycproj.rates import Linear, PowerLaw
 from cycproj.sets import (
@@ -144,6 +146,14 @@ def test_compare_verdict_stable_under_reindexing():
         rep = compare_with_theory(shifted, 2, 2, window=(200 + k0, 2000 + k0))
         assert rep.verdict == base.verdict
         assert abs(rep.power_fit.exponent - base.power_fit.exponent) <= 0.02
+
+
+def test_error_sequence_rejects_a_bad_limit():
+    trace = cyclic_project(get_entry("ex5.5").problem, (0.3, 1.9), max_sweeps=10, stop_tol=1e-300)
+    assert len(trace_error_sequence(trace, limit=(0.0, 0.0))) == len(trace.ks)
+    for limit in ((0.0, 0.0, 0.0), (0.0,), (math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            trace_error_sequence(trace, limit=limit)
 
 
 # -- error-bound probe ---------------------------------------------------------------

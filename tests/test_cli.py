@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -575,12 +576,17 @@ def test_cmd_replicate_unknown_id():
     assert cli.main(["replicate", "--id", "ex7.7"]) == 1
 
 
+# stdout of `replicate --all`, IEEE-754 doubles and an x86-64 glibc ``pow``
+REPLICATE_ALL_SHA = "153a91ba7768ac8c2dcdbddc575b2dc5596d15d3986af86cbbf8c818728d1ef0"
+
+
 def test_cmd_replicate_all_covers_catalog(capsys):
     assert cli.main(["replicate", "--all"]) == 0
     out = capsys.readouterr().out
     entries = {line.split()[0] for line in out.splitlines() if line.strip()}
     assert len(entries) >= 6
     assert "FAIL" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPLICATE_ALL_SHA
 
 
 # -- end-to-end: run a long trace, then fit its rate through the CLI ---------

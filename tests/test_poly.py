@@ -49,10 +49,11 @@ def test_evaluation_independent_of_construction_order():
     assert p1.evaluate(x) == p2.evaluate(x)  # canonical term order, bitwise
 
 
-def test_duplicate_exponents_merge():
-    p = Polynomial(1, [Monomial((1,), 2.0), Monomial((1,), 3.0)])
-    assert p.evaluate((1.0,)) == 5.0
-    assert len(p.terms) == 1
+def test_terms_must_be_a_mapping():
+    for terms in ([Monomial((1,), 2.0)], [((1,), 2.0)], ((1,), 2.0)):
+        with pytest.raises(TypeError):
+            Polynomial(1, terms)
+    assert Polynomial(1, None).is_zero()
 
 
 def test_invalid_terms_rejected():

@@ -76,6 +76,31 @@ def test_overflow_is_a_numerical_error():
         project(quartic, (1e20, 1.0))  # finite residual, overflow inside the solver
 
 
+def test_projection_never_returns_a_point_of_unknown_membership():
+    # at the input point and at the would-be solution (0, 1e5, 1e5) the
+    # second constraint evaluates inf - inf = NaN, which passes a `> tol` test
+    s = ConvexSetDescriptor(
+        "nan-at-solution",
+        [
+            Polynomial(3, {(1, 0, 0): 1.0}),
+            Polynomial(
+                3, {(0, 2, 0): 1e300, (0, 1, 1): -2e300, (0, 0, 2): 1e300, (0, 0, 0): -1.0}
+            ),
+        ],
+    )
+    with pytest.raises(NumericalError):
+        project(s, (1.0, 1e5, 1e5))
+    with pytest.raises(NumericalError):
+        distance(s, (1.0, 1e5, 1e5))
+
+
+def test_vector_length_mismatch_is_an_error():
+    with pytest.raises(ValueError):
+        Singleton((0.0, 0.0)).distance((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        vdist((1.0, 1.0), (1.0,))
+
+
 # -- descriptor validation ---------------------------------------------------
 
 
@@ -175,6 +200,17 @@ def test_project_penalty_disk_cap_corner():
     y = project(cap, (-2.0, 0.5))
     nrm = math.hypot(2.0, 0.5)
     assert vdist(y, (-2.0 / nrm, 0.5 / nrm)) <= 1e-9
+
+
+def test_project_penalty_dependent_active_gradients():
+    # both constraints are active at the projection with parallel gradients,
+    # so the KKT system of the pair is singular
+    unit = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    # the disk of radius 1.5 about (0.5, 0) touches the unit disk at (-1, 0)
+    outer = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0, (0, 0): -2.0})
+    for constraints in ([unit, unit], [unit, outer]):
+        y = project(ConvexSetDescriptor("dependent", constraints), (-3.0, 0.0))
+        assert vdist(y, (-1.0, 0.0)) <= 1e-9
 
 
 def test_project_degenerate_thin_set():
