@@ -16,10 +16,8 @@ from typing import Callable, Dict, Optional, Tuple
 from .poly import Polynomial
 from .rates import RateClass, cyclic_rate
 from .sets import (
-    Ball,
     ConvexSetDescriptor,
     FeasibilityProblem,
-    Halfspace,
     Singleton,
     Vector,
     as_vector,
@@ -64,7 +62,7 @@ def _disk(name: str, cx: float, cy: float) -> ConvexSetDescriptor:
             (0, 0): cx * cx + cy * cy - 1.0,
         },
     )
-    return ConvexSetDescriptor(name, [g], Ball(center=(cx, cy), radius=1.0))
+    return ConvexSetDescriptor(name, [g])
 
 
 def alpha_step(alpha: float) -> float:
@@ -125,7 +123,6 @@ def example_5_1() -> CatalogEntry:
     c2 = ConvexSetDescriptor(
         "halfplane",
         [Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0})],
-        Halfspace(a=(1.0, 1.0), b=1.0),
     )
     c3 = _disk("right-disk", 1.0, 0.0)
     # x + (y + 2)^2 - 4 = x + y^2 + 4y
@@ -158,7 +155,6 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
     halfplane = ConvexSetDescriptor(
         "right-halfplane",
         [Polynomial(2, {(1, 0): -1.0, (0, 0): alpha})],
-        Halfspace(a=(-1.0, 0.0), b=-alpha),
     )
     start = (alpha, 1.0)
     if t1 is None:
@@ -248,7 +244,6 @@ def example_5_7(d: int = 2) -> CatalogEntry:
     A = ConvexSetDescriptor(
         "left-halfplane",
         [Polynomial(2, {(1, 0): 1.0})],
-        Halfspace(a=(1.0, 0.0), b=0.0),
     )
     B = ConvexSetDescriptor("power-region", [Polynomial(2, {(0, d): 1.0, (1, 0): -1.0})])
     problem = FeasibilityProblem(2, (A, B), Singleton((0.0, 0.0)))

@@ -34,11 +34,9 @@ from .engine import (
 from .poly import Polynomial
 from .rates import PowerLaw
 from .sets import (
-    Ball,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
-    Halfspace,
     ProjectionError,
     Singleton,
     residual,
@@ -68,12 +66,6 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
-
-
-def _hint_field(hdoc: dict, key: str, hw: str, check, what: str):
-    _expect(key in hdoc, f"missing key '{hw}.{key}'")
-    _expect(check(hdoc[key]), f"{hw}.{key} must be {what}")
-    return hdoc[key]
 
 
 def problem_from_dict(doc: dict) -> FeasibilityProblem:
@@ -114,23 +106,7 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
                 key = tuple(exps)
                 terms[key] = terms.get(key, 0.0) + float(coef)
             cons.append(Polynomial(dim, terms))
-        hint = None
-        hdoc = sdoc.get("hint")
-        if hdoc is not None:
-            hw = f"{where}.hint"
-            _expect(isinstance(hdoc, dict) and "type" in hdoc, f"{hw} must be an object with 'type'")
-            kind = hdoc["type"]
-            if kind == "halfspace":
-                a = _hint_field(hdoc, "a", hw, is_point, f"{dim} numbers")
-                b = _hint_field(hdoc, "b", hw, _is_number, "a number")
-                hint = Halfspace(a=tuple(a), b=b)
-            elif kind == "ball":
-                center = _hint_field(hdoc, "center", hw, is_point, f"{dim} numbers")
-                radius = _hint_field(hdoc, "radius", hw, _is_number, "a number")
-                hint = Ball(center=tuple(center), radius=radius)
-            else:
-                raise ProblemFileError(f"{hw}.type {kind!r} is not one of halfspace/ball")
-        sets.append(ConvexSetDescriptor(name, cons, hint))
+        sets.append(ConvexSetDescriptor(name, cons))
     oracle = None
     odoc = doc.get("oracle")
     if odoc is not None:
@@ -142,9 +118,8 @@ def problem_from_dict(doc: dict) -> FeasibilityProblem:
 
 
 def problem_to_dict(problem: FeasibilityProblem) -> dict:
-    sets = []
-    for s in problem.sets:
-        sdoc = {
+    sets = [
+        {
             "name": s.name,
             "constraints": [
                 {
@@ -156,12 +131,8 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
                 for g in s.constraints
             ],
         }
-        h = s.analytic_hint
-        if isinstance(h, Halfspace):
-            sdoc["hint"] = {"type": "halfspace", "a": list(h.a), "b": h.b}
-        elif isinstance(h, Ball):
-            sdoc["hint"] = {"type": "ball", "center": list(h.center), "radius": h.radius}
-        sets.append(sdoc)
+        for s in problem.sets
+    ]
     doc = {"dimension": problem.dimension, "sets": sets}
     if isinstance(problem.intersection_oracle, Singleton):
         doc["oracle"] = {"type": "singleton", "point": list(problem.intersection_oracle.point)}

@@ -66,8 +66,9 @@ Exponents = Tuple[int, ...]
 class Monomial:
     """One term of a sparse polynomial.
 
-    ``exponents`` has one non-negative integer per variable; ``coefficient``
-    must be finite.
+    ``exponents`` has one non-negative integer per variable (an integral
+    float such as 2.0 is taken as that integer); ``coefficient`` must be
+    finite.
     """
 
     exponents: Exponents
@@ -75,6 +76,8 @@ class Monomial:
 
     def __post_init__(self):
         exps = tuple(int(e) for e in self.exponents)
+        if any(e != ie for e, ie in zip(self.exponents, exps)):
+            raise ValueError(f"non-integral exponent in {tuple(self.exponents)}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)

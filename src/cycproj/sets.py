@@ -4,8 +4,8 @@ A set is described by convex polynomial constraints ``g_j(x) <= 0``.  The
 projector dispatches, in order:
 
   (a) feasible input          -> returned unchanged,
-  (b) halfspace analytic hint -> closed form,
-  (c) ball analytic hint      -> closed form,
+  (b) one affine constraint   -> closed-form halfspace projection,
+  (c) one ball constraint     -> closed-form ball projection,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
                                  an optional warm start, in two kernels
@@ -31,11 +31,12 @@ Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
 complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
 
-The only analytic hints are the halfspace and the ball, the two shapes with
-a closed form; every other set goes through (d)/(e) by its constraints.  All
-vectors are plain tuples of floats and every path is deterministic, so
-identical inputs -- the point and the optional warm start -- give bitwise
-identical projections.
+Branches (b) and (c) take the closed form that :func:`_closed_form` reads
+from a set's single constraint when the set is built: an affine constraint
+is a halfspace, ``||x||^2 + <l, x> + c`` a ball.  Every other set goes
+through (d)/(e) by its constraints.  All vectors are plain tuples of floats
+and every path is deterministic, so identical inputs -- the point and the
+optional warm start -- give bitwise identical projections.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class CapabilityError(RuntimeError):
 
 
 def vsub(a: Sequence[float], b: Sequence[float]) -> Vector:
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths {len(a)} and {len(b)} differ")
     return tuple(map(operator.sub, a, b))
 
 
@@ -123,7 +126,7 @@ def finite_vector(x: Sequence[float], what: str) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# analytic hints
+# closed forms
 
 
 @dataclass(frozen=True)
@@ -133,15 +136,6 @@ class Halfspace:
     a: Vector
     b: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if vnorm(self.a) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-
-    def residual(self, x: Sequence[float]) -> float:
-        return max(vdot(self.a, x) - self.b, 0.0)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -150,21 +144,34 @@ class Ball:
     center: Vector
     radius: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
 
-    def residual(self, x: Sequence[float]) -> float:
-        # squared form, so it matches the polynomial constraint exactly
-        d2 = 0.0
-        for xi, ci in zip(x, self.center):
-            d2 += (xi - ci) * (xi - ci)
-        return max(d2 - self.radius * self.radius, 0.0)
-
-
-AnalyticHint = Union[Halfspace, Ball]
+def _closed_form(constraints: Sequence[Polynomial]) -> Optional[Union[Halfspace, Ball]]:
+    """The halfspace or ball that a single constraint g <= 0 describes: an
+    affine g with a nonzero linear part, or g = ||x||^2 + <l, x> + c (every
+    x_i^2 coefficient exactly 1.0, no other term of degree >= 2) with a
+    positive finite squared radius; None for anything else."""
+    if len(constraints) != 1:
+        return None
+    g = constraints[0]
+    linear = [0.0] * g.dimension
+    squares = 0  # count of the x_i^2 terms with coefficient 1.0
+    c = 0.0
+    for m in g.terms:
+        if m.degree == 0:
+            c = m.coefficient
+        elif m.degree == 1:
+            linear[m.exponents.index(1)] = m.coefficient
+        elif m.degree == 2 and 2 in m.exponents and m.coefficient == 1.0:
+            squares += 1
+        else:
+            return None
+    if squares == 0:
+        return Halfspace(tuple(linear), 0.0 - c) if any(linear) else None
+    if squares < g.dimension:
+        return None
+    center = tuple([-0.5 * li + 0.0 for li in linear])
+    r2 = vdot(center, center) - c
+    return Ball(center, math.sqrt(r2)) if 0.0 < r2 < math.inf else None
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +186,6 @@ _NEWTON_MAX_ITER = 100
 _PENALTY_MU_MAX = 1e12
 _PENALTY_INNER_MAX_ITER = 4000
 
-_HINT_CHECK_POINTS = 100
-_HINT_CHECK_TOL = 1e-9
-_HINT_CHECK_SEED = 20131116
-
 
 # ---------------------------------------------------------------------------
 # descriptors
@@ -193,18 +196,14 @@ class ConvexSetDescriptor:
 
     Convexity of the constraint polynomials is trusted from the caller
     (see :func:`cycproj.poly.sample_convexity_check` for an advisory screen).
-    When an analytic hint is given, construction verifies at seeded sample
-    points that the constraint residual coincides with the hinted form.
+    ``analytic_hint`` is the set's closed form, the :class:`Halfspace` or
+    :class:`Ball` that :func:`_closed_form` reads from a single constraint's
+    coefficients, or None; the projector dispatches on it.
     """
 
     __slots__ = ("name", "constraints", "analytic_hint", "dimension")
 
-    def __init__(
-        self,
-        name: str,
-        constraints: Sequence[Polynomial],
-        analytic_hint: Optional[AnalyticHint] = None,
-    ):
+    def __init__(self, name: str, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
         if not constraints:
             raise ValueError(
@@ -216,42 +215,18 @@ class ConvexSetDescriptor:
                 raise ValueError("all constraints must share the ambient dimension")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "analytic_hint", analytic_hint)
+        object.__setattr__(self, "analytic_hint", _closed_form(constraints))
         object.__setattr__(self, "dimension", dim)
-        if analytic_hint is not None:
-            self._validate_hint()
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexSetDescriptor is immutable")
 
     def __reduce__(self):
-        # rebuilt by the constructor, which re-validates the hint
-        return (ConvexSetDescriptor, (self.name, self.constraints, self.analytic_hint))
+        # rebuilt by the constructor, which derives the closed form again
+        return (ConvexSetDescriptor, (self.name, self.constraints))
 
     def __repr__(self):
         return f"ConvexSetDescriptor({self.name!r}, dim={self.dimension}, m={len(self.constraints)})"
-
-    def _validate_hint(self):
-        # sample around the ball's center or the halfspace's point nearest 0
-        h = self.analytic_hint
-        if isinstance(h, Ball):
-            kind, center = "ball", h.center
-        else:
-            nn = vdot(h.a, h.a)
-            kind, center = "halfspace", tuple(h.b * ai / nn for ai in h.a)
-        if len(center) != self.dimension:
-            raise ValueError(
-                f"{kind} hint of {self.name!r} has {len(center)} coordinates, "
-                f"set dimension is {self.dimension}"
-            )
-        rng = np.random.default_rng(_HINT_CHECK_SEED)
-        pts = rng.normal(0.0, 1.5, size=(_HINT_CHECK_POINTS, self.dimension))
-        for row in pts:
-            x = tuple(c + v for c, v in zip(center, row))
-            if not abs(self.residual(x) - h.residual(x)) <= _HINT_CHECK_TOL:  # NaN fails too
-                raise ValueError(
-                    f"analytic hint disagrees with constraints of {self.name!r} at {x}"
-                )
 
     def residual(self, x: Sequence[float]) -> float:
         """max_j [g_j(x)]_+ ; zero exactly when x belongs to the set, NaN
@@ -298,7 +273,6 @@ class FeasibilityProblem:
         dimension: int,
         sets: Sequence[ConvexSetDescriptor],
         intersection_oracle: Optional[Singleton] = None,
-        max_degree: Optional[int] = None,
     ):
         sets = tuple(sets)
         if not sets:
@@ -306,12 +280,9 @@ class FeasibilityProblem:
         for s in sets:
             if s.dimension != dimension:
                 raise ValueError(f"set {s.name!r} has dimension {s.dimension}, expected {dimension}")
-        computed = max(g.degree() for s in sets for g in s.constraints)
-        if max_degree is not None and max_degree != computed:
-            raise ValueError(f"declared max_degree {max_degree} != computed {computed}")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "max_degree", computed)
+        object.__setattr__(self, "max_degree", max(g.degree() for s in sets for g in s.constraints))
         object.__setattr__(self, "intersection_oracle", intersection_oracle)
 
     def __setattr__(self, name, value):

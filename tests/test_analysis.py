@@ -20,11 +20,9 @@ from cycproj.engine import cyclic_project
 from cycproj.poly import Polynomial
 from cycproj.rates import Linear, PowerLaw
 from cycproj.sets import (
-    Ball,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
-    Halfspace,
 )
 
 
@@ -161,7 +159,7 @@ def test_error_sequence_rejects_a_bad_limit():
 
 def test_probe_single_set_identity():
     disk = ConvexSetDescriptor(
-        "disk", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})], Ball((0.0, 0.0), 1.0)
+        "disk", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})]
     )
     prob = FeasibilityProblem(2, (disk,))
     report = error_bound_probe(prob, (0.0, 0.0), theta=1.0, n_samples=80, radius=2.0, seed=3)
@@ -225,8 +223,8 @@ def test_probe_rejects_nan_and_unbounded_options(theta, radius):
 
 def test_probe_without_oracle_uses_refinement_on_regular_intersection():
     # interior-overlap pair: refinement certifies, and tau fits ~1
-    a = ConvexSetDescriptor("x<=1", [Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})], Halfspace((1.0, 0.0), 1.0))
-    b = ConvexSetDescriptor("y<=1", [Polynomial(2, {(0, 1): 1.0, (0, 0): -1.0})], Halfspace((0.0, 1.0), 1.0))
+    a = ConvexSetDescriptor("x<=1", [Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})])
+    b = ConvexSetDescriptor("y<=1", [Polynomial(2, {(0, 1): 1.0, (0, 0): -1.0})])
     prob = FeasibilityProblem(2, (a, b))
     report = error_bound_probe(prob, (0.0, 0.0), theta=1.0, n_samples=120, radius=3.0, seed=5)
     assert report.heuristic_distances

@@ -18,7 +18,7 @@ from cycproj.cli import (
     write_trace,
 )
 from cycproj.engine import alternating_project, cyclic_project
-from cycproj.sets import Ball, project, vnorm
+from cycproj.sets import Ball, Halfspace, project, vnorm
 
 
 # -- problem files ---------------------------------------------------------------
@@ -54,12 +54,12 @@ def test_problem_file_schema_errors(tmp_path):
 
 
 def test_problem_hint_round_trip(tmp_path):
+    # a problem file holds only the constraints; the closed form comes back from them
     prob = get_entry("ex5.7:d=2").problem
     doc = problem_to_dict(prob)
-    assert doc["sets"][0]["hint"] == {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0}
-    assert "hint" not in doc["sets"][1]
+    assert all(set(sdoc) == {"name", "constraints"} for sdoc in doc["sets"])
     back = problem_from_dict(doc)
-    assert back.sets[0].analytic_hint == prob.sets[0].analytic_hint
+    assert back.sets[0].analytic_hint == prob.sets[0].analytic_hint == Halfspace((1.0, 0.0), 0.0)
     assert back.sets[1].analytic_hint is None
 
 
@@ -71,7 +71,7 @@ def _readme_problem_doc():
 
 
 def test_readme_problem_file_loads_and_projects():
-    # the documented schema, hint included, must stay what the parser accepts
+    # the documented schema must stay what the parser accepts
     problem = problem_from_dict(_readme_problem_doc())
     (disk,) = problem.sets
     assert isinstance(disk.analytic_hint, Ball)
@@ -126,20 +126,17 @@ def test_read_trace_rejects_rows_of_wrong_width(tmp_path, bad_row):
 def test_problem_file_non_finite_values_rejected(tmp_path):
     pfile = _write_disk_problem(tmp_path)
     base = json.loads(pfile.read_text())
-    bad_hint = json.loads(json.dumps(base))
-    bad_hint["sets"][0]["hint"]["center"] = [0.0, math.nan]
     bad_oracle = dict(base, oracle={"type": "singleton", "point": [0.0, math.nan]})
     out = tmp_path / "run.csv"
-    for doc in (bad_hint, bad_oracle):
-        pfile.write_text(json.dumps(doc))  # writes the NaN literal, which json reads back
-        with pytest.raises(ValueError):
-            load_problem(str(pfile))
-        assert cli.main(["run", "--problem", str(pfile), "--x0", "2,0", "--out", str(out)]) == 1
+    pfile.write_text(json.dumps(bad_oracle))  # writes the NaN literal, which json reads back
+    with pytest.raises(ValueError):
+        load_problem(str(pfile))
+    assert cli.main(["run", "--problem", str(pfile), "--x0", "2,0", "--out", str(out)]) == 1
     assert not out.exists()
 
 
-def _hinted_problem_doc():
-    """ex5.7:d=2 (a halfspace, an unhinted power region and an oracle) plus a ball."""
+def _mixed_problem_doc():
+    """ex5.7:d=2 (a halfspace, a power region and an oracle) plus a ball."""
     doc = problem_to_dict(get_entry("ex5.7:d=2").problem)
     doc["sets"].append(problem_to_dict(get_entry("ex5.5").problem)["sets"][0])
     return doc
@@ -160,16 +157,12 @@ def _load_doc_through_cli(tmp_path, capsys, doc):
         (("sets", 0, "constraints", 0, "terms", 0, "exponents", 0), "sets[0].constraints[0].terms[0].exponents"),
         (("sets", 1, "constraints", 0, "terms", 1, "coefficient"), "sets[1].constraints[0].terms[1].coefficient"),
         (("oracle", "point", 1), "'oracle.point'"),
-        (("sets", 0, "hint", "a", 0), "sets[0].hint.a"),
-        (("sets", 0, "hint", "b"), "sets[0].hint.b"),
         # the power region's degree, now carried only by its constraint's exponents
         (("sets", 1, "constraints", 0, "terms", 1, "exponents", 1), "sets[1].constraints[0].terms[1].exponents"),
-        (("sets", 2, "hint", "center", 1), "sets[2].hint.center"),
-        (("sets", 2, "hint", "radius"), "sets[2].hint.radius"),
     ],
 )
 def test_problem_file_rejects_booleans_as_numbers(tmp_path, capsys, path, field):
-    doc = _hinted_problem_doc()
+    doc = _mixed_problem_doc()
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -180,45 +173,27 @@ def test_problem_file_rejects_booleans_as_numbers(tmp_path, capsys, path, field)
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "set_index, key", [(0, "a"), (0, "b"), (2, "center"), (2, "radius")]
-)
-def test_hint_missing_field_is_named(tmp_path, capsys, set_index, key):
-    doc = _hinted_problem_doc()
-    del doc["sets"][set_index]["hint"][key]
-    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
-    assert code == 1
-    assert f"missing key 'sets[{set_index}].hint.{key}'" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "set_index, key, value, message",
-    [
-        (0, "a", [1.0, 0.0, 0.0], "sets[0].hint.a must be 2 numbers"),
-        (0, "a", [1.0], "sets[0].hint.a must be 2 numbers"),
-        (2, "center", [0.0, 0.0, 0.0], "sets[2].hint.center must be 2 numbers"),
-        (2, "center", [0.0], "sets[2].hint.center must be 2 numbers"),
-    ],
-)
-def test_hint_vector_length_is_checked_against_dimension(tmp_path, capsys, set_index, key, value, message):
-    doc = _hinted_problem_doc()
-    doc["sets"][set_index]["hint"][key] = value
-    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
-    assert code == 1
-    assert f".json: {message}" in err
-    assert not out.exists()
-
-
 def test_power_epigraph_hint_type_is_rejected(tmp_path, capsys):
-    # the hint type is gone; a problem file must drop it and keep the constraint
-    doc = _hinted_problem_doc()
+    # the removed power_epigraph hint is not read: the file loads, and the power
+    # region is projected from its constraint, as it is without the key
+    doc = _mixed_problem_doc()
+    plain = _load_doc_through_cli(tmp_path, capsys, doc)[2].read_bytes()
     doc["sets"][1]["hint"] = {"type": "power_epigraph", "degree": 2}
+    assert problem_from_dict(doc).sets[1].analytic_hint is None
     code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
-    assert code == 1
-    assert err.startswith("error: ") and "p.json: " in err
-    assert "sets[1].hint.type 'power_epigraph' is not one of halfspace/ball" in err
-    assert not out.exists()
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == plain
+
+
+def test_wrong_ball_hint_in_problem_file_is_ignored(tmp_path, capsys):
+    # an old file's hint key is not read; the ball comes from the constraint
+    doc = _mixed_problem_doc()
+    plain = _load_doc_through_cli(tmp_path, capsys, doc)[2].read_bytes()
+    doc["sets"][2]["hint"] = {"type": "ball", "center": [5.0, 5.0], "radius": 0.5}
+    assert problem_from_dict(doc).sets[2].analytic_hint == Ball((-1.0, 0.0), 1.0)
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == plain
 
 
 # -- run -------------------------------------------------------------------------
@@ -483,7 +458,6 @@ def _write_disk_problem(tmp_path):
                         ]
                     }
                 ],
-                "hint": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
             }
         ],
         "oracle": None,

@@ -19,7 +19,6 @@ from cycproj.sets import (
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
-    Halfspace,
     Singleton,
     project,
     residual,
@@ -29,8 +28,8 @@ from cycproj.sets import (
 
 
 def two_halfplanes():
-    a = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 0.0), 0.0))
-    b = ConvexSetDescriptor("y<=0", [Polynomial(2, {(0, 1): 1.0})], Halfspace((0.0, 1.0), 0.0))
+    a = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})])
+    b = ConvexSetDescriptor("y<=0", [Polynomial(2, {(0, 1): 1.0})])
     return FeasibilityProblem(2, (a, b))
 
 
@@ -45,7 +44,7 @@ def test_cyclic_fixed_point_start_terminates_after_one_sweep():
 
 
 def test_cyclic_single_set_is_idempotent():
-    s = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 0.0), 0.0))
+    s = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})])
     prob = FeasibilityProblem(2, (s,))
     trace = cyclic_project(prob, (3.0, 4.0), max_sweeps=10, stop_tol=1e-12)
     assert trace.iterates[0] == (0.0, 4.0)
@@ -99,7 +98,7 @@ def test_cyclic_determinism_bitwise():
 
 
 def test_projection_failure_carries_step_index_and_partial_trace():
-    good = ConvexSetDescriptor("x<=0", [Polynomial(1, {(1,): 1.0})], Halfspace((1.0,), 0.0))
+    good = ConvexSetDescriptor("x<=0", [Polynomial(1, {(1,): 1.0})])
     empty = ConvexSetDescriptor("empty", [Polynomial(1, {(2,): 1.0, (0,): 1.0})])
     prob = FeasibilityProblem(1, (good, empty))
     with pytest.raises(ProjectionStepError) as exc_info:
@@ -218,7 +217,7 @@ def test_thinned_final_sweep_merges_with_a_recorded_checkpoint():
 
 
 def test_alternating_identical_sets():
-    s = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 0.0), 0.0))
+    s = ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})])
     result = alternating_project(s, s, (2.0, 1.0), max_iters=10, stop_tol=1e-12)
     assert vnorm(result.gap_vector) <= 1e-15
     for a, b in zip(result.a_trace.iterates, result.b_trace.iterates):

@@ -65,6 +65,18 @@ def test_invalid_terms_rejected():
         Polynomial(2, {(1,): 1.0})  # wrong exponent length
 
 
+def test_non_integral_exponent_rejected():
+    # int() would truncate 1.5 to 1 and make 2 x^1.5 the polynomial 2 x
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial(1, {(1.5,): 2.0})
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Monomial((2, 0.5), 1.0)
+    # an integral float is that integer
+    p = Polynomial(2, {(2.0, 1): 3.0})
+    assert [m.exponents for m in p.terms] == [(2, 1)]
+    assert p.evaluate((2.0, 5.0)) == 60.0
+
+
 def test_gradient_constant_and_quadratic():
     const = Polynomial(2, {(0, 0): 5.0})
     assert const.gradient((4.0, -7.0)) == (0.0, 0.0)

@@ -17,6 +17,7 @@ from cycproj.sets import (
     project,
     residual,
     vdist,
+    vsub,
 )
 from helpers import brute_force_distances
 
@@ -24,12 +25,12 @@ LEFT_DISK_POLY = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 2.0})
 
 
 def left_disk():
-    return ConvexSetDescriptor("left-disk", [LEFT_DISK_POLY], Ball((-1.0, 0.0), 1.0))
+    return ConvexSetDescriptor("left-disk", [LEFT_DISK_POLY])
 
 
 def halfplane_x():
     return ConvexSetDescriptor(
-        "x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 0.0), 0.0)
+        "x<=0", [Polynomial(2, {(1, 0): 1.0})]
     )
 
 
@@ -101,6 +102,15 @@ def test_vector_length_mismatch_is_an_error():
         vdist((1.0, 1.0), (1.0,))
 
 
+def test_vsub_rejects_vectors_of_different_lengths():
+    # map() would stop at the shorter vector and return (0.0, 0.0)
+    with pytest.raises(ValueError, match="vector lengths 2 and 3 differ"):
+        vsub((1.0, 2.0), (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        vsub((1.0, 2.0, 3.0), (1.0, 2.0))
+    assert vsub((3.0, 2.0), (1.0, 2.0)) == (2.0, 0.0)
+
+
 # -- descriptor validation ---------------------------------------------------
 
 
@@ -116,27 +126,83 @@ def test_mixed_dimensions_rejected():
         )
 
 
-def test_hint_must_match_constraints():
-    with pytest.raises(ValueError):
-        ConvexSetDescriptor("bad", [LEFT_DISK_POLY], Ball((-1.0, 0.0), 2.0))
-    with pytest.raises(ValueError):
-        ConvexSetDescriptor("bad", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0, 1.0), 0.0))
+def test_removed_hint_and_max_degree_inputs_are_type_errors():
+    g = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    with pytest.raises(TypeError):
+        ConvexSetDescriptor("d", [g], Ball((0.0, 0.0), 1.0))
+    with pytest.raises(TypeError):
+        FeasibilityProblem(2, [left_disk()], max_degree=2)
 
 
-def test_hint_dimension_mismatch_names_set_hint_and_dimensions():
-    with pytest.raises(ValueError, match=r"^ball hint of 'disk' has 3 coordinates, set dimension is 2$"):
-        ConvexSetDescriptor("disk", [LEFT_DISK_POLY], Ball((-1.0, 0.0, 0.0), 1.0))
-    with pytest.raises(
-        ValueError, match=r"^halfspace hint of 'x<=0' has 1 coordinates, set dimension is 2$"
-    ):
-        ConvexSetDescriptor("x<=0", [Polynomial(2, {(1, 0): 1.0})], Halfspace((1.0,), 0.0))
+# the closed forms the catalog once passed by hand, set by set; ex5.3's b was
+# -alpha, which is -0.0 for alpha = 0 and equals the derived 0.0
+_HAND_WRITTEN_SHAPES = {
+    "ex5.1": [Ball((-1.0, 0.0), 1.0), Halfspace((1.0, 1.0), 1.0), Ball((1.0, 0.0), 1.0), None],
+    "ex5.3:alpha=0": [Ball((-1.0, 0.0), 1.0), Halfspace((-1.0, 0.0), -0.0)],
+    "ex5.3:alpha=0.25": [Ball((-1.0, 0.0), 1.0), Halfspace((-1.0, 0.0), -0.25)],
+    "ex5.3:alpha=0.5": [Ball((-1.0, 0.0), 1.0), Halfspace((-1.0, 0.0), -0.5)],
+    "ex5.5": [Ball((-1.0, 0.0), 1.0), Ball((1.0, 0.0), 1.0)],
+    "ex5.7:d=2": [Halfspace((1.0, 0.0), 0.0), None],
+    "ex5.7:d=4": [Halfspace((1.0, 0.0), 0.0), None],
+    "ex5.8:n=1": [None, None],
+    "ex5.8:n=2": [None, None],
+    "ex5.8:n=3": [None, None],
+    "ex3.2:n=1,d=2": [None],
+    "ex3.2:n=2,d=2": [None, None],
+    "ex3.2:n=3,d=4": [None, None, None],
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(_HAND_WRITTEN_SHAPES))
+def test_catalog_closed_forms_are_read_from_the_constraints(entry_id):
+    shapes = [s.analytic_hint for s in get_entry(entry_id).problem.sets]
+    assert shapes == _HAND_WRITTEN_SHAPES[entry_id]
+    for shape in shapes:
+        if isinstance(shape, Ball):
+            # a zero center coordinate is +0.0, as the hand-written ones were
+            assert all(math.copysign(1.0, c) == 1.0 for c in shape.center if c == 0.0)
+
+
+def test_closed_form_of_single_constraints():
+    def shape(terms, n=2):
+        return ConvexSetDescriptor("s", [Polynomial(n, terms)]).analytic_hint
+
+    assert shape({(1, 0): 2.0, (0, 1): -1.0, (0, 0): 3.0}) == Halfspace((2.0, -1.0), -3.0)
+    assert shape({(0, 1): 1.0}) == Halfspace((0.0, 1.0), 0.0)
+    assert shape({(2, 0): 1.0, (0, 2): 1.0, (1, 0): -4.0, (0, 0): -5.0}) == Ball((2.0, 0.0), 3.0)
+    assert shape({(2,): 1.0, (1,): 2.0}, n=1) == Ball((-1.0,), 1.0)
+    ball = shape({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    assert ball == Ball((0.0, 0.0), 1.0)
+    assert [math.copysign(1.0, c) for c in ball.center] == [1.0, 1.0]  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        [Polynomial(2, {(2, 0): 1.0, (0, 2): 2.0, (0, 0): -1.0})],  # an ellipse
+        [Polynomial(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (0, 0): -1.0})],  # a cross term
+        [Polynomial(2, {(2, 0): 4.0, (0, 2): 4.0, (0, 0): -4.0})],  # a scaled disk
+        [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})],  # empty
+        [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0})],  # the single point 0
+        [Polynomial(2, {(0, 0): -1.0})],  # a constant
+        [Polynomial(2, {(2, 0): 1.0, (0, 0): -1.0})],  # a slab, x_1^2 only
+        [Polynomial(2, {(4, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})],  # quartic
+        # a ball too large for floats: r^2 = ||l/2||^2 overflows to inf
+        [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 1e200})],
+        [  # a two-constraint lens
+            Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 1.0, (0, 0): -0.75}),
+            Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0, (0, 0): -0.75}),
+        ],
+        [Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})],  # two halfplanes
+    ],
+)
+def test_closed_form_is_none_for_other_sets(constraints):
+    assert ConvexSetDescriptor("s", constraints).analytic_hint is None
 
 
 def test_problem_max_degree_and_validation():
     prob = FeasibilityProblem(2, [left_disk(), halfplane_x()])
     assert prob.max_degree == 2
-    with pytest.raises(ValueError):
-        FeasibilityProblem(2, [left_disk()], max_degree=3)
     with pytest.raises(ValueError):
         FeasibilityProblem(2, [])
     with pytest.raises(ValueError):
@@ -161,7 +227,7 @@ def test_project_ball_closed_form():
 
 def test_project_halfspace_closed_form():
     s = ConvexSetDescriptor(
-        "plane", [Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0})], Halfspace((1.0, 1.0), 1.0)
+        "plane", [Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0})]
     )
     y = project(s, (2.0, 2.0))
     assert vdist(y, (0.5, 0.5)) <= 1e-15
@@ -353,12 +419,6 @@ def test_oracles_reject_non_finite_points():
         Singleton((0.0, math.nan))
 
 
-def test_ball_hint_with_nan_center_rejected():
-    g = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-    with pytest.raises(ValueError):
-        ConvexSetDescriptor("disk", [g], Ball(center=(0.0, math.nan), radius=1.0))
-
-
 # -- copying and pickling ------------------------------------------------------------
 
 
@@ -393,8 +453,7 @@ def test_problem_copy_deepcopy_and_pickle_round_trip(entry_id):
             g.evaluate(points[0])
             g.gradient(points[0])
     for clone in (copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
-        # kernels are not copied; derivative kernels compile on first use (a
-        # hinted set's value kernel already compiled when its hint was checked)
+        # kernels are not copied; derivative kernels compile on first use
         cloned = [g for s in clone.sets for g in s.constraints]
         assert all(g._kernels.gradient is None for g in cloned)
         _assert_same_problem(problem, clone, points)

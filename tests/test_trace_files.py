@@ -207,7 +207,6 @@ def _write_lens_problem(tmp_path):
                 {"exponents": [0, 2], "coefficient": 1.0},
                 {"exponents": [0, 0], "coefficient": cx * cx - 1.0},
             ]}],
-            "hint": {"type": "ball", "center": [cx, 0.0], "radius": 1.0},
         }
 
     path = tmp_path / "lens.json"
