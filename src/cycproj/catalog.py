@@ -9,6 +9,7 @@ independent algebra.  Entries are addressable by id strings such as
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -371,6 +372,8 @@ def get_entry(entry_id: str) -> CatalogEntry:
     base, _, suffix = entry_id.partition(":")
     if base not in _BUILDERS:
         raise KeyError(f"unknown catalog id {entry_id!r}; known: {default_ids()}")
+    builder = _BUILDERS[base]
+    takes = list(inspect.signature(builder).parameters)
     kwargs = {}
     if suffix:
         for part in suffix.split(","):
@@ -378,5 +381,8 @@ def get_entry(entry_id: str) -> CatalogEntry:
             key = key.strip()
             if not value:
                 raise ValueError(f"malformed parameter {part!r} in {entry_id!r}")
+            if key not in takes:
+                known = ", ".join(takes) or "no parameters"
+                raise ValueError(f"unknown parameter {key!r} in {entry_id!r}; {base} takes {known}")
             kwargs[key] = int(value) if key in _INT_PARAMS else float(value)
-    return _BUILDERS[base](**kwargs)
+    return builder(**kwargs)

@@ -20,25 +20,28 @@ and differ only in their cells.
 
 ``kkt_kernels()`` compiles, on first use, the two kernels of the projection's
 one-constraint KKT Newton solve from the templates ``_SEED_SOURCE`` and
-``_NEWTON_SOURCE``, cached with the others.  A state at (y, lam) is the flat
-tuple ``(y..., lam, s..., v, g..., ||F||)`` of the stationarity vector
-``s_i = (y_i - point_i) + lam * g_i``, v = g(y), grad g(y) and
-``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + v * v)``.
+``_NEWTON_SOURCE``, cached with the others; ``newton_kernel(polys)`` compiles
+the Newton kernel of any p active constraints from the same template.  A
+state at (y, lam) is the flat tuple ``(y..., lam_1..lam_p, s..., v_1..v_p,
+grad g_1(y)..., ..., grad g_p(y)..., ||F||)`` of the stationarity vector
+``s_i = (y_i - point_i) + lam_1 * g_1i + ... + lam_p * g_pi``, the values
+v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 + v_1 * v_1 +
+...))``.
 
 - ``kkt_seed(point, gx, start)`` returns the states of the seeds: the
   first-order step ``point - lam * grad g(point)`` with ``lam = gx /
   |grad g(point)|^2``, preceded, when ``start`` is given and has the smaller
   ||F||, by ``start`` with the least-squares multiplier of ``point - start =
   lam * grad g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
-- ``kkt_newton(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs at
-  most ``max_iter`` Newton steps from a seed state until ``|v| <= feas_tol``
-  and ``|s| <= opt_tol``, each solving the bordered KKT system
-  ``[[I + lam H, grad], [grad^T, 0]]`` (entries ``0.0 + lam * h_ij``) with
-  right-hand side ``-F`` by ``solve(A, b)`` and damped by Armijo halving
-  down to t = 2^-40; then up to two full polish steps, each kept only while
-  ||F|| strictly falls.  It returns ``(converged, y, lam, v, grad)``, or
-  None when abandoned (non-finite ||F||, a singular system or the
-  backtracking floor).
+- A Newton kernel ``(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs
+  at most ``max_iter`` Newton steps from a seed state until every ``|v_j| <=
+  feas_tol`` and ``|s| <= opt_tol``, each solving the bordered KKT system
+  ``[[I + sum_j lam_j H_j, G], [G^T, 0]]`` (entries ``0.0 + lam_1 * h_1 +
+  ...``, the gradients as the columns of G) with right-hand side ``-F`` by
+  ``solve(A, b)`` and damped by Armijo halving down to t = 2^-40; then up
+  to two full polish steps, each kept only while ||F|| strictly falls.  It
+  returns ``(converged, y, lams, vals, grads)``, or None when abandoned
+  (non-finite ||F||, a singular system or the backtracking floor).
 
 Their value, gradient and Hessian sums are those of the single kernels, so
 they agree bit for bit with the same loops composed from ``evaluate``,
@@ -151,9 +154,9 @@ def _compile(dimension: int, sums, result: str):
     return _kernel("def kernel(x):\n" + _block(body + [f"return {result}"], 1), coeffs)
 
 
-# The one-constraint KKT Newton kernels (see the module docstring), filled in
-# per polynomial: {grad}, {value} and {stat} compute g..., v and s... at
-# (x..., lam), and a state is the tuple {state}.
+# The one-constraint KKT Newton seed kernel (see the module docstring),
+# filled in per polynomial: {grad}, {value} and {stat} compute g..., v and
+# s... at (x..., lam), and a state is the tuple {state}.
 _SEED_SOURCE = """\
 def kernel(point, gx, start):
     {p}= point
@@ -183,9 +186,11 @@ def kernel(point, gx, start):
     return (warm, cold) if warm[-1] < cold[-1] else (cold,)
 """
 
-# The state is held in y..., lam, s..., v, g..., fn; {system} solves the
-# bordered KKT system at it for the step d..., dl, and {trial} computes the
-# trial state x..., lt, r..., w, u..., ft at (y..., lam) + t * step.
+# The KKT Newton kernel of p constraints (see newton_kernel).  The state is
+# y..., l..., s..., v..., g..., fn, constraint k having multiplier l<k>, value
+# v<k>, gradient g<i>_<k> and Hessian h<i>_<j>_<k>; {system} solves for the
+# step d..., dl..., and {trial} computes the trial state x..., lt..., r...,
+# w..., u..., ft at (y..., l...) + t * step.
 _NEWTON_SOURCE = """\
 def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     {p}= point
@@ -193,12 +198,12 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     for _ in range(max_iter):
         if not isfinite(fn):
             return None
-        if abs(v) <= feas_tol and sqrt({stat_squares}) <= opt_tol:
+        if {feasible} and sqrt({stat_squares}) <= opt_tol:
             break
 {system2}
         if d is None:
             return None
-        {d}dl = d
+        {d}= d
         t = 1.0
         while True:
 {trial3}
@@ -216,7 +221,7 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
 {system2}
         if d is None:
             break
-        {d}dl = d
+        {d}= d
         t = 1.0
 {trial2}
         if not isfinite(ft) or ft >= fn:
@@ -224,6 +229,58 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
         {state} = {trial_state}
     return True, {result}
 """
+
+
+def _squares(v: str, n: int) -> str:
+    return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
+
+
+def newton_kernel(polys, sums=None):
+    """Compile the damped KKT Newton kernel of the constraints ``polys`` from
+    ``_NEWTON_SOURCE`` (see the module docstring); ``sums`` are their
+    ``_derivative_sums()``, when the caller already has them."""
+    n, p = polys[0].dimension, len(polys)
+    sums = sums or [g._derivative_sums() for g in polys]
+    ks = range(p)
+    coeffs = []
+    system = [line for k, (_, upper) in enumerate(sums) for name, terms in upper
+              for line in _sum(coeffs, f"{name}_{k}", terms, "y")]
+    # entry (i, j) of I + sum_k l_k H_k, shared by (j, i)
+    system += [
+        f"a{i}_{j} = 0.0" + "".join(f" + l{k} * h{i}_{j}_{k}" for k in ks) + (" + 1.0" if i == j else "")
+        for i in range(n)
+        for j in range(i, n)
+    ]
+    rows = [[f"a{min(i, j)}_{max(i, j)}" for j in range(n)] + [f"g{i}_{k}" for k in ks] for i in range(n)]
+    rows += [[f"g{i}_{k}" for i in range(n)] + ["0.0"] * p for k in ks]
+    matrix = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    system.append(f"d = solve([{matrix}], [{_names('-s', n)}{_names('-v', p)}])")
+    trial = [f"x{i} = y{i} + t * d{i}" for i in range(n)] + [f"lt{k} = l{k} + t * dl{k}" for k in ks]
+    for k, (g, (gradient, _)) in enumerate(zip(polys, sums)):
+        trial += [line for i, (_, terms) in enumerate(gradient) for line in _sum(coeffs, f"u{i}_{k}", terms)]
+        trial += _sum(coeffs, f"w{k}", g._ordered)
+    trial += [f"r{i} = x{i} - p{i}" + "".join(f" + lt{k} * u{i}_{k}" for k in ks) for i in range(n)]
+    trial.append(f"ft = sqrt(({_squares('r', n)}) + ({_squares('w', p)}))")
+
+    def grads(g):
+        return "".join(f"{g}{i}_{k}, " for k in ks for i in range(n))
+
+    return _kernel(
+        _NEWTON_SOURCE.format(
+            p=_names("p", n),
+            d=_names("d", n) + _names("dl", p),
+            state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
+            trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
+            feasible=" and ".join(f"abs(v{k}) <= feas_tol" for k in ks),
+            stat_squares=_squares("s", n),
+            system2=_block(system, 2),
+            trial2=_block(trial, 2),
+            trial3=_block(trial, 3),
+            result=f"({_names('y', n)}), ({_names('l', p)}), ({_names('v', p)}), ("
+            + "".join("(" + "".join(f"g{i}_{k}, " for i in range(n)) + "), " for k in ks) + ")",
+        ),
+        coeffs,
+    )
 
 
 class _Kernels:
@@ -388,17 +445,11 @@ class Polynomial:
 
     def _compile_kkt(self) -> _Kernels:
         n = self.dimension
-        gradient, upper = self._derivative_sums()
+        sums = self._derivative_sums()
         ordered = self._ordered
 
-        def squares(v):
-            return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
-
-        def grad(coeffs, var="x", prefix="g"):
-            lines = []
-            for i, (_, terms) in enumerate(gradient):
-                lines += _sum(coeffs, f"{prefix}{i}", terms, var)
-            return lines
+        def grad(coeffs, var="x"):
+            return [line for name, terms in sums[0] for line in _sum(coeffs, name, terms, var)]
 
         coeffs = []
         stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
@@ -408,48 +459,19 @@ class Polynomial:
                 p=_names("p", n),
                 x=_names("x", n),
                 grad_at_point=_block(grad(coeffs, "p"), 1),
-                gn=squares("g"),
+                gn=_squares("g", n),
                 first_order=_block([f"x{i} = p{i} - lam * g{i}" for i in range(n)], 1),
                 grad=_block(grad(coeffs), 1),
                 value=_block(_sum(coeffs, "v", ordered), 1),
                 stat=_block(stat, 1),
                 state=f"({_names('x', n)}lam, {_names('s', n)}v, {_names('g', n)}"
-                f"sqrt({squares('s')} + v * v))",
+                f"sqrt({_squares('s', n)} + v * v))",
                 least_squares="(0.0" + "".join(f" + (p{i} - x{i}) * g{i}" for i in range(n)) + ")",
             ),
             coeffs,
         )
-        coeffs = []
-        # entry (i, j) of I + lam H, shared by (j, i)
-        entries = [
-            f"a{i}_{j} = 0.0 + lam * h{i}_{j}" + (" + 1.0" if i == j else "")
-            for i in range(n)
-            for j in range(i, n)
-        ]
-        rows = "".join(
-            "[" + "".join(f"a{min(i, j)}_{max(i, j)}, " for j in range(n)) + f"g{i}], "
-            for i in range(n)
-        )
-        system = [line for name, terms in upper for line in _sum(coeffs, name, terms, "y")] + entries
-        system.append(f"d = solve([{rows}[{_names('g', n)}0.0]], [{_names('-s', n)}-v])")
-        trial = [f"x{i} = y{i} + t * d{i}" for i in range(n)] + ["lt = lam + t * dl"]
-        trial += grad(coeffs, prefix="u") + _sum(coeffs, "w", ordered)
-        trial += [f"r{i} = x{i} - p{i} + lt * u{i}" for i in range(n)]
-        trial.append(f"ft = sqrt({squares('r')} + w * w)")
-        kernels.kkt_newton = _kernel(
-            _NEWTON_SOURCE.format(
-                p=_names("p", n),
-                d=_names("d", n),
-                state=f"{_names('y', n)}lam, {_names('s', n)}v, {_names('g', n)}fn",
-                trial_state=f"{_names('x', n)}lt, {_names('r', n)}w, {_names('u', n)}ft",
-                stat_squares=squares("s"),
-                system2=_block(system, 2),
-                trial2=_block(trial, 2),
-                trial3=_block(trial, 3),
-                result=f"({_names('y', n)}), lam, v, ({_names('g', n)})",
-            ),
-            coeffs,
-        )
+        # the same derivative sums serve the Newton kernel
+        kernels.kkt_newton = newton_kernel([self], [sums])
         return kernels
 
     def hessian(self, x: Sequence[float]) -> np.ndarray:

@@ -8,9 +8,8 @@ projector dispatches, in order:
   (c) one ball constraint     -> closed-form ball projection,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
-                                 an optional warm start, in two kernels
-                                 compiled once per constraint: ``kkt_seed``
-                                 makes the seeds, ``kkt_newton`` runs the
+                                 an optional warm start: ``kkt_seed`` makes
+                                 the seeds and a Newton kernel runs the
                                  steps and the polish, and elimination code
                                  compiled once per system size, passed in
                                  as ``_solve_dense``, solves each bordered
@@ -18,14 +17,16 @@ projector dispatches, in order:
   (e) anything else           -> quadratic-penalty continuation with
                                  gradient-descent inner solves, whose
                                  candidate active sets are finished by the
-                                 same Newton solve in the list form.
+                                 Newton solve of (d), seeded at the rung's
+                                 iterate.
 
-Without a closed form, each constraint is evaluated once at the input point
-and once per penalty rung, and the result's membership check reuses the
-Newton state's values of the active constraints.  The list form of Newton,
-``_newton_list``, does the kernel's float operations over lists of
-constraints; it serves the penalty ladder and the rescue, which restores
-feasibility when an attempt does not converge (a degenerate constraint).
+Every Newton solve runs a kernel compiled by ``poly.newton_kernel``: the
+constraint's own ``kkt_newton``, or, for two or more active constraints, one
+cached on the set by their indices.  Without a closed form, each constraint
+is evaluated once at the input point and once per penalty rung, and the
+result's membership check reuses the Newton state's values of the active
+constraints.  The rescue restores feasibility when an attempt does not
+converge (a degenerate constraint) and hands the point back to Newton.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -48,7 +49,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, newton_kernel
 
 Vector = Tuple[float, ...]
 
@@ -201,7 +202,7 @@ class ConvexSetDescriptor:
     coefficients, or None; the projector dispatches on it.
     """
 
-    __slots__ = ("name", "constraints", "analytic_hint", "dimension")
+    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_newton_kernels")
 
     def __init__(self, name: str, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -217,12 +218,15 @@ class ConvexSetDescriptor:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "analytic_hint", _closed_form(constraints))
         object.__setattr__(self, "dimension", dim)
+        # Newton kernels of two or more active constraints, by active indices
+        object.__setattr__(self, "_newton_kernels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexSetDescriptor is immutable")
 
     def __reduce__(self):
-        # rebuilt by the constructor, which derives the closed form again
+        # rebuilt by the constructor, which derives the closed form again;
+        # the Newton kernels are not copied but compiled again on first use
         return (ConvexSetDescriptor, (self.name, self.constraints))
 
     def __repr__(self):
@@ -445,12 +449,14 @@ def _solve_dense(A, b):
 
 
 def _kkt_state(gs, x, y, lams):
-    """(stationarity vector, constraint values, gradients, ||F||) at
-    (y, lams), where F stacks the stationarity vector and the values."""
+    """The flat Newton state at (y, lams): (y..., lams..., stationarity...,
+    constraint values..., each gradient..., ||F||), where F stacks the
+    stationarity vector and the values."""
     grads = [g.gradient(y) for g in gs]
     stat = _stationarity(x, y, lams, grads)
     vals = [g.evaluate(y) for g in gs]
-    return stat, vals, grads, math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+    fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
+    return (*y, *lams, *stat, *vals, *[gi for grad in grads for gi in grad], fnorm)
 
 
 def _stationarity(x, y, lams, grads):
@@ -462,116 +468,51 @@ def _stationarity(x, y, lams, grads):
     return stat
 
 
-def _kkt_direction(gs, y, lams, stat, vals, grads):
-    """Newton step (dy, dlams) as one list, from the bordered KKT matrix
-    [[I + sum_j lam_j H_j, G], [G^T, 0]] and right-hand side -F; None if the
-    matrix is singular."""
-    n = len(y)
-    A = []
-    hessians = [g.hessian_rows(y) for g in gs]
-    for i in range(n):
-        row = [0.0] * n
-        for lam, H in zip(lams, hessians):
-            row = [a + lam * h for a, h in zip(row, H[i])]
-        row[i] += 1.0
-        A.append(row + [grad[i] for grad in grads])
-    zeros = [0.0] * len(gs)
-    for grad in grads:
-        A.append(list(grad) + zeros)
-    return _solve_dense(A, [-v for v in stat] + [-v for v in vals])
-
-
-def _kkt_trial(gs, x, y, lams, step, t):
-    """The point (y, lams) + t * step and its state."""
-    y_new = [yi + t * si for yi, si in zip(y, step)]
-    lam_new = [li + t * si for li, si in zip(lams, step[len(y):])]
-    return (y_new, lam_new) + _kkt_state(gs, x, y_new, lam_new)
-
-
 def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
-    With a seed ``y0``, ``lam0`` Newton runs in the list form from it.
+    With a seed ``y0``, ``lam0`` Newton starts from the state there.
     Without one, ``active`` holds a single constraint, whose ``kkt_seed``
     kernel makes a first-order seed from x, which needs ``gx``, the
     constraint's value at x.  ``start``, a previous projection onto the same
     set, adds a warm seed, and Newton starts from whichever of the warm and
     cold seeds has the smaller ||F||; if the warm attempt is abandoned, the
-    cold seed is tried next.  Each attempt runs the ``kkt_newton`` kernel,
-    and the list form's rescue takes over from its state when it does not
-    converge.
+    cold seed is tried next.  Each attempt runs the Newton kernel of the
+    active constraints (one constraint's ``kkt_newton``, or the set's cached
+    ``newton_kernel`` of several), and :func:`_rescue` takes over from its
+    state when it does not converge.
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     negative multiplier, or an inactive constraint violated at the would-be
     solution); the caller falls through to / continues the penalty ladder.
     """
-    if y0 is not None:
-        return _newton_list(s, active, x, y0, lam0)
-    if start is not None and len(start) != len(x):
-        raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
     gs = [s.constraints[j] for j in active]
-    kernels = gs[0].kkt_kernels()
-    for seed in kernels.kkt_seed(x, gx, start) or ():
+    if len(gs) == 1:
+        kernels = gs[0].kkt_kernels()
+        newton = kernels.kkt_newton
+    else:
+        cache, key = s._newton_kernels, tuple(active)
+        newton = cache.get(key) or cache.setdefault(key, newton_kernel(gs))
+    if y0 is not None:
+        seeds = [_kkt_state(gs, x, y0, lam0)]
+    elif start is not None and len(start) != len(x):
+        raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
+    else:
+        seeds = kernels.kkt_seed(x, gx, start) or ()
+    for seed in seeds:
         # _solve_dense is looked up here, so a replaced solver sees every solve
-        state = kernels.kkt_newton(
-            x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL
-        )
+        state = newton(x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL)
         if state is None:
             continue
-        converged, y, lam, val, grad = state
+        converged, y, lams, vals, grads = state
         if converged:
-            y = _accept(s, active, y, [lam], [val])
+            y = _accept(s, active, y, lams, vals)
         else:
-            y = _rescue(s, active, gs, x, y, [val], [grad])
+            y = _rescue(s, active, gs, x, y, vals, grads)
         if y is not None:
             return y
     return None
-
-
-def _newton_list(s, active, x, y, lam):
-    """Newton in the list form from (y, lam), in the order of the
-    ``kkt_newton`` kernel: at most ``_NEWTON_MAX_ITER`` Armijo-damped steps
-    until the state is within tolerance, then up to two full polish steps,
-    which converge quadratically here and drive the residual toward machine
-    precision, each kept only while ||F|| strictly falls (a step times 1.0 is
-    the step itself, bit for bit).  Returns the result as :func:`_accept`
-    takes it, or None when abandoned; a loop that runs out hands over to
-    :func:`_rescue`."""
-    gs = [s.constraints[j] for j in active]
-    stat, vals, grads, fnorm = _kkt_state(gs, x, y, lam)
-    for _ in range(_NEWTON_MAX_ITER):
-        if not math.isfinite(fnorm):
-            return None
-        if max(map(abs, vals)) <= FEASIBILITY_TOL and vnorm(stat) <= OPTIMALITY_TOL:
-            break
-        step = _kkt_direction(gs, y, lam, stat, vals, grads)
-        if step is None:
-            return None
-        t = 1.0
-        while True:
-            new = _kkt_trial(gs, x, y, lam, step, t)
-            fn_new = new[-1]
-            if math.isfinite(fn_new) and fn_new <= (1.0 - 1e-4 * t) * fnorm:
-                break
-            t *= 0.5
-            if t < 2.0**-40:
-                return None
-        y, lam, stat, vals, grads, fnorm = new
-    else:
-        return _rescue(s, active, gs, x, y, vals, grads)
-    for _ in range(2):
-        if fnorm == 0.0:
-            break
-        step = _kkt_direction(gs, y, lam, stat, vals, grads)
-        if step is None:
-            break
-        new = _kkt_trial(gs, x, y, lam, step, 1.0)
-        fn_new = new[-1]
-        if not math.isfinite(fn_new) or fn_new >= fnorm:
-            break
-        y, lam, stat, vals, grads, fnorm = new
-    return _accept(s, active, y, lam, vals)
 
 
 def _rescue(s, active, gs, x, y, vals, grads):
@@ -580,7 +521,8 @@ def _rescue(s, active, gs, x, y, vals, grads):
     restore feasibility by Gauss-Newton steps on the worst constraint alone,
     then pick the least-squares multipliers, which minimize the stationarity
     defect achievable at the restored point.  When that point is within
-    tolerance, :func:`_newton_list` polishes it from there."""
+    tolerance, :func:`_kkt_newton` polishes it from there, seeded with the
+    point and the multipliers."""
     n = len(x)
     p = len(gs)
     target = FEASIBILITY_TOL * 1e-4
@@ -605,7 +547,7 @@ def _rescue(s, active, gs, x, y, vals, grads):
     lam = _solve_dense(N, r)
     if lam is None or vnorm(_stationarity(x, y, lam, grads)) > OPTIMALITY_TOL:
         return None
-    return _newton_list(s, active, x, y, lam)
+    return _kkt_newton(s, active, x, y0=y, lam0=lam)
 
 
 def _accept(s, active, y, lams, vals):

@@ -85,36 +85,41 @@ def reference_solve_dense(A, b):
     return out
 
 
-def reference_kkt_state(g, x, y, lam):
-    """The one-constraint KKT Newton state as composed from the polynomial's
-    own kernels: (stationarity vector, g(y), grad g(y), ||F||), with
-    stationarity ``(y_i - x_i) + lam * g_i`` and ``||F||`` summed in index
-    order from 0.0, the value's square last.  The compiled
-    ``Polynomial.kkt_kernels()`` kernels must match it bit for bit."""
-    grad = g.gradient(y)
-    stat = [yi - xi + lam * gi for yi, xi, gi in zip(y, x, grad)]
-    v = g.evaluate(y)
-    s = 0.0
-    for si in stat:
-        s += si * si
-    return stat, v, grad, math.sqrt(s + v * v)
+def reference_kkt_state(gs, x, y, lams):
+    """The KKT Newton state of the constraints ``gs`` as composed from the
+    polynomials' own kernels: (stationarity vector, values, gradients,
+    ||F||), with stationarity ``(y_i - x_i) + lam_1 * g_1i + lam_2 * g_2i
+    + ...`` and ``||F||`` the root of the stationarity squares summed in
+    index order from 0.0 plus the value squares summed the same way.  The
+    compiled Newton kernels must match it bit for bit."""
+    grads = [g.gradient(y) for g in gs]
+    stat = []
+    for i, (yi, xi) in enumerate(zip(y, x)):
+        si = yi - xi
+        for lam, grad in zip(lams, grads):
+            si += lam * grad[i]
+        stat.append(si)
+    vals = [g.evaluate(y) for g in gs]
+    return stat, vals, grads, math.sqrt(_dot(stat, stat) + _dot(vals, vals))
 
 
-def reference_kkt_system(g, y, lam, stat, v, grad):
-    """The bordered KKT matrix [[I + lam H, grad], [grad^T, 0]], entries
-    ``0.0 + lam * h`` plus 1.0 on the diagonal, and the right-hand side
+def reference_kkt_system(gs, y, lams, stat, vals, grads):
+    """The bordered KKT matrix [[I + sum_j lam_j H_j, G], [G^T, 0]], with
+    the gradients as the columns of G and entries ``0.0 + lam_1 * h_1 +
+    lam_2 * h_2 + ...`` plus 1.0 on the diagonal, and the right-hand side
     ``-F``, built row by row from ``Polynomial.hessian_rows``.  The compiled
-    ``Polynomial.kkt_kernels()`` kernels must match it bit for bit."""
+    Newton kernels must match it bit for bit."""
+    hessians = [g.hessian_rows(y) for g in gs]
     A = []
-    for i, (hrow, gi) in enumerate(zip(g.hessian_rows(y), grad)):
-        row = [0.0 + lam * h for h in hrow]
+    for i in range(len(y)):
+        row = [0.0] * len(y)
+        for lam, H in zip(lams, hessians):
+            row = [a + lam * h for a, h in zip(row, H[i])]
         row[i] += 1.0
-        row.append(gi)
-        A.append(row)
-    A.append([*grad, 0.0])
-    b = [-si for si in stat]
-    b.append(-v)
-    return A, b
+        A.append(row + [grad[i] for grad in grads])
+    for grad in grads:
+        A.append([*grad] + [0.0] * len(gs))
+    return A, [-si for si in stat] + [-v for v in vals]
 
 
 def _dot(a, b):
@@ -124,9 +129,9 @@ def _dot(a, b):
     return s
 
 
-def _flat_state(y, lam, state):
-    stat, v, grad, fnorm = state
-    return (*y, lam, *stat, v, *grad, fnorm)
+def _flat_state(y, lams, state):
+    stat, vals, grads, fnorm = state
+    return (*y, *lams, *stat, *vals, *[gi for grad in grads for gi in grad], fnorm)
 
 
 def reference_seeds1(g, x, gx, start):
@@ -143,7 +148,7 @@ def reference_seeds1(g, x, gx, start):
         return None
     lam = gx / gn2
     y = [xi - lam * gi for xi, gi in zip(x, grad)]
-    cold = _flat_state(y, lam, reference_kkt_state(g, x, y, lam))
+    cold = _flat_state(y, [lam], reference_kkt_state([g], x, y, [lam]))
     if start is None:
         return (cold,)
     y = list(start)
@@ -152,40 +157,48 @@ def reference_seeds1(g, x, gx, start):
     if gn2 <= 0.0:
         return (cold,)
     lam = max(0.0, _dot([xi - yi for xi, yi in zip(x, y)], grad) / gn2)
-    warm = _flat_state(y, lam, reference_kkt_state(g, x, y, lam))
+    warm = _flat_state(y, [lam], reference_kkt_state([g], x, y, [lam]))
     return (warm, cold) if warm[-1] < cold[-1] else (cold,)
 
 
-def reference_newton1(g, x, seed, max_iter, feas_tol, opt_tol, events=None):
-    """One-constraint damped KKT Newton as a plain loop over
+def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
+    """Damped KKT Newton on the constraints ``gs`` as a plain loop over
     ``reference_kkt_state``, ``reference_kkt_system`` and
-    ``reference_solve_dense``, from a flattened ``seed`` state.  The compiled
-    ``Polynomial.kkt_kernels().kkt_newton`` must match it bit for bit.
+    ``reference_solve_dense``, from a flattened ``seed`` state (y...,
+    lam..., stat..., values..., each gradient..., ||F||).  The compiled
+    Newton kernels (``Polynomial.kkt_kernels().kkt_newton`` for one
+    constraint, ``poly.newton_kernel`` for any number) must match it bit for
+    bit.
 
     Newton steps, each damped by Armijo halving down to t = 2^-40, run until
-    |g(y)| <= feas_tol and |stat| <= opt_tol, for at most ``max_iter``
-    steps; then up to two full polish steps, each kept only while ||F||
-    strictly falls.  Returns None when abandoned (non-finite ||F||, a
-    singular system or the backtracking floor), else (converged, y, lam,
-    g(y), grad g(y)).  ``events``, when given, collects "floor",
+    every |g_j(y)| <= feas_tol and |stat| <= opt_tol, for at most
+    ``max_iter`` steps; then up to two full polish steps, each kept only
+    while ||F|| strictly falls.  Returns None when abandoned (non-finite
+    ||F||, a singular system or the backtracking floor), else (converged,
+    y, lams, values, gradients).  ``events``, when given, collects "floor",
     "not converged" and "polish rejected" as they happen."""
     events = [] if events is None else events
-    n = g.dimension
-    y, lam = list(seed[:n]), seed[n]
-    stat, v, grad, fnorm = list(seed[n + 1 : 2 * n + 1]), seed[2 * n + 1], seed[2 * n + 2 : -1], seed[-1]
+    n, p = len(x), len(gs)
+    y, lams = list(seed[:n]), list(seed[n : n + p])
+    stat, vals = list(seed[n + p : 2 * n + p]), list(seed[2 * n + p : 2 * n + 2 * p])
+    grads = [seed[2 * n + 2 * p + k * n : 2 * n + 2 * p + (k + 1) * n] for k in range(p)]
+    fnorm = seed[-1]
 
     def direction():
-        return reference_solve_dense(*reference_kkt_system(g, y, lam, stat, v, grad))
+        return reference_solve_dense(*reference_kkt_system(gs, y, lams, stat, vals, grads))
 
     def trial(step, t):
         y_new = [yi + t * si for yi, si in zip(y, step)]
-        lam_new = lam + t * step[n]
-        return (y_new, lam_new) + reference_kkt_state(g, x, y_new, lam_new)
+        lams_new = [li + t * si for li, si in zip(lams, step[n:])]
+        return (y_new, lams_new) + reference_kkt_state(gs, x, y_new, lams_new)
+
+    def result(converged):
+        return converged, tuple(y), tuple(lams), tuple(vals), tuple(map(tuple, grads))
 
     for _ in range(max_iter):
         if not math.isfinite(fnorm):
             return None
-        if abs(v) <= feas_tol and math.sqrt(_dot(stat, stat)) <= opt_tol:
+        if all(abs(v) <= feas_tol for v in vals) and math.sqrt(_dot(stat, stat)) <= opt_tol:
             break
         step = direction()
         if step is None:
@@ -199,10 +212,10 @@ def reference_newton1(g, x, seed, max_iter, feas_tol, opt_tol, events=None):
             if t < 2.0**-40:
                 events.append("floor")
                 return None
-        y, lam, stat, v, grad, fnorm = new
+        y, lams, stat, vals, grads, fnorm = new
     else:
         events.append("not converged")
-        return False, tuple(y), lam, v, tuple(grad)
+        return result(False)
     for _ in range(2):
         if fnorm == 0.0:
             break
@@ -213,5 +226,5 @@ def reference_newton1(g, x, seed, max_iter, feas_tol, opt_tol, events=None):
         if not math.isfinite(new[-1]) or new[-1] >= fnorm:
             events.append("polish rejected")
             break
-        y, lam, stat, v, grad, fnorm = new
-    return True, tuple(y), lam, v, tuple(grad)
+        y, lams, stat, vals, grads, fnorm = new
+    return result(True)

@@ -226,6 +226,18 @@ def test_cmd_run_input_errors(tmp_path):
     assert cli.main(["run", "--problem", "/nonexistent.json", "--x0", "1,1", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("entry_id, message", [
+    ("ex5.5:foo=1", "unknown parameter 'foo' in 'ex5.5:foo=1'; ex5.5 takes no parameters"),
+    ("ex5.8:n=2,d=4", "unknown parameter 'd' in 'ex5.8:n=2,d=4'; ex5.8 takes n"),
+    ("ex5.3:beta=1", "unknown parameter 'beta' in 'ex5.3:beta=1'; ex5.3 takes alpha, t1"),
+], ids=["ex5.5", "ex5.8", "ex5.3"])
+def test_unknown_catalog_parameter_is_input_error(tmp_path, capsys, entry_id, message):
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--example", entry_id, "--x0", "0,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cmd_run_rejects_non_finite_start(tmp_path):
     out = tmp_path / "run.csv"
     assert cli.main(["run", "--example", "ex5.1", "--x0", "nan,0", "--out", str(out)]) == 1

@@ -1,12 +1,13 @@
-"""The compiled one-constraint KKT Newton kernels against plain loops.
+"""The compiled KKT Newton kernels against plain loops.
 
-``Polynomial.kkt_kernels()`` carries ``kkt_seed`` and ``kkt_newton``,
-straight-line code that fuses the value, gradient and Hessian sums with the
-Newton seeds, the bordered KKT systems, the damped steps and the polish.
-``reference_seeds1`` and ``reference_newton1`` in ``helpers`` compute the
-same from ``evaluate``, ``gradient`` and ``hessian_rows`` with list code and
-``reference_solve_dense``.  Results are compared through ``float.hex``, so
-the sign of zero counts.
+``Polynomial.kkt_kernels()`` carries ``kkt_seed`` and ``kkt_newton``, and
+``poly.newton_kernel`` compiles the Newton kernel of any number of
+constraints: straight-line code that fuses the value, gradient and Hessian
+sums with the Newton seeds, the bordered KKT systems, the damped steps and
+the polish.  ``reference_seeds1`` and ``reference_newton`` in ``helpers``
+compute the same from ``evaluate``, ``gradient`` and ``hessian_rows`` with
+list code and ``reference_solve_dense``.  Results are compared through
+``float.hex``, so the sign of zero counts.
 """
 
 import copy
@@ -19,7 +20,7 @@ from cycproj import poly, sets
 from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
 from cycproj.sets import FEASIBILITY_TOL, OPTIMALITY_TOL, ConvexSetDescriptor, project
-from helpers import reference_kkt_state, reference_newton1, reference_seeds1
+from helpers import reference_kkt_state, reference_newton, reference_seeds1
 
 
 def bits(v):
@@ -55,37 +56,53 @@ multipliers = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow
 
 @st.composite
 def kkt_cases(draw):
+    """(g, x, y, lam, start): one polynomial with a multiplier and an
+    optional warm start, or a tuple of two or three with one multiplier
+    each and no start"""
     n = draw(st.integers(1, 4))
     exponents = st.tuples(*[st.integers(0, 4)] * n)
-    terms = draw(st.dictionaries(exponents, coefficients, max_size=12))
+    gs = tuple(Polynomial(n, draw(st.dictionaries(exponents, coefficients, max_size=12)))
+               for _ in range(draw(st.integers(1, 3))))
     point = st.lists(coordinates, min_size=n, max_size=n)
-    start = draw(st.one_of(st.none(), point.map(tuple)))
-    return Polynomial(n, terms), tuple(draw(point)), draw(point), draw(multipliers), start
+    x, y, lams = tuple(draw(point)), draw(point), tuple(draw(multipliers) for _ in gs)
+    if len(gs) > 1:
+        return gs, x, y, lams, None
+    return gs[0], x, y, lams[0], draw(st.one_of(st.none(), point.map(tuple)))
 
 
 def newton(g, x, seed, events=None):
     """The Newton kernel's outcome from ``seed``, which must equal the
-    reference loop's."""
+    reference loop's: one polynomial's ``kkt_newton``, or the
+    ``newton_kernel`` of a tuple of them."""
+    gs = [g] if isinstance(g, Polynomial) else list(g)
+    kernel = g.kkt_kernels().kkt_newton if isinstance(g, Polynomial) else poly.newton_kernel(gs)
     limits = (100, FEASIBILITY_TOL, OPTIMALITY_TOL)
-    got = outcome(g.kkt_kernels().kkt_newton, x, seed, sets._solve_dense, *limits)
-    assert got == outcome(reference_newton1, g, x, seed, *limits, events)
+    got = outcome(kernel, x, seed, sets._solve_dense, *limits)
+    assert got == outcome(reference_newton, gs, x, seed, *limits, events)
     return got
 
 
 def state_at(g, x, y, lam):
-    stat, v, grad, fnorm = reference_kkt_state(g, x, y, lam)
-    return (*y, lam, *stat, v, *grad, fnorm)
+    """the flat state at (y, lam) of one polynomial, or of a tuple of them
+    with a tuple of multipliers"""
+    gs, lams = ([g], [lam]) if isinstance(g, Polynomial) else (g, lam)
+    stat, vals, grads, fnorm = reference_kkt_state(gs, x, y, lams)
+    return (*y, *lams, *stat, *vals, *[gi for grad in grads for gi in grad], fnorm)
 
 
 def assert_kernels_match(g, x, y, lam, start=None):
     """The seed kernel from x (and start), then the Newton kernel from each
-    of its seeds and from the state at (y, lam)."""
-    k = g.kkt_kernels()
+    of its seeds and from the state at (y, lam); for a tuple of
+    polynomials, the Newton kernel from the state at (y, lam) alone."""
     try:
-        gx = g.evaluate(x)
         seed = state_at(g, x, y, lam)
+        gx = g.evaluate(x) if isinstance(g, Polynomial) else None
     except OverflowError:
         assume(False)
+    if not isinstance(g, Polynomial):
+        newton(g, x, seed)
+        return
+    k = g.kkt_kernels()
     seeds = outcome(k.kkt_seed, x, gx, start)
     assert seeds == outcome(reference_seeds1, g, x, gx, start)
     if seeds != "OverflowError":
@@ -157,8 +174,8 @@ def test_newton_kernel_rejected_polish_step():
 
 def test_newton_kernel_hands_a_degenerate_set_to_the_rescue():
     # {x_1^2 <= 0} has a zero gradient on the set, so Newton does not
-    # converge; the kernel returns its state and the list-form rescue
-    # finishes the projection
+    # converge; the kernel returns its state, and the rescue restores
+    # feasibility and finishes the projection with a seeded Newton solve
     s = get_entry("ex3.2:n=2,d=2").problem.sets[0]
     [(events, result)] = _newton_events(s.constraints[0], (0.3, 0.2))
     assert events == ["not converged"] and result[0] is False

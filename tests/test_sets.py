@@ -279,6 +279,32 @@ def test_project_penalty_dependent_active_gradients():
         assert vdist(y, (-1.0, 0.0)) <= 1e-9
 
 
+def test_project_three_active_constraint_corners(monkeypatch):
+    # corners in R^3 where all three constraints are active at the projection
+    from cycproj import sets
+
+    active_sizes = []
+    kkt_newton = sets._kkt_newton
+
+    def recording(s, active, *args, **kwargs):
+        active_sizes.append(len(active))
+        return kkt_newton(s, active, *args, **kwargs)
+
+    monkeypatch.setattr(sets, "_kkt_newton", recording)
+    x_le_0 = Polynomial(3, {(1, 0, 0): 1.0})
+    y_le_0 = Polynomial(3, {(0, 1, 0): 1.0})
+    octant = [x_le_0, y_le_0, Polynomial(3, {(0, 0, 1): 1.0, (0, 0, 0): -1.0})]
+    ball = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -4.0})
+    for constraints, x, expected in [
+        (octant, (1.0, 2.0, 3.0), (0.0, 0.0, 1.0)),
+        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0), (0.0, 0.0, 2.0)),
+        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0), (0.0, 0.0, -2.0)),
+    ]:
+        active_sizes.clear()
+        assert project(ConvexSetDescriptor("corner", constraints), x) == expected
+        assert active_sizes[-1] == 3
+
+
 def test_project_degenerate_thin_set():
     thin = ConvexSetDescriptor("thin", [Polynomial(2, {(2, 0): 1.0})])
     y = project(thin, (0.3, 0.7))

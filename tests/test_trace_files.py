@@ -6,7 +6,9 @@ writer, so a change in row formatting, line ends, the header or the thinned
 marker shows up here.  They assume IEEE-754 doubles and an x86-64 glibc
 ``pow``; the runs use closed-form ball projections, single-constraint KKT
 Newton solves, and penalty-ladder solves polished by Newton on two active
-constraints.
+constraints.  A float.hex dump of projections polished on two and three
+active constraints, and of the rescue of a degenerate constraint, is pinned
+the same way.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ from cycproj import cli, engine
 from cycproj.catalog import get_entry
 from cycproj.cli import read_trace, write_trace
 from cycproj.engine import Trace, alternating_project, cyclic_project
+from cycproj.poly import Polynomial
+from cycproj.sets import ConvexSetDescriptor, project
 
 DENSE_EX55_SHA = "933c82e940436f78fbdb0d17693b1a9d77e7e42c6c634301eb3db9d886f7e64b"
 RATE_EX55_SHA = "268096575c4eeb04371f4946478239b49cd45581e988a966e1911db31e5b9bcf"
@@ -28,6 +32,7 @@ EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
 CROSSED_LENS_ERRORBOUND_SHA = "49dd87e4bcc6623ea41a342b67148ce1183b873455dcef68c67b5e0f9efead41"
 EX58_N2_ALTERNATING_SHA = "e7c0143c8a667c1dfe5cba6e147ad0fd083ecefb5ceaa1fc2bdc078becbf57ab"
 EX57_D2_SHA = "ae629e28f6d2b06095362f34ad80baa1621a30b585c70421f21a79f6a8b3d022"
+MULTI_CONSTRAINT_PROJECTIONS_SHA = "ee2ce73d612250d9b1bdfe61db379f498eb0e0694c187d7596b8045049dea3f4"
 
 
 def _sha256(path) -> str:
@@ -282,3 +287,67 @@ def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
     assert cli.main(args) == 0
     assert active_sizes.count(2) == 4 and set(active_sizes) == {1, 2}
     assert _sha256(out) == CROSSED_LENS_ERRORBOUND_SHA
+
+
+def _disk_poly(center, r2=1.0):
+    # ||x - center||^2 - r2
+    n = len(center)
+    terms = {(0,) * n: sum(c * c for c in center) - r2}
+    for i, c in enumerate(center):
+        terms[tuple(2 if k == i else 0 for k in range(n))] = 1.0
+        terms[tuple(1 if k == i else 0 for k in range(n))] = -2.0 * c
+    return Polynomial(n, terms)
+
+
+def _affine_poly(a, b):
+    # <a, x> - b
+    n = len(a)
+    terms = {tuple(1 if k == i else 0 for k in range(n)): ai for i, ai in enumerate(a)}
+    terms[(0,) * n] = -b
+    return Polynomial(n, terms)
+
+
+def test_multi_constraint_projection_bytes(monkeypatch):
+    # projections that need the KKT Newton solve on two and three active
+    # constraints (polishing the penalty ladder) and the rescue of a
+    # degenerate constraint, dumped through float.hex
+    from cycproj import sets
+
+    active_sizes = []
+    rescues = []
+    kkt_newton, rescue = sets._kkt_newton, sets._rescue
+
+    def recording_newton(s, active, *args, **kwargs):
+        active_sizes.append(len(active))
+        return kkt_newton(s, active, *args, **kwargs)
+
+    def recording_rescue(*args):
+        rescues.append(args[0].name)
+        return rescue(*args)
+
+    monkeypatch.setattr(sets, "_kkt_newton", recording_newton)
+    monkeypatch.setattr(sets, "_rescue", recording_rescue)
+    quartic = Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -1.0})
+    grid = [(-2.0 + 0.5 * i, -2.0 + 0.5 * j) for i in range(9) for j in range(9)]
+    cases = [
+        ("lens", [_disk_poly((-0.5, 0.0)), _disk_poly((0.5, 0.0))],
+         grid + [(0.0, 2.0), (0.25, 2.0), (0.0, -1.5)]),
+        ("disk-halfplane", [_disk_poly((0.0, 0.0)), _affine_poly((1.0, 1.0), 0.5)], grid),
+        ("quartic-halfplane", [quartic, _affine_poly((0.0, 1.0), 0.5)], grid),
+        ("octant", [_affine_poly((1.0, 0.0, 0.0), 0.0), _affine_poly((0.0, 1.0, 0.0), 0.0),
+                    _affine_poly((0.0, 0.0, 1.0), 1.0)],
+         [(1.0, 2.0, 3.0), (0.5, 0.5, 2.0), (2.0, 1.0, 1.5)]),
+        ("ball-quadrant", [_disk_poly((0.0, 0.0, 0.0), 4.0), _affine_poly((1.0, 0.0, 0.0), 0.0),
+                           _affine_poly((0.0, 1.0, 0.0), 0.0)],
+         [(1.0, 1.0, 5.0), (0.5, 0.25, -3.0), (1.0, 2.0, 0.5)]),
+        ("ex3.2", get_entry("ex3.2:n=2,d=2").problem.sets[0].constraints,
+         [(0.3, 0.2), (0.1, -0.4), (1.0, 1.0)]),
+    ]
+    lines = []
+    for name, constraints, points in cases:
+        s = ConvexSetDescriptor(name, constraints)
+        for x in points:
+            lines.append(f"{name} {' '.join(_hex(x))} -> {' '.join(_hex(project(s, x)))}\n")
+    assert len(lines) == 255 and set(active_sizes) == {1, 2, 3} and rescues == ["ex3.2"] * 3
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == MULTI_CONSTRAINT_PROJECTIONS_SHA
