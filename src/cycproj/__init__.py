@@ -11,7 +11,6 @@ from .analysis import (
     GeometricFit,
     PowerFit,
     RateReport,
-    classify_rate,
     compare_with_theory,
     error_bound_exponent_on_curve,
     error_bound_probe,

@@ -123,12 +123,6 @@ def _fit_both(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[PowerFit, Geom
     return pf, gf, "geometric" if gf.r2 >= pf.r2 - _TIE_R2 else "power"
 
 
-def classify_rate(errors: ErrorSeq, window: Tuple[int, int]):
-    """The better-fitting of the two models (see :func:`_fit_both`)."""
-    pf, gf, chosen = _fit_both(errors, window)
-    return gf if chosen == "geometric" else pf
-
-
 _POWER_SLACK = 0.05
 
 

@@ -28,16 +28,13 @@ from .sets import (
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    problem: FeasibilityProblem
+    problem: FeasibilityProblem  # the oracle's point is the limit, where known
     default_start: Vector
-    known_limit: Optional[Vector]
     theory_rate: RateClass
     documented_power: Optional[float] = None  # |exponent| of the documented decay
-    documented_ratio: Optional[float] = None  # documented geometric ratio
     closed_form: Optional[Callable[[int], Tuple[Vector, Vector]]] = None
     scalar_start: Optional[Callable[[Vector], float]] = None
-    known_gap: Optional[Vector] = None
-    known_set_distance: Optional[float] = None
+    known_gap: Optional[Vector] = None  # b - a at the nearest pair; zero when the sets meet
     curve: Optional[Callable[[float], Vector]] = None
 
     @property
@@ -136,19 +133,18 @@ def example_5_1() -> CatalogEntry:
         id="ex5.1",
         problem=problem,
         default_start=(1.0, 1.0),
-        known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, 2),
     )
 
 
-def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
+def example_5_3(alpha: float = 0.5) -> CatalogEntry:
     """Unit disk at (-1, 0) against the halfplane {x >= alpha}.
 
     For alpha = 0 the sets touch at the origin and the iterates decay like
     k^(-1/2); for alpha > 0 the pair is infeasible with gap (alpha, 0) and
-    the decay is geometric with ratio 1/(1 + alpha).  ``t1`` is the second
-    coordinate of b_1; by default it is derived from the documented start
-    b_0 = (alpha, 1).
+    the decay is geometric with ratio 1/(1 + alpha).  ``closed_form`` gives
+    the iterates from the documented start b_0 = (alpha, 1), whose second
+    coordinate fixes t1, the second coordinate of b_1.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -158,8 +154,7 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
         [Polynomial(2, {(1, 0): -1.0, (0, 0): alpha})],
     )
     start = (alpha, 1.0)
-    if t1 is None:
-        t1 = start[1] / math.sqrt((1.0 + alpha) ** 2 + start[1] ** 2)
+    t1 = start[1] / math.sqrt((1.0 + alpha) ** 2 + start[1] ** 2)
     q = (1.0 + alpha) ** 2
 
     def t_of(k: int) -> float:
@@ -167,8 +162,6 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
         # cannot overflow for large k
         if k < 1:
             raise ValueError("closed form is defined for k >= 1")
-        if k == 1:
-            return t1
         if q == 1.0:
             return t1 / math.sqrt(1.0 + t1 * t1 * (k - 1))
         inv = 1.0 / q
@@ -193,13 +186,10 @@ def example_5_3(alpha: float = 0.5, t1: Optional[float] = None) -> CatalogEntry:
         id=f"ex5.3:alpha={alpha:g}",
         problem=FeasibilityProblem(2, (disk, halfplane), oracle),
         default_start=start,
-        known_limit=(0.0, 0.0) if feasible else None,
         theory_rate=cyclic_rate(2, 2),
         documented_power=0.5 if feasible else None,
-        documented_ratio=None if feasible else 1.0 / (1.0 + alpha),
         closed_form=closed_form,
-        known_gap=None if feasible else (alpha, 0.0),
-        known_set_distance=alpha,
+        known_gap=(alpha, 0.0),
     )
 
 
@@ -223,12 +213,10 @@ def example_5_5() -> CatalogEntry:
         id="ex5.5",
         problem=problem,
         default_start=(0.0, 2.0),
-        known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, 2),
         documented_power=0.5,
         scalar_start=scalar_start,
         known_gap=(0.0, 0.0),
-        known_set_distance=0.0,
     )
 
 
@@ -252,12 +240,10 @@ def example_5_7(d: int = 2) -> CatalogEntry:
         id=f"ex5.7:d={d}",
         problem=problem,
         default_start=(1.0, 1.0),  # on the curve x = y^d
-        known_limit=(0.0, 0.0),
         theory_rate=cyclic_rate(2, d),
         documented_power=1.0 / (2.0 * d - 2.0),
         scalar_start=lambda start: float(start[1]),
         known_gap=(0.0, 0.0),
-        known_set_distance=0.0,
     )
 
 
@@ -297,10 +283,8 @@ def example_5_8(n: int = 2) -> CatalogEntry:
         id=f"ex5.8:n={n}",
         problem=problem,
         default_start=tuple(start),
-        known_limit=None,
         theory_rate=cyclic_rate(n, 4),
         known_gap=gap,
-        known_set_distance=1.0,
     )
 
 
@@ -341,7 +325,6 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
         id=f"ex3.2:n={n},d={d}",
         problem=problem,
         default_start=(0.0,) * n,
-        known_limit=(0.0,) * n,
         theory_rate=cyclic_rate(n, d),
         curve=curve,
     )
@@ -360,8 +343,6 @@ _BUILDERS: Dict[str, Callable[..., CatalogEntry]] = {
     "ex3.2": example_3_2,
 }
 
-_INT_PARAMS = {"d", "n"}
-
 
 def default_ids():
     return sorted(_BUILDERS)
@@ -373,7 +354,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
     if base not in _BUILDERS:
         raise KeyError(f"unknown catalog id {entry_id!r}; known: {default_ids()}")
     builder = _BUILDERS[base]
-    takes = list(inspect.signature(builder).parameters)
+    params = inspect.signature(builder).parameters
     kwargs = {}
     if suffix:
         for part in suffix.split(","):
@@ -381,8 +362,15 @@ def get_entry(entry_id: str) -> CatalogEntry:
             key = key.strip()
             if not value:
                 raise ValueError(f"malformed parameter {part!r} in {entry_id!r}")
-            if key not in takes:
-                known = ", ".join(takes) or "no parameters"
+            if key not in params:
+                known = ", ".join(params) or "no parameters"
                 raise ValueError(f"unknown parameter {key!r} in {entry_id!r}; {base} takes {known}")
-            kwargs[key] = int(value) if key in _INT_PARAMS else float(value)
+            if key in kwargs:
+                raise ValueError(f"parameter {key!r} repeated in {entry_id!r}")
+            kind = type(params[key].default)  # the builder's default fixes int or float
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"parameter {key!r} in {entry_id!r} must be {what}, got {value!r}") from None
     return builder(**kwargs)

@@ -43,12 +43,11 @@ class ProjectionStepError(RuntimeError):
     """A projection solve failed mid-run; carries the step context and the
     partial trace accumulated so far."""
 
-    def __init__(self, message, step_index, set_index, partial_trace, cause):
+    def __init__(self, message, step_index, set_index, partial_trace):
         super().__init__(message)
         self.step_index = step_index
         self.set_index = set_index
         self.partial_trace = partial_trace
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,12 @@ def _run_steps(
             thinned=not dense,
         )
 
-    def step_error(message, cause):
+    def step_error(message):
         return ProjectionStepError(
             message,
             step_index=k + 1,
             set_index=idx,
             partial_trace=make_trace(k),
-            cause=cause,
         )
 
     sets = problem.sets
@@ -184,13 +182,12 @@ def _run_steps(
             y = project(s, x, start=last[idx])
         except ProjectionError as exc:
             raise step_error(
-                f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}", exc
+                f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}"
             ) from exc
         if not residual(s, y) <= FEASIBILITY_TOL:  # NaN fails too
             raise step_error(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
-                f"beyond tolerance at step {k + 1}",
-                None,
+                f"beyond tolerance at step {k + 1}"
             )
         last[idx] = y
         sn = vdist(y, x)
@@ -231,9 +228,7 @@ def cyclic_project(
         raise ValueError("stop_tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    x0 = finite_vector(x0, "x0")
-    if len(x0) != problem.dimension:
-        raise ValueError(f"x0 length {len(x0)} != dimension {problem.dimension}")
+    x0 = finite_vector(x0, "x0", problem.dimension)
     trace, _ = _run_steps(
         problem, x0, max_sweeps, record_cap, lambda moved, before, after: moved < stop_tol
     )
@@ -295,7 +290,7 @@ def alternating_project(
         raise ValueError("stop_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    b0 = finite_vector(b0, "b0")
+    b0 = finite_vector(b0, "b0", A.dimension)
     problem = FeasibilityProblem(A.dimension, (A, B), intersection_oracle=oracle)
 
     def pair_settled(moved, before, after):

@@ -344,9 +344,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e, _ in self._ordered)
 
-    def is_zero(self) -> bool:
-        return not self._ordered
-
     def __repr__(self):
         if not self._ordered:
             return f"Polynomial({self.dimension}, 0)"

@@ -61,14 +61,13 @@ Vector = Tuple[float, ...]
 class ProjectionError(RuntimeError):
     """Projection solver failed within its iteration budget.
 
-    Carries the best iterate found and its residuals.
+    Carries the best iterate found and its constraint residual.
     """
 
-    def __init__(self, message, best=None, feasibility=None, optimality=None):
+    def __init__(self, message, best=None, feasibility=None):
         super().__init__(message)
         self.best = best
         self.feasibility = feasibility
-        self.optimality = optimality
 
 
 class NumericalError(ProjectionError):
@@ -119,10 +118,12 @@ def as_vector(x: Sequence[float]) -> Vector:
     return tuple(map(float, x))
 
 
-def finite_vector(x: Sequence[float], what: str) -> Vector:
+def finite_vector(x: Sequence[float], what: str, dimension: Optional[int] = None) -> Vector:
     x = as_vector(x)
     if not all(map(math.isfinite, x)):
         raise ValueError(f"{what} must be finite, got {x}")
+    if dimension is not None and len(x) != dimension:
+        raise ValueError(f"{what} length {len(x)} != dimension {dimension}")
     return x
 
 
@@ -334,8 +335,6 @@ def project(
         raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
     hint = s.analytic_hint
     if hint is not None:  # closed forms
-        if s.residual(x) == 0.0:
-            return x
         if isinstance(hint, Halfspace):
             v = vdot(hint.a, x) - hint.b
             if v <= 0.0:
@@ -685,5 +684,4 @@ def _project_penalty(s, x):
         f"penalty continuation did not converge for set {s.name!r}",
         best=best,
         feasibility=best_feas,
-        optimality=best_opt,
     )

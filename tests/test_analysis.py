@@ -5,9 +5,6 @@ import pytest
 
 from cycproj import analysis
 from cycproj.analysis import (
-    GeometricFit,
-    PowerFit,
-    classify_rate,
     compare_with_theory,
     error_bound_exponent_on_curve,
     error_bound_probe,
@@ -92,8 +89,8 @@ def test_fit_geometric_scale_invariant():
 def test_classify_pure_power_and_geometric():
     power = power_errors(1.0, 0.5, range(1, 300))
     geo = [(k, 0.9**k) for k in range(1, 300)]
-    assert isinstance(classify_rate(power, (1, 299)), PowerFit)
-    assert isinstance(classify_rate(geo, (1, 299)), GeometricFit)
+    assert compare_with_theory(power, 2, 2, (1, 299)).chosen == "power"
+    assert compare_with_theory(geo, 2, 2, (1, 299)).chosen == "geometric"
 
 
 def test_classify_simulated_tangent_disk_errors():
@@ -102,9 +99,9 @@ def test_classify_simulated_tangent_disk_errors():
     for k in range(1, 3001):
         errors.append((k, math.sqrt(2.0 * a)))
         a = alpha_step(a)
-    model = classify_rate(errors, (100, 3000))
-    assert isinstance(model, PowerFit)
-    assert abs(model.exponent + 0.5) <= 0.02
+    report = compare_with_theory(errors, 2, 2, (100, 3000))
+    assert report.chosen == "power"
+    assert abs(report.power_fit.exponent + 0.5) <= 0.02
 
 
 # -- theory comparison -------------------------------------------------------------
@@ -182,9 +179,9 @@ def test_probe_tangent_disks_square_root_regularity():
 
 def test_probe_fitted_tau_never_below_theory_on_catalog():
     for entry_id in ("ex5.1", "ex5.5", "ex5.7:d=2"):
-        entry = get_entry(entry_id)
+        problem = get_entry(entry_id).problem
         report = error_bound_probe(
-            entry.problem, entry.known_limit, theta=2.0, n_samples=120, radius=0.4, seed=29
+            problem, problem.intersection_oracle.point, theta=2.0, n_samples=120, radius=0.4, seed=29
         )
         assert report.fitted_tau >= report.theoretical_tau - 0.05, entry_id
 

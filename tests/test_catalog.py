@@ -50,10 +50,10 @@ def test_ex53_closed_form_matches_one_driver_step(alpha):
 
 
 def test_ex53_formula_value_at_k2():
-    # alpha = 0, t1 = 1: b_2 = (0, 1/sqrt(2))
-    entry = catalog.example_5_3(alpha=0.0, t1=1.0)
+    # alpha = 0, t1 = 1/sqrt(2) from b_0 = (0, 1): b_2 = (0, 1/sqrt(3))
+    entry = catalog.example_5_3(alpha=0.0)
     b2, _ = entry.closed_form(2)
-    assert vdist(b2, (0.0, 1.0 / math.sqrt(2.0))) <= 1e-15
+    assert vdist(b2, (0.0, 1.0 / math.sqrt(3.0))) <= 1e-15
 
 
 def test_ex53_oracle_engine_agreement_long():
@@ -71,11 +71,9 @@ def test_ex53_oracle_engine_agreement_long():
 def test_ex53_rates_and_gap_metadata():
     feasible = get_entry("ex5.3:alpha=0")
     assert feasible.documented_power == 0.5
-    assert feasible.known_set_distance == 0.0
+    assert feasible.known_gap == (0.0, 0.0)
     infeasible = get_entry("ex5.3:alpha=0.5")
-    assert infeasible.documented_ratio == pytest.approx(2.0 / 3.0)
     assert infeasible.known_gap == (0.5, 0.0)
-    assert infeasible.known_set_distance == 0.5
     with pytest.raises(ValueError):
         catalog.example_5_3(alpha=-0.1)
 
@@ -164,7 +162,6 @@ def test_ex58_metadata_and_boundaries():
     entry = get_entry("ex5.8:n=2")
     assert entry.theory_rate == PowerLaw(1.0 / 30.0)
     assert entry.known_gap == (1.0, 0.0)
-    assert entry.known_set_distance == 1.0
     A, B = entry.pair
     assert residual(A, (0.0, 0.0)) == 0.0
     assert residual(B, (1.0, 0.0)) == 0.0

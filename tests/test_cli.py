@@ -229,8 +229,11 @@ def test_cmd_run_input_errors(tmp_path):
 @pytest.mark.parametrize("entry_id, message", [
     ("ex5.5:foo=1", "unknown parameter 'foo' in 'ex5.5:foo=1'; ex5.5 takes no parameters"),
     ("ex5.8:n=2,d=4", "unknown parameter 'd' in 'ex5.8:n=2,d=4'; ex5.8 takes n"),
-    ("ex5.3:beta=1", "unknown parameter 'beta' in 'ex5.3:beta=1'; ex5.3 takes alpha, t1"),
-], ids=["ex5.5", "ex5.8", "ex5.3"])
+    ("ex5.3:beta=1", "unknown parameter 'beta' in 'ex5.3:beta=1'; ex5.3 takes alpha"),
+    ("ex5.8:n=2.5", "parameter 'n' in 'ex5.8:n=2.5' must be an integer, got '2.5'"),
+    ("ex5.3:alpha=abc", "parameter 'alpha' in 'ex5.3:alpha=abc' must be a number, got 'abc'"),
+    ("ex5.7:d=4,d=2", "parameter 'd' repeated in 'ex5.7:d=4,d=2'"),
+], ids=["ex5.5", "ex5.8", "ex5.3", "ex5.8-non-integer", "ex5.3-non-number", "ex5.7-repeated"])
 def test_unknown_catalog_parameter_is_input_error(tmp_path, capsys, entry_id, message):
     out = tmp_path / "run.csv"
     assert cli.main(["run", "--example", entry_id, "--x0", "0,2", "--out", str(out)]) == 1

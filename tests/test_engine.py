@@ -224,6 +224,12 @@ def test_alternating_identical_sets():
         assert a == b
 
 
+def test_alternating_rejects_wrong_length_start_up_front():
+    A, B = get_entry("ex5.5").pair
+    with pytest.raises(ValueError, match=r"^b0 length 3 != dimension 2$"):
+        alternating_project(A, B, (0.0, 2.0, 1.0), max_iters=10, stop_tol=1e-12)
+
+
 def test_alternating_interleaving_indices():
     entry = get_entry("ex5.5")
     A, B = entry.pair
@@ -317,7 +323,7 @@ def test_check_fejer_all_feasible_catalog_runs():
     ):
         entry = get_entry(eid)
         trace = cyclic_project(entry.problem, start, max_sweeps=sweeps, stop_tol=1e-14)
-        report = check_fejer(trace, [entry.known_limit])
+        report = check_fejer(trace, [entry.problem.intersection_oracle.point])
         assert report.violations == [], eid
 
 

@@ -12,7 +12,7 @@ def test_evaluate_zero_polynomial():
     p = Polynomial(2)
     assert p.evaluate((3.7, -1.0)) == 0.0
     assert p.degree() == 0
-    assert p.is_zero()
+    assert not p.terms
 
 
 def test_evaluate_boundary_point_of_disk():
@@ -53,7 +53,7 @@ def test_terms_must_be_a_mapping():
     for terms in ([Monomial((1,), 2.0)], [((1,), 2.0)], ((1,), 2.0)):
         with pytest.raises(TypeError):
             Polynomial(1, terms)
-    assert Polynomial(1, None).is_zero()
+    assert not Polynomial(1, None).terms
 
 
 def test_invalid_terms_rejected():

@@ -311,6 +311,15 @@ def test_project_degenerate_thin_set():
     assert abs(y[0]) <= 1e-5 and y[1] == 0.7
 
 
+@pytest.mark.xfail(strict=True, reason="the KKT Newton rescue stops on the constraint value "
+                   "|g| <= 1e-14, which bounds the distance only by |g|^(1/d)")
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_distance_to_degenerate_chain_set_is_exact(d):
+    # {x_1^d <= 0} is the line x_1 = 0, so the distance is |x_1|
+    s = get_entry(f"ex3.2:n=2,d={d}").problem.sets[0]
+    assert distance(s, (1e-3, 0.3)) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
+
+
 def test_project_empty_set_raises_with_best_iterate():
     empty = ConvexSetDescriptor("empty", [Polynomial(1, {(2,): 1.0, (0,): 1.0})])
     with pytest.raises(ProjectionError) as exc_info:
