@@ -330,9 +330,7 @@ def project(
     than the cold one; the result meets the same tolerances either way, and
     without ``start`` the cold path is unchanged.
     """
-    x = finite_vector(x, "point to project")
-    if len(x) != s.dimension:
-        raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
+    x = finite_vector(x, "point", s.dimension)
     hint = s.analytic_hint
     if hint is not None:  # closed forms
         if isinstance(hint, Halfspace):
@@ -343,6 +341,8 @@ def project(
             return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
         dx = vsub(x, hint.center)
         nrm = vnorm(dx)
+        if not math.isfinite(nrm):
+            raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
         if nrm <= hint.radius:
             return x
         f = hint.radius / nrm

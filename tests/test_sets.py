@@ -75,6 +75,10 @@ def test_overflow_is_a_numerical_error():
         residual(quartic, (1e100, 0.0))  # x^4 overflows in the residual
     with pytest.raises(NumericalError):
         project(quartic, (1e20, 1.0))  # finite residual, overflow inside the solver
+    disk = ConvexSetDescriptor("unit disk", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
+    assert disk.analytic_hint == Ball((0.0, 0.0), 1.0)
+    with pytest.raises(NumericalError):
+        project(disk, (1e200, 0.0))  # |x - center| overflows in the closed form
 
 
 def test_projection_never_returns_a_point_of_unknown_membership():
