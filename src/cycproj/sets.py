@@ -14,19 +14,25 @@ projector dispatches, in order:
                                  compiled once per system size, passed in
                                  as ``_solve_dense``, solves each bordered
                                  KKT system,
-  (e) anything else           -> quadratic-penalty continuation with
-                                 gradient-descent inner solves, whose
-                                 candidate active sets are finished by the
-                                 Newton solve of (d), seeded at the rung's
-                                 iterate.
+  (e) anything else           -> a working set of active constraints,
+                                 solved by the Newton solve of (d) from
+                                 Gauss-Newton feasibility seeds, which
+                                 adds the most violated constraint or drops
+                                 one with a negative multiplier until the
+                                 solution is feasible; as a last resort, as
+                                 on an empty set, a quadratic-penalty
+                                 continuation with gradient-descent inner
+                                 solves, whose candidate active sets are
+                                 finished by the same Newton solve.
 
 Every Newton solve runs a kernel compiled by ``poly.newton_kernel``: the
 constraint's own ``kkt_newton``, or, for two or more active constraints, one
 cached on the set by their indices.  Without a closed form, each constraint
-is evaluated once at the input point and once per penalty rung, and the
-result's membership check reuses the Newton state's values of the active
-constraints.  The rescue restores feasibility when an attempt does not
-converge (a degenerate constraint) and hands the point back to Newton.
+is evaluated once at the input point (and once per rung of the penalty
+ladder), and the result's membership check reuses the Newton state's values
+of the active constraints.  The rescue restores feasibility when an attempt
+does not converge (a degenerate constraint) and hands the point back to
+Newton.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -45,9 +51,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .poly import Polynomial, newton_kernel
 
@@ -183,8 +188,10 @@ def _closed_form(constraints: Sequence[Polynomial]) -> Optional[Union[Halfspace,
 FEASIBILITY_TOL = 1e-10
 OPTIMALITY_TOL = 1e-10
 
-# solver budgets: Newton iterations, top penalty rung, gradient steps per rung
+# solver budgets: Newton (and Gauss-Newton seed) iterations, working-set
+# changes, top penalty rung, gradient steps per rung
 _NEWTON_MAX_ITER = 100
+_WORKING_SET_MAX_CHANGES = 20
 _PENALTY_MU_MAX = 1e12
 _PENALTY_INNER_MAX_ITER = 4000
 
@@ -367,7 +374,7 @@ def project(
             y = _kkt_newton(s, active, x, gx=values[active[0]], start=start)
             if y is not None:
                 return y
-        return _project_penalty(s, x)
+        return _project_penalty(s, x, values)
     except OverflowError as exc:
         raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
 
@@ -467,7 +474,7 @@ def _stationarity(x, y, lams, grads):
     return stat
 
 
-def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
+def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None, rejected=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
@@ -484,7 +491,9 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     negative multiplier, or an inactive constraint violated at the would-be
-    solution); the caller falls through to / continues the penalty ladder.
+    solution); the list ``rejected``, when given, receives the point and
+    multipliers of each converged attempt that :func:`_accept` turned down.
+    The caller goes on to branch (e), or to its next working set or rung.
     """
     gs = [s.constraints[j] for j in active]
     if len(gs) == 1:
@@ -506,11 +515,13 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None):
             continue
         converged, y, lams, vals, grads = state
         if converged:
-            y = _accept(s, active, y, lams, vals)
+            result = _accept(s, active, y, lams, vals)
+            if result is None and rejected is not None:
+                rejected.append((y, lams))
         else:
-            y = _rescue(s, active, gs, x, y, vals, grads)
-        if y is not None:
-            return y
+            result = _rescue(s, active, gs, x, y, vals, grads)
+        if result is not None:
+            return result
     return None
 
 
@@ -522,7 +533,6 @@ def _rescue(s, active, gs, x, y, vals, grads):
     defect achievable at the restored point.  When that point is within
     tolerance, :func:`_kkt_newton` polishes it from there, seeded with the
     point and the multipliers."""
-    n = len(x)
     p = len(gs)
     target = FEASIBILITY_TOL * 1e-4
     for _ in range(120):
@@ -540,13 +550,24 @@ def _rescue(s, active, gs, x, y, vals, grads):
         grads = [g.gradient(y) for g in gs]
     if max(map(abs, vals)) > FEASIBILITY_TOL:
         return None
-    G = [[grads[jj][i] for jj in range(p)] for i in range(n)]
-    N = [[sum(G[i][a] * G[i][b] for i in range(n)) for b in range(p)] for a in range(p)]
-    r = [-sum(G[i][a] * (y[i] - x[i]) for i in range(n)) for a in range(p)]
-    lam = _solve_dense(N, r)
+    lam = _multipliers(x, y, grads, _gram(grads))
     if lam is None or vnorm(_stationarity(x, y, lam, grads)) > OPTIMALITY_TOL:
         return None
     return _kkt_newton(s, active, x, y0=y, lam0=lam)
+
+
+def _gram(grads):
+    """G G^T of the gradients, the rows of G."""
+    n = len(grads[0])
+    return [[sum(ga[i] * gb[i] for i in range(n)) for gb in grads] for ga in grads]
+
+
+def _multipliers(x, y, grads, gram):
+    """The least-squares multipliers, which minimize the stationarity defect
+    ||y - x + sum_j lam_j grad_j|| at y, by the normal equations on ``gram``;
+    None when it is singular."""
+    n = len(x)
+    return _solve_dense(gram, [-sum(grad[i] * (y[i] - x[i]) for i in range(n)) for grad in grads])
 
 
 def _accept(s, active, y, lams, vals):
@@ -564,7 +585,94 @@ def _accept(s, active, y, lams, vals):
     return result
 
 
-# -- branch (e): quadratic-penalty continuation ------------------------------
+# -- branch (e): a working set of active constraints, then the penalty ladder
+
+
+def _working_set(s, x, values):
+    """A primal working-set loop over the KKT Newton solves of (d), in the
+    style of Goldfarb and Idnani (Math. Programming 27, 1983).
+
+    W starts as the most violated constraint (ordered by its value at x,
+    then its index).  One constraint is solved by :func:`_kkt_newton` from
+    its cold seed, two or more from :func:`_feasibility_seed`, started at x
+    and then at the last W's point, which is the nearer one when {g_j = 0 :
+    j in W} is a curve or has several points.  A solution that
+    :func:`_accept` passes is feasible with multipliers >= 0, hence exactly
+    the projection for a convex set.  Otherwise the next W is read at the
+    solution that :func:`_accept` turned down, or else at the seed: drop
+    the constraint with the most negative multiplier, else add the one
+    outside W most violated there, else any set of at most n constraints,
+    smallest first.  A W whose seed system is singular (dependent
+    gradients) counts its multipliers as 0.  A W is never solved twice.
+    Returns None when no W is left or after ``_WORKING_SET_MAX_CHANGES``
+    changes."""
+    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
+    subsets = (tuple(sorted(w)) for k in range(1, len(x) + 1) for w in combinations(order, k))
+    W = (order[0],)
+    tried = set()
+    y0 = x
+    for _ in range(_WORKING_SET_MAX_CHANGES):
+        tried.add(W)
+        rejected = []
+        seed = None
+        if len(W) == 1:
+            y = _kkt_newton(s, W, x, gx=values[W[0]], rejected=rejected)
+            if y is None and not rejected:
+                seed = _feasibility_seed(s, W, x, y0)
+        else:
+            y = None
+            for start in (x,) if y0 is x else (x, y0):
+                seed = _feasibility_seed(s, W, x, start)
+                if seed is not None:
+                    y = _kkt_newton(s, W, x, y0=seed[0], lam0=seed[1], rejected=rejected)
+                    if y is not None:
+                        break
+        if y is not None:
+            return y
+        y0, lam0 = rejected[-1] if rejected else seed or (y0, [0.0] * len(W))
+        drops = sorted(
+            (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
+        )
+        adds = sorted(
+            (-v, tuple(sorted(W + (j,))))
+            for j, v in ((j, g.evaluate(y0)) for j, g in enumerate(s.constraints) if j not in W)
+            if v > FEASIBILITY_TOL
+        )
+        changes = [w for _, w in drops + adds]
+        W = next((w for w in chain(changes, subsets) if w and w not in tried), None)
+        if W is None:
+            break
+    return None
+
+
+def _feasibility_seed(s, active, x, y):
+    """A Newton seed (y, lams) for projecting x with the active
+    constraints: Gauss-Newton steps from y onto {g_j = 0 : j active}, each
+    the least-norm step -G^T (G G^T)^-1 g(y) solved by :func:`_solve_dense`,
+    then the least-squares multipliers at the end point.  Gradients only,
+    no Hessian.  None when G G^T is singular (dependent gradients), a value
+    is not finite or overflows, or the steps do not reach |g_j| <=
+    FEASIBILITY_TOL."""
+    gs = [s.constraints[j] for j in active]
+    vals = [g.evaluate(y) for g in gs]
+    grads = [g.gradient(y) for g in gs]
+    for _ in range(_NEWTON_MAX_ITER):
+        if max(map(abs, vals)) <= 1e-4 * FEASIBILITY_TOL:
+            break
+        z = _solve_dense(_gram(grads), vals)
+        if z is None:
+            return None
+        for zj, grad in zip(z, grads):
+            y = [yi - zj * gi for yi, gi in zip(y, grad)]
+        try:
+            vals = [g.evaluate(y) for g in gs]
+            grads = [g.gradient(y) for g in gs]
+        except OverflowError:  # a step far off the set, as when G G^T is near singular
+            return None
+    if not max(map(abs, vals)) <= FEASIBILITY_TOL:  # NaN fails too
+        return None
+    lam = _multipliers(x, y, grads, _gram(grads))
+    return None if lam is None else (y, lam)
 
 
 def _penalty_value_grad(s, x, y, mu):
@@ -587,24 +695,23 @@ def _penalty_value_grad(s, x, y, mu):
     return val, grad
 
 
-def _dependent_gradients(s, active, y) -> bool:
-    """Whether the gradients of the active constraints at y are linearly
-    dependent to 1e-8: their Gram determinant over the product of their
-    squared norms, which is 1 for orthogonal gradients."""
-    G = np.array([s.constraints[j].gradient(y) for j in active])
-    gram = G @ G.T
-    return bool(np.linalg.det(gram) <= 1e-8 * np.prod(np.diag(gram)))
-
-
-def _project_penalty(s, x):
-    """Quadratic-penalty continuation with Armijo gradient descent inner loops.
+def _project_penalty(s, x, values):
+    """Branch (e): the working set of :func:`_working_set` on a set of two
+    or more constraints, whose ``values`` at x are given; failing that, the
+    last resort, a quadratic-penalty continuation with Armijo gradient
+    descent inner loops.
 
     The penalty ladder alone cannot certify 1e-10 stationarity in double
     precision (the gradient's noise floor grows like mu * eps), so once an
     inner solve has identified a candidate active set, the exact KKT system
     for that active set is polished by Newton and, when it checks out, its
-    solution is returned.
+    solution is returned.  Raises :class:`ProjectionError` with the best
+    iterate when the ladder stalls, as on an empty set.
     """
+    if len(values) > 1:
+        y = _working_set(s, x, values)
+        if y is not None:
+            return y
     y = list(x)
     mu = 1.0
     best = tuple(y)
@@ -660,14 +767,6 @@ def _project_penalty(s, x):
                 tried.add(key)
                 lam0 = [mu * max(values[j], 0.0) for j in active]
                 polished = _kkt_newton(s, active, x, y0=y, lam0=lam0)
-                if polished is None and len(active) > 1 and _dependent_gradients(s, active, yt):
-                    # dependent gradients (repeated or tangent constraints) make
-                    # the KKT system singular; a subset one short may solve it
-                    for i in range(len(active)):
-                        subset, lams = active[:i] + active[i + 1 :], lam0[:i] + lam0[i + 1 :]
-                        polished = _kkt_newton(s, subset, x, y0=y, lam0=lams)
-                        if polished is not None:
-                            break
                 if polished is not None:
                     return polished
         # feasibility of a convergent ladder halves per rung; six doublings

@@ -4,8 +4,10 @@ For convex constraints g_j, a feasible y with x - y = sum_j lam_j grad g_j(y),
 lam_j >= 0 and lam_j g_j(y) = 0 is exactly the projection of x.  The test
 recomputes the certificate from ``Polynomial.gradient`` and least-squares
 multipliers over the constraints active at y, or a subset of them,
-independently of the solver's own Newton state.  Every generated set holds a neighborhood of the origin,
-so the intersections are never empty.
+independently of the solver's own Newton state.  Every generated set holds a
+neighborhood of the origin, so the intersections are never empty.  A set in
+R^n has up to n constraints, so the projector's working set, which adds and
+drops constraints, holds up to three of them.
 """
 
 from itertools import combinations
@@ -66,7 +68,7 @@ def quartic_balls(draw, n):
 def cases(draw):
     n = draw(st.sampled_from([2, 3]))
     shapes = st.one_of(disks(n), halfspaces(n), quartic_balls(n))
-    constraints = draw(st.lists(shapes, min_size=1, max_size=2))
+    constraints = draw(st.lists(shapes, min_size=1, max_size=n))
     x = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n))
     return ConvexSetDescriptor("generated", constraints), tuple(x)
 

@@ -309,6 +309,66 @@ def test_project_three_active_constraint_corners(monkeypatch):
         assert active_sizes[-1] == 3
 
 
+def test_corners_are_solved_without_the_penalty_ladder(monkeypatch):
+    # the working set of branch (e) finds the active constraints of the
+    # corners above and of the lens tips, so the ladder never evaluates its
+    # objective
+    from cycproj import sets
+
+    calls = []
+    penalty_value_grad = sets._penalty_value_grad
+
+    def counting(*args):
+        calls.append(args)
+        return penalty_value_grad(*args)
+
+    monkeypatch.setattr(sets, "_penalty_value_grad", counting)
+    unit = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    outer = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0, (0, 0): -2.0})
+    x_le_0 = Polynomial(3, {(1, 0, 0): 1.0})
+    y_le_0 = Polynomial(3, {(0, 1, 0): 1.0})
+    octant = [x_le_0, y_le_0, Polynomial(3, {(0, 0, 1): 1.0, (0, 0, 0): -1.0})]
+    ball = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -4.0})
+    # the disks of radius 1 about (-0.5, 0) and (0.5, 0), with tips (0, +-sqrt(0.75))
+    lens = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75}) for c in (1.0, -1.0)]
+    for constraints, x in [
+        ([Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})], (1.0, 1.0)),
+        ([unit, Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})], (2.0, 0.0)),
+        ([unit, unit], (-3.0, 0.0)),
+        ([unit, outer], (-3.0, 0.0)),
+        (octant, (1.0, 2.0, 3.0)),
+        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0)),
+        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0)),
+        (lens, (0.25, 2.0)),
+        (lens, (0.0, 2.0)),
+    ]:
+        project(ConvexSetDescriptor("corner", constraints), x)
+        assert calls == [], x
+
+
+def test_project_past_a_diverging_feasibility_seed():
+    # at x both gradients point along the x axis up to y^3 ~ 1e-114, so the
+    # Gauss-Newton seed of the pair steps far enough for y^4 to overflow;
+    # the working set skips the pair and solves the halfplane alone
+    cut = ConvexSetDescriptor(
+        "cut",
+        [Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0}),
+         Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -16.0})],
+    )
+    y = project(cut, (2.906951341432304, 1.175494351e-38))
+    assert vdist(y, (1.0, 1.175494351e-38)) <= 1e-12
+
+
+def test_project_empty_two_constraint_set_raises_with_best_iterate():
+    # the disjoint disks ||x -+ (2, 0)||^2 <= 1: no working set is feasible,
+    # so the penalty ladder runs and stalls
+    disks = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): s, (0, 0): 3.0}) for s in (-4.0, 4.0)]
+    with pytest.raises(ProjectionError) as exc_info:
+        project(ConvexSetDescriptor("disjoint", disks), (0.5, 1.0))
+    assert exc_info.value.best is not None
+    assert exc_info.value.feasibility > 0.9  # the disks are 2 apart
+
+
 def test_project_degenerate_thin_set():
     thin = ConvexSetDescriptor("thin", [Polynomial(2, {(2, 0): 1.0})])
     y = project(thin, (0.3, 0.7))

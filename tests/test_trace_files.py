@@ -5,10 +5,9 @@ The digests were first computed with the earlier csv.writer-based trace
 writer, so a change in row formatting, line ends, the header or the thinned
 marker shows up here.  They assume IEEE-754 doubles and an x86-64 glibc
 ``pow``; the runs use closed-form ball projections, single-constraint KKT
-Newton solves, and penalty-ladder solves polished by Newton on two active
-constraints.  A float.hex dump of projections polished on two and three
-active constraints, and of the rescue of a degenerate constraint, is pinned
-the same way.
+Newton solves, and working-set solves by Newton on two active constraints.
+A float.hex dump of projections solved on two and three active constraints,
+and of the rescue of a degenerate constraint, is pinned the same way.
 """
 
 import hashlib
@@ -32,7 +31,7 @@ EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
 CROSSED_LENS_ERRORBOUND_SHA = "49dd87e4bcc6623ea41a342b67148ce1183b873455dcef68c67b5e0f9efead41"
 EX58_N2_ALTERNATING_SHA = "e7c0143c8a667c1dfe5cba6e147ad0fd083ecefb5ceaa1fc2bdc078becbf57ab"
 EX57_D2_SHA = "ae629e28f6d2b06095362f34ad80baa1621a30b585c70421f21a79f6a8b3d022"
-MULTI_CONSTRAINT_PROJECTIONS_SHA = "ee2ce73d612250d9b1bdfe61db379f498eb0e0694c187d7596b8045049dea3f4"
+MULTI_CONSTRAINT_PROJECTIONS_SHA = "35e724b94ac7a6442f7c2963da3624b6dd8c7af4ddaf3884ccf8abd29f023e3f"
 
 
 def _sha256(path) -> str:
@@ -309,7 +308,7 @@ def _affine_poly(a, b):
 
 def test_multi_constraint_projection_bytes(monkeypatch):
     # projections that need the KKT Newton solve on two and three active
-    # constraints (polishing the penalty ladder) and the rescue of a
+    # constraints (the working set of branch (e)) and the rescue of a
     # degenerate constraint, dumped through float.hex
     from cycproj import sets
 
