@@ -21,16 +21,14 @@ from .analysis import (
 from .catalog import CatalogEntry, get_entry
 from .engine import (
     AlternatingResult,
-    LimitEstimate,
     ProjectionStepError,
     Trace,
     alternating_project,
     check_descent_inequality,
     check_fejer,
     cyclic_project,
-    estimate_limit,
 )
-from .poly import ConvexityReport, Monomial, Polynomial, sample_convexity_check
+from .poly import Monomial, Polynomial
 from .rates import (
     ExponentOverflowError,
     Linear,

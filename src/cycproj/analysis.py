@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import rates
 from .engine import Trace, _run_steps
 from .rates import PowerLaw, RateClass
@@ -248,6 +246,8 @@ def error_bound_probe(
     fitted tau is the log-log slope of L^theta against R.  Samples with
     L = 0 or R = 0 enter the counts but not the fit.
     """
+    import numpy as np  # only the probe's sampler needs numpy; run and rate never load it
+
     if not 0.0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
     if n_samples < 1:

@@ -25,7 +25,6 @@ from .sets import (
     FeasibilityProblem,
     ProjectionError,
     Vector,
-    distance,
     finite_vector,
     project,
     residual,
@@ -48,13 +47,6 @@ class ProjectionStepError(RuntimeError):
         self.step_index = step_index
         self.set_index = set_index
         self.partial_trace = partial_trace
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    point: Vector
-    radius: float
-    certified: bool
 
 
 @dataclass
@@ -309,35 +301,9 @@ def alternating_project(
     )
 
 
-def estimate_limit(
-    trace: Trace,
-    problem: FeasibilityProblem,
-    refine_sweeps: int,
-) -> LimitEstimate:
-    """Estimate the run's limit point with a radius bound.
-
-    With a singleton oracle the answer is exact.  Otherwise the last iterate
-    is refined by ``refine_sweeps`` extra sweeps, and the radius is twice
-    the sum of its distances to the sets, flagged as uncertified.
-    """
-    oracle = problem.intersection_oracle
-    if oracle is not None:
-        return LimitEstimate(point=oracle.point, radius=0.0, certified=True)
-    x = trace.last_iterate()
-    if refine_sweeps > 0:
-        # only the final point is used, so only the final sweep is recorded
-        _, after = _run_steps(problem, x, refine_sweeps, record_cap=0, stop=None)
-        x = after[-1]
-    surrogate = 0.0
-    for s in problem.sets:
-        surrogate += distance(s, x)
-    return LimitEstimate(point=x, radius=2.0 * surrogate, certified=False)
-
-
 @dataclass(frozen=True)
 class FejerReport:
     violations: List[Tuple[int, int]]  # (step index k, witness index)
-    pairs_checked: int
 
 
 _WITNESS_FEAS_TOL = 1e-8
@@ -358,20 +324,17 @@ def check_fejer(trace: Trace, witnesses: Sequence[Sequence[float]]) -> FejerRepo
                 raise ValueError(f"witness {i} is infeasible for set {s.name!r}")
     points = trace.sweep_points()
     violations = []
-    pairs = 0
     for (k_prev, x_prev), (k_next, x_next) in zip(points, points[1:]):
         for i, w in enumerate(ws):
-            pairs += 1
             if vdist(x_next, w) > vdist(x_prev, w) + _FEJER_SLACK:
                 violations.append((k_next, i))
-    return FejerReport(violations=violations, pairs_checked=pairs)
+    return FejerReport(violations=violations)
 
 
 @dataclass(frozen=True)
 class DescentReport:
     min_slack: float
     violations: List[Tuple[int, float]]
-    steps_checked: int
 
 
 _DESCENT_SLACK = -1e-8
@@ -404,4 +367,4 @@ def check_descent_inequality(trace: Trace, problem: FeasibilityProblem) -> Desce
             violations.append((k, slack))
     if not pairs:
         min_slack = 0.0
-    return DescentReport(min_slack=min_slack, violations=violations, steps_checked=len(pairs))
+    return DescentReport(min_slack=min_slack, violations=violations)

@@ -60,8 +60,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 Exponents = Tuple[int, ...]
 
 
@@ -389,15 +387,6 @@ class Polynomial:
             self._check_point(x)
         return (self._kernels.value or self._compile_value())(x)
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an ``(N, n)`` array of points."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise ValueError(f"expected (N, {self.dimension}) array")
-        kernel = self._kernels.value or self._compile_value()
-        # the kernel sums columns; adding zeros broadcasts the zero polynomial's 0.0
-        return np.zeros(points.shape[0]) + kernel(points.T)
-
     def gradient(self, x: Sequence[float]) -> Tuple[float, ...]:
         """Gradient at ``x`` from symbolically differentiated terms."""
         self._check_point(x)
@@ -470,55 +459,3 @@ class Polynomial:
         # the same derivative sums serve the Newton kernel
         kernels.kkt_newton = newton_kernel([self], [sums])
         return kernels
-
-    def hessian(self, x: Sequence[float]) -> np.ndarray:
-        return np.array(self.hessian_rows(x), dtype=float)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Result of sampled Hessian eigenvalue screening (heuristic, never a proof)."""
-
-    min_eigenvalue_seen: float
-    witness: Optional[Tuple[float, ...]]
-
-    @property
-    def suspect(self) -> bool:
-        return self.witness is not None
-
-
-_WITNESS_CUTOFF = -1e-8
-
-
-def sample_convexity_check(
-    p: Polynomial,
-    box: Sequence[Tuple[float, float]],
-    samples: int,
-    seed: int,
-) -> ConvexityReport:
-    """Sample the box uniformly and record the smallest Hessian eigenvalue seen.
-
-    Reports a witness point when an eigenvalue below -1e-8 is found.  This is
-    an advisory screen: convexity of the input polynomials is otherwise
-    trusted as declared.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if len(box) != p.dimension:
-        raise ValueError("box length must equal polynomial dimension")
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("malformed box: lo > hi")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, p.dimension))
-    min_seen = math.inf
-    witness = None
-    for row in pts:
-        eigs = np.linalg.eigvalsh(p.hessian(row))
-        m = float(eigs[0])
-        if m < min_seen:
-            min_seen = m
-            if m < _WITNESS_CUTOFF:
-                witness = tuple(float(v) for v in row)
-    return ConvexityReport(min_eigenvalue_seen=min_seen, witness=witness)

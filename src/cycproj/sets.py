@@ -203,8 +203,8 @@ _PENALTY_INNER_MAX_ITER = 4000
 class ConvexSetDescriptor:
     """One basic semi-algebraic convex set {x : g_j(x) <= 0 for all j}.
 
-    Convexity of the constraint polynomials is trusted from the caller
-    (see :func:`cycproj.poly.sample_convexity_check` for an advisory screen).
+    Convexity of the constraint polynomials is trusted from the caller; it
+    is not checked.
     ``analytic_hint`` is the set's closed form, the :class:`Halfspace` or
     :class:`Ball` that :func:`_closed_form` reads from a single constraint's
     coefficients, or None; the projector dispatches on it.

@@ -23,7 +23,7 @@ def brute_force_distances(s, queries, box, step=1e-3, chunk_rows=60):
         pts = np.column_stack([X.ravel(), Y.ravel()])
         mask = np.ones(len(pts), dtype=bool)
         for g in s.constraints:
-            mask &= g.evaluate_many(pts) <= 0.0
+            mask &= reference_many(g, pts) <= 0.0
         feas = pts[mask]
         if len(feas) == 0:
             continue
@@ -33,6 +33,20 @@ def brute_force_distances(s, queries, box, step=1e-3, chunk_rows=60):
             if m < best[qi]:
                 best[qi] = m
     return best
+
+
+def reference_many(p, points):
+    """The polynomial ``p`` at each row of the ``(N, n)`` array ``points``: the
+    graded-lex ordered terms summed from zeros, each its coefficient times
+    ``x_i ** e_i`` for the variables it uses, in index order."""
+    total = np.zeros(points.shape[0])
+    for mono in p.terms:
+        t = np.full(points.shape[0], mono.coefficient)
+        for i, e in enumerate(mono.exponents):
+            if e:
+                t = t * points[:, i] ** e
+        total += t
+    return total
 
 
 def poly_multiply(p, q):

@@ -268,7 +268,7 @@ def test_criterion_8_descent_inequality(ex57_run):
     print(
         f"PASS criterion 8: descent slack ex5.1 {rep1.min_slack:.1e}, ex5.7 "
         f"{rep7.min_slack:.1e} (no violations beyond -1e-8; "
-        f"{rep1.steps_checked}+{rep7.steps_checked} steps)"
+        f"{len(trace1.ks)}+{len(combined.ks)} recorded steps)"
     )
 
 

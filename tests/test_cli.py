@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,26 @@ def test_problem_file_rejects_booleans_as_numbers(tmp_path, capsys, path, field)
     code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
     assert code == 1
     assert field in err and "must be" in err and "True" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("sets", 1, "constraints", 0, "terms", 1, "coefficient"), "sets[1].constraints[0].terms[1].coefficient"),
+        (("oracle", "point", 1), "'oracle.point'"),
+    ],
+)
+def test_problem_file_rejects_integers_beyond_the_float_range(tmp_path, capsys, path, field):
+    # a 400-digit integer literal has no float value
+    doc = _mixed_problem_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = -(10**400)
+    code, err, out = _load_doc_through_cli(tmp_path, capsys, doc)
+    assert code == 1
+    assert err.startswith("error: ") and field in err and "float range" in err
     assert not out.exists()
 
 
@@ -622,3 +645,27 @@ def test_cmd_errorbound_curve_rejects_bad_parameter_range(tmp_path, capsys, boun
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option} must be")
     assert not out.exists()
+
+
+def test_run_and_rate_never_load_numpy(tmp_path):
+    # only errorbound and replicate need numpy; a fresh interpreter that runs
+    # the run -> rate path, the KKT Newton projections included, never loads it
+    script = """
+import sys
+import cycproj
+from cycproj import cli
+d = sys.argv[1]
+assert cli.main(["run", "--example", "ex5.5", "--x0", "0,2", "--sweeps", "200",
+                 "--stop-tol", "1e-300", "--out", d + "/ex55.csv"]) == 0
+assert cli.main(["run", "--example", "ex5.8:n=3", "--x0", "2,1,0", "--sweeps", "50",
+                 "--out", d + "/ex58.csv"]) == 0
+assert cli.main(["rate", "--trace", d + "/ex55.csv", "--n", "2", "--d", "2",
+                 "--window", "10:400", "--limit", "0,0", "--out", d + "/rate.json"]) == 0
+assert "numpy" not in sys.modules, "numpy was loaded"
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ex58.csv").exists() and (tmp_path / "rate.json").exists()

@@ -9,7 +9,6 @@ counts).
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,19 +41,8 @@ def reference_hessian_rows(p, x):
     return rows
 
 
-def reference_many(p, points):
-    total = np.zeros(points.shape[0])
-    for mono in p.terms:
-        t = np.full(points.shape[0], mono.coefficient)
-        for i, e in enumerate(mono.exponents):
-            if e:
-                t = t * points[:, i] ** e
-        total += t
-    return total
-
-
 def bits(v):
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, (list, tuple)):
         return [bits(u) for u in v]
     return float(v).hex()
 
@@ -87,8 +75,6 @@ def test_kernels_match_reference_bit_for_bit(case):
     assert bits(p.evaluate(x)) == bits(reference_value(p, x))
     assert bits(p.gradient(x)) == bits(reference_gradient(p, x))
     assert bits(p.hessian_rows(x)) == bits(reference_hessian_rows(p, x))
-    points = np.array([x, [v * 0.5 - 1.0 for v in x]])
-    assert bits(p.evaluate_many(points)) == bits(reference_many(p, points))
 
 
 def test_zero_polynomial_kernels():
@@ -97,8 +83,6 @@ def test_zero_polynomial_kernels():
     assert bits(p.evaluate(x)) == bits(0.0)
     assert bits(p.gradient(x)) == bits((0.0, 0.0, 0.0))
     assert bits(p.hessian_rows(x)) == bits([[0.0] * 3] * 3)
-    many = p.evaluate_many(np.ones((4, 3)))
-    assert many.shape == (4,) and bits(many) == bits([0.0] * 4)
 
 
 def test_kernels_compile_for_thousands_of_terms():

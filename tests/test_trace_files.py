@@ -262,8 +262,8 @@ def _disk_constraint(cx, cy):
 
 def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
     # each set is a lens given as two unhinted disk constraints, so samples
-    # beyond a lens tip go through the penalty ladder, whose polish runs the
-    # KKT Newton solve on both constraints
+    # beyond a lens tip take the working set, which runs the KKT Newton solve
+    # on both constraints
     from cycproj import sets
 
     doc = {"dimension": 2, "sets": [
