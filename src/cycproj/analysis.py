@@ -244,7 +244,8 @@ def error_bound_probe(
 
     For each sample x, L = dist(x, C) and R = sum_i dist^theta(x, C_i); the
     fitted tau is the log-log slope of L^theta against R.  Samples with
-    L = 0 or R = 0 enter the counts but not the fit.
+    L = 0 or R = 0 enter the counts but not the fit.  A distance to the
+    power theta past the float range raises OverflowError.
     """
     import numpy as np  # only the probe's sampler needs numpy; run and rate never load it
 

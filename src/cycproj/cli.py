@@ -381,14 +381,21 @@ def cmd_errorbound(args) -> int:
         return 0
     problem = _resolve_problem(args)
     center = _parse_floats(args.center, "--center")
-    report = analysis.error_bound_probe(
-        problem,
-        center,
-        theta=args.theta,
-        n_samples=args.samples,
-        radius=args.radius,
-        seed=args.seed,
-    )
+    try:
+        report = analysis.error_bound_probe(
+            problem,
+            center,
+            theta=args.theta,
+            n_samples=args.samples,
+            radius=args.radius,
+            seed=args.seed,
+        )
+    except rates.ExponentOverflowError:
+        raise
+    except OverflowError as exc:  # the probe's only other overflow is dist ** theta
+        raise ValueError(
+            f"--theta {args.theta!r} is too large: a distance to that power is past the float range"
+        ) from exc
     _emit(error_bound_report_dict(report), args.out)
     return 0
 

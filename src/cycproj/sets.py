@@ -19,20 +19,17 @@ projector dispatches, in order:
                                  Gauss-Newton feasibility seeds, which
                                  adds the most violated constraint or drops
                                  one with a negative multiplier until the
-                                 solution is feasible; as a last resort, as
-                                 on an empty set, a quadratic-penalty
-                                 continuation with gradient-descent inner
-                                 solves, whose candidate active sets are
-                                 finished by the same Newton solve.
+                                 solution is feasible; when it finds no KKT
+                                 point, as on an empty set, the projection
+                                 fails at once with ``ProjectionError``.
 
 Every Newton solve runs a kernel compiled by ``poly.newton_kernel``: the
 constraint's own ``kkt_newton``, or, for two or more active constraints, one
 cached on the set by their indices.  Without a closed form, each constraint
-is evaluated once at the input point (and once per rung of the penalty
-ladder), and the result's membership check reuses the Newton state's values
-of the active constraints.  The rescue restores feasibility when an attempt
-does not converge (a degenerate constraint) and hands the point back to
-Newton.
+is evaluated once at the input point, and the result's membership check
+reuses the Newton state's values of the active constraints.  The rescue
+restores feasibility when an attempt does not converge (a degenerate
+constraint) and hands the point back to Newton.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -64,10 +61,9 @@ Vector = Tuple[float, ...]
 
 
 class ProjectionError(RuntimeError):
-    """Projection solver failed within its iteration budget.
-
-    Carries the best iterate found and its constraint residual.
-    """
+    """The projector found no KKT point within its budget, as on an empty set
+    or where the constraints meet with none.  Carries the least-violating
+    point the solver reached (else the input point) and its residual."""
 
     def __init__(self, message, best=None, feasibility=None):
         super().__init__(message)
@@ -189,11 +185,9 @@ FEASIBILITY_TOL = 1e-10
 OPTIMALITY_TOL = 1e-10
 
 # solver budgets: Newton (and Gauss-Newton seed) iterations, working-set
-# changes, top penalty rung, gradient steps per rung
+# changes
 _NEWTON_MAX_ITER = 100
 _WORKING_SET_MAX_CHANGES = 20
-_PENALTY_MU_MAX = 1e12
-_PENALTY_INNER_MAX_ITER = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +487,7 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None, rejected=
     negative multiplier, or an inactive constraint violated at the would-be
     solution); the list ``rejected``, when given, receives the point and
     multipliers of each converged attempt that :func:`_accept` turned down.
-    The caller goes on to branch (e), or to its next working set or rung.
+    The caller goes on to branch (e), or to its next working set.
     """
     gs = [s.constraints[j] for j in active]
     if len(gs) == 1:
@@ -585,10 +579,10 @@ def _accept(s, active, y, lams, vals):
     return result
 
 
-# -- branch (e): a working set of active constraints, then the penalty ladder
+# -- branch (e): a working set of active constraints
 
 
-def _working_set(s, x, values):
+def _working_set(s, x, values, reached):
     """A primal working-set loop over the KKT Newton solves of (d), in the
     style of Goldfarb and Idnani (Math. Programming 27, 1983).
 
@@ -604,6 +598,7 @@ def _working_set(s, x, values):
     outside W most violated there, else any set of at most n constraints,
     smallest first.  A W whose seed system is singular (dependent
     gradients) counts its multipliers as 0.  A W is never solved twice.
+    Each point the next W is read at is appended to the list ``reached``.
     Returns None when no W is left or after ``_WORKING_SET_MAX_CHANGES``
     changes."""
     order = sorted(range(len(values)), key=lambda j: (-values[j], j))
@@ -630,6 +625,7 @@ def _working_set(s, x, values):
         if y is not None:
             return y
         y0, lam0 = rejected[-1] if rejected else seed or (y0, [0.0] * len(W))
+        reached.append(y0)
         drops = sorted(
             (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
         )
@@ -675,6 +671,7 @@ def _feasibility_seed(s, active, x, y):
     return None if lam is None else (y, lam)
 
 
+# no caller: kept only because the perfbench tracer wraps it by name (its count reads 0)
 def _penalty_value_grad(s, x, y, mu):
     n = len(x)
     val = 0.0
@@ -697,90 +694,21 @@ def _penalty_value_grad(s, x, y, mu):
 
 def _project_penalty(s, x, values):
     """Branch (e): the working set of :func:`_working_set` on a set of two
-    or more constraints, whose ``values`` at x are given; failing that, the
-    last resort, a quadratic-penalty continuation with Armijo gradient
-    descent inner loops.
+    or more constraints, whose ``values`` at x are given.
 
-    The penalty ladder alone cannot certify 1e-10 stationarity in double
-    precision (the gradient's noise floor grows like mu * eps), so once an
-    inner solve has identified a candidate active set, the exact KKT system
-    for that active set is polished by Newton and, when it checks out, its
-    solution is returned.  Raises :class:`ProjectionError` with the best
-    iterate when the ladder stalls, as on an empty set.
+    When it finds no KKT point (on a single constraint, when branch (d) has
+    failed), raises :class:`ProjectionError` at once, whose ``best`` is the
+    least-violating point the working set reached, or x if it reached none;
+    raises :class:`NumericalError` instead when a constraint is NaN at x.
     """
+    reached = [x]
     if len(values) > 1:
-        y = _working_set(s, x, values)
+        y = _working_set(s, x, values, reached)
         if y is not None:
             return y
-    y = list(x)
-    mu = 1.0
-    best = tuple(y)
-    best_feas = s.residual(best)
-    best_opt = math.inf
-    tried = set()
-    feas_history = []
-    while mu <= _PENALTY_MU_MAX:
-        inner_tol = max(OPTIMALITY_TOL, min(1e-4, 1.0 / mu))
-        for _ in range(_PENALTY_INNER_MAX_ITER):
-            val, grad = _penalty_value_grad(s, x, y, mu)
-            if not math.isfinite(val):
-                raise NumericalError(
-                    "penalty objective became non-finite",
-                    best=tuple(y),
-                    feasibility=s.residual(tuple(y)),
-                )
-            gn = vnorm(grad)
-            if gn <= inner_tol:
-                break
-            t = 1.0
-            while True:
-                cand = [yi - t * gi for yi, gi in zip(y, grad)]
-                cval, _ = _penalty_value_grad(s, x, cand, mu)
-                if math.isfinite(cval) and cval <= val - 1e-4 * t * gn * gn:
-                    break
-                t *= 0.5
-                if t < 2.0**-60:
-                    cand = y
-                    break
-            if cand is y:
-                break
-            y = cand
-        yt = tuple(y)
-        # one evaluation of each constraint serves the residual, the
-        # complementarity term, the active-set test and the multipliers
-        values = [g.evaluate(yt) for g in s.constraints]
-        feas = _max_violation(values)
-        if feas != feas:
-            raise NumericalError("constraint residual became NaN", best=yt, feasibility=feas)
-        # with lam_j = mu [g_j]_+ the stationarity defect is half the gradient
-        _, grad = _penalty_value_grad(s, x, y, mu)
-        opt = 0.5 * vnorm(grad)
-        comp = max(mu * max(v, 0.0) ** 2 for v in values)
-        if feas < best_feas or (feas == best_feas and opt < best_opt):
-            best, best_feas, best_opt = yt, feas, opt
-        if feas <= FEASIBILITY_TOL and opt <= OPTIMALITY_TOL and comp <= OPTIMALITY_TOL:
-            return yt
-        if feas <= 1e-3:
-            active = [j for j, v in enumerate(values) if v > -10.0 * max(FEASIBILITY_TOL, feas)]
-            key = tuple(active)
-            if active and key not in tried:
-                tried.add(key)
-                lam0 = [mu * max(values[j], 0.0) for j in active]
-                polished = _kkt_newton(s, active, x, y0=y, lam0=lam0)
-                if polished is not None:
-                    return polished
-        # feasibility of a convergent ladder halves per rung; six doublings
-        # with no real progress mean the set is empty or the solver is stuck
-        feas_history.append(feas)
-        if (
-            len(feas_history) >= 6
-            and feas > 1000.0 * FEASIBILITY_TOL
-            and feas >= 0.9 * feas_history[-6]
-        ):
-            break
-        mu *= 2.0
-    raise ProjectionError(
-        f"penalty continuation did not converge for set {s.name!r}",
-        best=best,
-        feasibility=best_feas,
-    )
+    if any(v != v for v in values):
+        raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
+    # x comes first, with a finite residual, so a NaN residual never wins
+    best = tuple(min(reached, key=s.residual))
+    feas = s.residual(best)
+    raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=feas)

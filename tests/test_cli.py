@@ -544,6 +544,17 @@ def test_nan_numeric_options_are_input_errors(tmp_path):
     assert cli.main(probe + ["--radius", "inf"]) == 1
 
 
+def test_errorbound_theta_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    # distances up to 100 to the power 1000 overflow a float
+    out = tmp_path / "eb.json"
+    code = cli.main(["errorbound", "--example", "ex5.5", "--center", "0,0", "--theta", "1000",
+                     "--samples", "5", "--radius", "100", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --theta 1000.0 is too large") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cmd_errorbound_infeasible_center(tmp_path):
     assert cli.main(
         ["errorbound", "--example", "ex5.5", "--center", "3,3", "--samples", "60"]

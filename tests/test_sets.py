@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -73,8 +74,9 @@ def test_overflow_is_a_numerical_error():
     quartic, _ = get_entry("ex5.8:n=2").pair
     with pytest.raises(NumericalError):
         residual(quartic, (1e100, 0.0))  # x^4 overflows in the residual
-    with pytest.raises(NumericalError):
-        project(quartic, (1e20, 1.0))  # finite residual, overflow inside the solver
+    with pytest.raises(ProjectionError) as exc_info:
+        project(quartic, (1e20, 1.0))  # finite residual, Newton stalls with finite values
+    assert type(exc_info.value) is ProjectionError
     disk = ConvexSetDescriptor("unit disk", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
     assert disk.analytic_hint == Ball((0.0, 0.0), 1.0)
     with pytest.raises(NumericalError):
@@ -361,12 +363,42 @@ def test_project_past_a_diverging_feasibility_seed():
 
 def test_project_empty_two_constraint_set_raises_with_best_iterate():
     # the disjoint disks ||x -+ (2, 0)||^2 <= 1: no working set is feasible,
-    # so the penalty ladder runs and stalls
+    # so the projection fails at once
     disks = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): s, (0, 0): 3.0}) for s in (-4.0, 4.0)]
     with pytest.raises(ProjectionError) as exc_info:
         project(ConvexSetDescriptor("disjoint", disks), (0.5, 1.0))
     assert exc_info.value.best is not None
     assert exc_info.value.feasibility > 0.9  # the disks are 2 apart
+
+
+@pytest.mark.parametrize("x", [(0.0, -2.0), (0.3, 0.5)])
+def test_project_fails_fast_where_the_constraints_meet_with_no_kkt_point(x):
+    # the unit disks about (-1, 0) and (1, 0) as one set meet only at 0, where
+    # their gradients are antiparallel, so x - 0 is in no cone of them
+    tangent = ConvexSetDescriptor(
+        "tangent", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c}) for c in (2.0, -2.0)]
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(ProjectionError) as exc_info:
+        project(tangent, x)
+    assert time.perf_counter() - t0 < 0.5
+    assert exc_info.value.feasibility <= residual(tangent, x)
+
+
+@pytest.mark.xfail(strict=True, reason="the cold seed lies near 0.75 x and damped Newton on the "
+                   "quartic shrinks that distance by about a quarter per step, so its 100 "
+                   "iterations run out before it converges")
+def test_project_far_start_onto_quartic_ball():
+    quartic, _ = get_entry("ex5.8:n=2").pair
+    x = (1e10, 1.0)
+    y = project(quartic, x)
+    assert residual(quartic, y) <= 1e-10
+    # y - x is a nonnegative multiple of the outward normal at y
+    grad = quartic.constraints[0].gradient(y)
+    d = vsub(x, y)
+    cross = d[0] * grad[1] - d[1] * grad[0]
+    assert abs(cross) <= 1e-10 * math.hypot(*d) * math.hypot(*grad)
+    assert d[0] * grad[0] + d[1] * grad[1] > 0.0
 
 
 def test_project_degenerate_thin_set():
