@@ -274,7 +274,8 @@ def error_bound_probe(
         if nrm2 > 1.0:
             continue
         drawn += 1
-        x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand))
+        # plain floats, as everywhere in cycproj: numpy scalars would warn on overflow
+        x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand.tolist()))
         dist_c, heur = _dist_to_intersection(problem, x)
         heuristic = heuristic or heur
         r_sum = 0.0

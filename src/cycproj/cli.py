@@ -35,6 +35,7 @@ from .sets import (
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
+    NumericalError,
     ProjectionError,
     Singleton,
     residual,
@@ -195,7 +196,8 @@ def read_trace(path: str) -> TraceData:
         thinned = False
         pos = fh.tell()
         first = fh.readline()
-        if first.startswith("#"):
+        skipped = first.startswith("#")  # a comment line, read before the csv reader
+        if skipped:
             thinned = "thinned=true" in first
         else:
             fh.seek(pos)
@@ -213,20 +215,23 @@ def read_trace(path: str) -> TraceData:
             data.points.append,
         )
         prev_k = 0
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(f"{path}: row k={row[0]} has {len(row)} fields, expected {width}")
-            k = int(row[0])
-            if k <= prev_k:
-                raise ValueError(f"{path}: step indices must be strictly increasing (k={k})")
-            prev_k = k
-            add_k(k)
-            add_set(int(row[1]))
-            add_residual(float(row[2]))
-            add_step(float(row[3]))
-            add_point(tuple(map(float, row[4:])))
+        try:  # one handler for the whole loop, so a row pays nothing for it
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ValueError(f"row k={row[0]} has {len(row)} fields, expected {width}")
+                k = int(row[0])
+                if k <= prev_k:
+                    raise ValueError(f"step indices must be strictly increasing (k={k})")
+                prev_k = k
+                add_k(k)
+                add_set(int(row[1]))
+                add_residual(float(row[2]))
+                add_step(float(row[3]))
+                add_point(tuple(map(float, row[4:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num + skipped}: {exc}") from exc
     return data
 
 
@@ -364,7 +369,12 @@ def cmd_errorbound(args) -> int:
         import numpy as np  # loaded only here and in the ex3.2 check, not by run or rate
 
         ts = np.logspace(math.log10(args.t_lo), math.log10(args.t_hi), args.samples)
-        exponent, r2 = analysis.error_bound_exponent_on_curve(entry.problem, entry.curve, ts)
+        try:
+            exponent, r2 = analysis.error_bound_exponent_on_curve(entry.problem, entry.curve, ts)
+        except (NumericalError, OverflowError) as exc:
+            raise ValueError(
+                f"--t-hi {args.t_hi!r} is too large: a curve point there is past the float range"
+            ) from exc
         doc = {
             "mode": "curve",
             "exponent": exponent,

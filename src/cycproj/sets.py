@@ -8,28 +8,31 @@ projector dispatches, in order:
   (c) one ball constraint     -> closed-form ball projection,
   (d) one active constraint   -> damped Newton on the KKT system, seeded
                                  from the better of a first-order step and
-                                 an optional warm start: ``kkt_seed`` makes
-                                 the seeds and a Newton kernel runs the
-                                 steps and the polish, and elimination code
-                                 compiled once per system size, passed in
-                                 as ``_solve_dense``, solves each bordered
-                                 KKT system,
-  (e) anything else           -> a working set of active constraints,
-                                 solved by the Newton solve of (d) from
-                                 Gauss-Newton feasibility seeds, which
-                                 adds the most violated constraint or drops
-                                 one with a negative multiplier until the
-                                 solution is feasible; when it finds no KKT
-                                 point, as on an empty set, the projection
-                                 fails at once with ``ProjectionError``.
+                                 an optional warm start, both made by the
+                                 constraint's ``kkt_seed`` kernel,
+  (e) anything else           -> a working set of active constraints, each
+                                 W solved by the Newton solve of (d): one
+                                 constraint from its cold ``kkt_seed``, two
+                                 or more from Gauss-Newton feasibility
+                                 seeds; it adds the most violated
+                                 constraint or drops one with a negative
+                                 multiplier until the solution is feasible;
+                                 when it finds no KKT point, as on an empty
+                                 set, the projection fails at once with
+                                 ``ProjectionError``.
 
-Every Newton solve runs a kernel compiled by ``poly.newton_kernel``: the
-constraint's own ``kkt_newton``, or, for two or more active constraints, one
-cached on the set by their indices.  Without a closed form, each constraint
-is evaluated once at the input point, and the result's membership check
-reuses the Newton state's values of the active constraints.  The rescue
-restores feasibility when an attempt does not converge (a degenerate
-constraint) and hands the point back to Newton.
+Every Newton solve is :func:`_kkt_newton`, which runs the seed states its
+caller builds, one after another, through a kernel compiled by
+``poly.newton_kernel``: the constraint's own ``kkt_newton``, or, for two or
+more active constraints, one cached on the set by their indices.  The
+kernel runs the steps and the polish, and elimination code compiled once
+per system size, passed in as ``_solve_dense``, solves each bordered KKT
+system.  Without a closed form, each constraint is evaluated once at the
+input point, and the result's membership check reuses the Newton state's
+values of the active constraints.  When an attempt does not converge (a
+degenerate constraint), the rescue restores feasibility and starts Newton
+again from the state at its own last point; a seed state is always built
+from values and gradients its maker already holds.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -365,7 +368,11 @@ def project(
     try:
         active = [j for j, v in enumerate(values) if v > -10.0 * FEASIBILITY_TOL]
         if len(active) == 1:
-            y = _kkt_newton(s, active, x, gx=values[active[0]], start=start)
+            if start is not None and len(start) != len(x):
+                raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
+            j = active[0]
+            seeds = s.constraints[j].kkt_kernels().kkt_seed(x, values[j], start) or ()
+            y = _kkt_newton(s, active, x, seeds)
             if y is not None:
                 return y
         return _project_penalty(s, x, values)
@@ -448,13 +455,12 @@ def _solve_dense(A, b):
     return (_SOLVERS.get(n) or _SOLVERS.setdefault(n, _compile_solver(n)))(A, b)
 
 
-def _kkt_state(gs, x, y, lams):
-    """The flat Newton state at (y, lams): (y..., lams..., stationarity...,
-    constraint values..., each gradient..., ||F||), where F stacks the
-    stationarity vector and the values."""
-    grads = [g.gradient(y) for g in gs]
+def _kkt_state(x, y, lams, vals, grads):
+    """The flat Newton state at (y, lams), from the values and gradients of
+    the active constraints at y: (y..., lams..., stationarity..., vals...,
+    each gradient..., ||F||), where F stacks the stationarity vector and the
+    values."""
     stat = _stationarity(x, y, lams, grads)
-    vals = [g.evaluate(y) for g in gs]
     fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
     return (*y, *lams, *stat, *vals, *[gi for grad in grads for gi in grad], fnorm)
 
@@ -468,20 +474,16 @@ def _stationarity(x, y, lams, grads):
     return stat
 
 
-def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None, rejected=None):
+def _kkt_newton(s, active, x, seeds, rejected=None):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
-    With a seed ``y0``, ``lam0`` Newton starts from the state there.
-    Without one, ``active`` holds a single constraint, whose ``kkt_seed``
-    kernel makes a first-order seed from x, which needs ``gx``, the
-    constraint's value at x.  ``start``, a previous projection onto the same
-    set, adds a warm seed, and Newton starts from whichever of the warm and
-    cold seeds has the smaller ||F||; if the warm attempt is abandoned, the
-    cold seed is tried next.  Each attempt runs the Newton kernel of the
-    active constraints (one constraint's ``kkt_newton``, or the set's cached
-    ``newton_kernel`` of several), and :func:`_rescue` takes over from its
-    state when it does not converge.
+    Each of the ``seeds``, Newton states built by the caller (see
+    :func:`_kkt_state`), starts one attempt in turn, until one succeeds.
+    Each attempt runs the Newton kernel of the active constraints (one
+    constraint's ``kkt_newton``, or the set's cached ``newton_kernel`` of
+    several), and :func:`_rescue` takes over from its state when it does not
+    converge.
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     negative multiplier, or an inactive constraint violated at the would-be
@@ -491,17 +493,10 @@ def _kkt_newton(s, active, x, gx=None, y0=None, lam0=None, start=None, rejected=
     """
     gs = [s.constraints[j] for j in active]
     if len(gs) == 1:
-        kernels = gs[0].kkt_kernels()
-        newton = kernels.kkt_newton
+        newton = gs[0].kkt_kernels().kkt_newton
     else:
         cache, key = s._newton_kernels, tuple(active)
         newton = cache.get(key) or cache.setdefault(key, newton_kernel(gs))
-    if y0 is not None:
-        seeds = [_kkt_state(gs, x, y0, lam0)]
-    elif start is not None and len(start) != len(x):
-        raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
-    else:
-        seeds = kernels.kkt_seed(x, gx, start) or ()
     for seed in seeds:
         # _solve_dense is looked up here, so a replaced solver sees every solve
         state = newton(x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL)
@@ -526,7 +521,7 @@ def _rescue(s, active, gs, x, y, vals, grads):
     then pick the least-squares multipliers, which minimize the stationarity
     defect achievable at the restored point.  When that point is within
     tolerance, :func:`_kkt_newton` polishes it from there, seeded with the
-    point and the multipliers."""
+    state at the point and the multipliers."""
     p = len(gs)
     target = FEASIBILITY_TOL * 1e-4
     for _ in range(120):
@@ -545,9 +540,13 @@ def _rescue(s, active, gs, x, y, vals, grads):
     if max(map(abs, vals)) > FEASIBILITY_TOL:
         return None
     lam = _multipliers(x, y, grads, _gram(grads))
-    if lam is None or vnorm(_stationarity(x, y, lam, grads)) > OPTIMALITY_TOL:
+    if lam is None:
         return None
-    return _kkt_newton(s, active, x, y0=y, lam0=lam)
+    state = _kkt_state(x, y, lam, vals, grads)
+    n = len(x)
+    if vnorm(state[n + p : 2 * n + p]) > OPTIMALITY_TOL:  # the stationarity defect
+        return None
+    return _kkt_newton(s, active, x, (state,))
 
 
 def _gram(grads):
@@ -582,36 +581,44 @@ def _accept(s, active, y, lams, vals):
 # -- branch (e): a working set of active constraints
 
 
-def _working_set(s, x, values, reached):
-    """A primal working-set loop over the KKT Newton solves of (d), in the
-    style of Goldfarb and Idnani (Math. Programming 27, 1983).
+def _project_penalty(s, x, values):
+    """Branch (e): a primal working-set loop over the KKT Newton solves of
+    (d), in the style of Goldfarb and Idnani (Math. Programming 27, 1983),
+    on a set of two or more constraints, whose ``values`` at x are given.
 
     W starts as the most violated constraint (ordered by its value at x,
     then its index).  One constraint is solved by :func:`_kkt_newton` from
-    its cold seed, two or more from :func:`_feasibility_seed`, started at x
-    and then at the last W's point, which is the nearer one when {g_j = 0 :
-    j in W} is a curve or has several points.  A solution that
-    :func:`_accept` passes is feasible with multipliers >= 0, hence exactly
-    the projection for a convex set.  Otherwise the next W is read at the
-    solution that :func:`_accept` turned down, or else at the seed: drop
-    the constraint with the most negative multiplier, else add the one
+    its cold ``kkt_seed``, two or more from :func:`_feasibility_seed`,
+    started at x and then at the last W's point, which is the nearer one
+    when {g_j = 0 : j in W} is a curve or has several points.  A solution
+    that :func:`_accept` passes is feasible with multipliers >= 0, hence
+    exactly the projection for a convex set.  Otherwise the next W is read
+    at the solution that :func:`_accept` turned down, or else at the seed:
+    drop the constraint with the most negative multiplier, else add the one
     outside W most violated there, else any set of at most n constraints,
     smallest first.  A W whose seed system is singular (dependent
-    gradients) counts its multipliers as 0.  A W is never solved twice.
-    Each point the next W is read at is appended to the list ``reached``.
-    Returns None when no W is left or after ``_WORKING_SET_MAX_CHANGES``
-    changes."""
+    gradients) counts its multipliers as 0.  A W is never solved twice, and
+    at most ``_WORKING_SET_MAX_CHANGES`` are solved.
+
+    When it finds no KKT point (on a single constraint, when branch (d) has
+    failed, it tries none), raises :class:`ProjectionError` at once, whose
+    ``best`` is the least-violating point a W was read at, or x; raises
+    :class:`NumericalError` instead when a constraint is NaN at x.
+    """
     order = sorted(range(len(values)), key=lambda j: (-values[j], j))
     subsets = (tuple(sorted(w)) for k in range(1, len(x) + 1) for w in combinations(order, k))
-    W = (order[0],)
+    W = (order[0],) if len(values) > 1 else None
     tried = set()
+    reached = [x]
     y0 = x
-    for _ in range(_WORKING_SET_MAX_CHANGES):
+    while W is not None and len(tried) < _WORKING_SET_MAX_CHANGES:
         tried.add(W)
         rejected = []
         seed = None
         if len(W) == 1:
-            y = _kkt_newton(s, W, x, gx=values[W[0]], rejected=rejected)
+            j = W[0]
+            seeds = s.constraints[j].kkt_kernels().kkt_seed(x, values[j], None) or ()
+            y = _kkt_newton(s, W, x, seeds, rejected)
             if y is None and not rejected:
                 seed = _feasibility_seed(s, W, x, y0)
         else:
@@ -619,12 +626,12 @@ def _working_set(s, x, values, reached):
             for start in (x,) if y0 is x else (x, y0):
                 seed = _feasibility_seed(s, W, x, start)
                 if seed is not None:
-                    y = _kkt_newton(s, W, x, y0=seed[0], lam0=seed[1], rejected=rejected)
+                    y = _kkt_newton(s, W, x, (seed[2],), rejected)
                     if y is not None:
                         break
         if y is not None:
             return y
-        y0, lam0 = rejected[-1] if rejected else seed or (y0, [0.0] * len(W))
+        y0, lam0 = rejected[-1] if rejected else seed[:2] if seed else (y0, [0.0] * len(W))
         reached.append(y0)
         drops = sorted(
             (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
@@ -636,19 +643,22 @@ def _working_set(s, x, values, reached):
         )
         changes = [w for _, w in drops + adds]
         W = next((w for w in chain(changes, subsets) if w and w not in tried), None)
-        if W is None:
-            break
-    return None
+    if any(v != v for v in values):
+        raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
+    # x comes first, with a finite residual, so a NaN residual never wins
+    best = tuple(min(reached, key=s.residual))
+    feas = s.residual(best)
+    raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=feas)
 
 
 def _feasibility_seed(s, active, x, y):
-    """A Newton seed (y, lams) for projecting x with the active
+    """A Newton seed (y, lams, state) for projecting x with the active
     constraints: Gauss-Newton steps from y onto {g_j = 0 : j active}, each
     the least-norm step -G^T (G G^T)^-1 g(y) solved by :func:`_solve_dense`,
-    then the least-squares multipliers at the end point.  Gradients only,
-    no Hessian.  None when G G^T is singular (dependent gradients), a value
-    is not finite or overflows, or the steps do not reach |g_j| <=
-    FEASIBILITY_TOL."""
+    then the least-squares multipliers at the end point, and the Newton
+    state there.  Gradients only, no Hessian.  None when G G^T is singular
+    (dependent gradients), a value is not finite or overflows, or the steps
+    do not reach |g_j| <= FEASIBILITY_TOL."""
     gs = [s.constraints[j] for j in active]
     vals = [g.evaluate(y) for g in gs]
     grads = [g.gradient(y) for g in gs]
@@ -668,47 +678,9 @@ def _feasibility_seed(s, active, x, y):
     if not max(map(abs, vals)) <= FEASIBILITY_TOL:  # NaN fails too
         return None
     lam = _multipliers(x, y, grads, _gram(grads))
-    return None if lam is None else (y, lam)
+    return None if lam is None else (y, lam, _kkt_state(x, y, lam, vals, grads))
 
 
-# no caller: kept only because the perfbench tracer wraps it by name (its count reads 0)
-def _penalty_value_grad(s, x, y, mu):
-    n = len(x)
-    val = 0.0
-    grad = [0.0] * n
-    for yi, xi in zip(y, x):
-        d = yi - xi
-        val += d * d
-    for i in range(n):
-        grad[i] = 2.0 * (y[i] - x[i])
-    for g in s.constraints:
-        v = g.evaluate(y)
-        if v > 0.0:
-            val += mu * v * v
-            gg = g.gradient(y)
-            f = 2.0 * mu * v
-            for i in range(n):
-                grad[i] += f * gg[i]
-    return val, grad
-
-
-def _project_penalty(s, x, values):
-    """Branch (e): the working set of :func:`_working_set` on a set of two
-    or more constraints, whose ``values`` at x are given.
-
-    When it finds no KKT point (on a single constraint, when branch (d) has
-    failed), raises :class:`ProjectionError` at once, whose ``best`` is the
-    least-violating point the working set reached, or x if it reached none;
-    raises :class:`NumericalError` instead when a constraint is NaN at x.
-    """
-    reached = [x]
-    if len(values) > 1:
-        y = _working_set(s, x, values, reached)
-        if y is not None:
-            return y
-    if any(v != v for v in values):
-        raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
-    # x comes first, with a finite residual, so a NaN residual never wins
-    best = tuple(min(reached, key=s.residual))
-    feas = s.residual(best)
-    raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=feas)
+def _penalty_value_grad(*args):
+    # no caller: the perfbench tracer wraps this name, and its count must read 0
+    raise AssertionError("the penalty objective has no caller")

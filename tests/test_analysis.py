@@ -20,6 +20,7 @@ from cycproj.sets import (
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
+    NumericalError,
 )
 
 
@@ -216,6 +217,14 @@ def test_probe_rejects_nan_and_unbounded_options(theta, radius):
     entry = get_entry("ex5.5")
     with pytest.raises(ValueError):
         error_bound_probe(entry.problem, (0.0, 0.0), theta=theta, n_samples=60, radius=radius, seed=0)
+
+
+def test_probe_samples_past_the_float_range_are_a_numerical_error():
+    # samples ~1e300 from the center: their squared distances overflow, which
+    # plain floats report through the projector, with no numpy warning first
+    entry = get_entry("ex5.5")
+    with pytest.raises(NumericalError):
+        error_bound_probe(entry.problem, (0.0, 0.0), theta=2.0, n_samples=5, radius=1e300, seed=1)
 
 
 def test_probe_without_oracle_uses_refinement_on_regular_intersection():

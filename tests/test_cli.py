@@ -126,6 +126,23 @@ def test_read_trace_rejects_rows_of_wrong_width(tmp_path, bad_row):
     assert cli.main(args) == 1
 
 
+@pytest.mark.parametrize("bad_row, field", [("3,0.5,0.5,0.25,0.3,0.4", "int"),
+                                             ("3,0,0.5,half,0.3,0.4", "float")])
+def test_read_trace_names_the_file_and_line_of_a_malformed_number(tmp_path, capsys, bad_row, field):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "# thinned=true\r\n"
+        "k,set_index,residual_before,step_norm,x_0,x_1\r\n"
+        "1,0,0.5,0.25,0.1,0.2\r\n"
+        f"{bad_row}\r\n"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: .*{field}"):
+        read_trace(str(path))
+    args = ["rate", "--trace", str(path), "--n", "2", "--d", "2", "--window", "1:3"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
+
+
 def test_problem_file_non_finite_values_rejected(tmp_path):
     pfile = _write_disk_problem(tmp_path)
     base = json.loads(pfile.read_text())
@@ -571,6 +588,17 @@ def test_cmd_errorbound_curve_mode(tmp_path):
     report = json.loads(out.read_text())
     assert abs(report["exponent"] - 0.25) <= 1e-3
     assert report["mode"] == "curve"
+
+
+def test_errorbound_curve_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    # the chain's first constraint at the curve point for t = 1e80 is 1e320
+    out = tmp_path / "curve.json"
+    code = cli.main(["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "50",
+                     "--t-lo", "1e-3", "--t-hi", "1e80", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t-hi 1e+80 is too large") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cmd_errorbound_missing_center():

@@ -348,6 +348,32 @@ def test_corners_are_solved_without_the_penalty_ladder(monkeypatch):
         assert calls == [], x
 
 
+def test_seeded_newton_solves_evaluate_no_gradient_twice(monkeypatch):
+    # a seed state is built from the values and gradients its maker already
+    # holds, so no gradient is evaluated again at the seed's point
+    calls = []
+    gradient = Polynomial.gradient
+
+    def counting(self, x):
+        calls.append(x)
+        return gradient(self, x)
+
+    monkeypatch.setattr(Polynomial, "gradient", counting)
+    x_le_0 = Polynomial(3, {(1, 0, 0): 1.0})
+    y_le_0 = Polynomial(3, {(0, 1, 0): 1.0})
+    octant = [x_le_0, y_le_0, Polynomial(3, {(0, 0, 1): 1.0, (0, 0, 0): -1.0})]
+    ball = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -4.0})
+    lens = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75}) for c in (1.0, -1.0)]
+    for constraints, x, expected, most in [
+        (lens, (0.25, 2.0), (-1.040834085591133e-17, 0.8660254037844386), 14),
+        (octant, (1.0, 2.0, 3.0), (0.0, 0.0, 1.0), 14),
+        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0), (0.0, 0.0, 2.0), 45),
+    ]:
+        calls.clear()
+        assert project(ConvexSetDescriptor("corner", constraints), x) == expected
+        assert len(calls) <= most, x
+
+
 def test_project_past_a_diverging_feasibility_seed():
     # at x both gradients point along the x axis up to y^3 ~ 1e-114, so the
     # Gauss-Newton seed of the pair steps far enough for y^4 to overflow;
