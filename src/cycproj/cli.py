@@ -348,6 +348,7 @@ def cmd_rate(args) -> int:
         target = data.points[-1]
         errors_used = "distance-to-final-recorded-iterate"
     errors = [(k, vdist(x, target)) for k, x in zip(data.ks, data.points)]
+    del data  # the parsed trace is not needed by the fit, so its memory is reused
     report = analysis.compare_with_theory(
         errors, n=args.n, d=args.d, window=window, errors_used=errors_used
     )
@@ -391,6 +392,8 @@ def cmd_errorbound(args) -> int:
         return 0
     problem = _resolve_problem(args)
     center = _parse_floats(args.center, "--center")
+    if len(center) != problem.dimension:
+        raise ValueError(f"--center has {len(center)} coordinates, problem dimension is {problem.dimension}")
     try:
         report = analysis.error_bound_probe(
             problem,

@@ -43,6 +43,11 @@ v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 + v_1 * v_1 +
   returns ``(converged, y, lams, vals, grads)``, or None when abandoned
   (non-finite ||F||, a singular system or the backtracking floor).
 
+``residual_kernel(polys)`` compiles a set's ``max_j [g_j(x)]_+`` from its
+constraints' value sums, ``halfspace_kernel(a, b)`` and ``ball_kernel(c, r)``
+the closed-form projections, each with the float operations of the plain loop
+it replaces.
+
 Their value, gradient and Hessian sums are those of the single kernels, so
 they agree bit for bit with the same loops composed from ``evaluate``,
 ``gradient`` and ``hessian_rows``.
@@ -279,6 +284,38 @@ def newton_kernel(polys, sums=None):
         ),
         coeffs,
     )
+
+
+def residual_kernel(polys):
+    """Compile ``max_j [g_j(x)]_+`` of the constraints ``polys``: each g_j(x),
+    summed as by ``evaluate``, in turn raises the maximum from 0.0, or is
+    returned at once when NaN."""
+    coeffs, body = [], [f"{_names('x', polys[0].dimension)}= x", "worst = 0.0"]
+    for g in polys:
+        body += _sum(coeffs, "v", g._ordered) + ["if v > worst:", "    worst = v", "elif v != v:", "    return v"]
+    return _kernel("def kernel(x):\n" + _block(body + ["return worst"], 1), coeffs)
+
+
+def halfspace_kernel(a, b):
+    """Compile the projection onto {x : <a, x> <= b}: x when ``v = (0.0 + a_0 *
+    x_0 + ...) - b <= 0``, else ``x_i - v * a_i / (0.0 + a_0 * a_0 + ...)``."""
+    n = len(a)
+    body = [f"{_names('x', n)}= x", "v = (0.0" + "".join(f" + c{i} * x{i}" for i in range(n)) + f") - c{n}",
+            "if v <= 0.0:", "    return x", f"nn = {_squares('c', n)}",
+            "return (" + "".join(f"x{i} - v * c{i} / nn, " for i in range(n)) + ")"]
+    return _kernel("def kernel(x):\n" + _block(body, 1), [*a, b])
+
+
+def ball_kernel(c, r):
+    """Compile the projection onto {x : ||x - c|| <= r}: with ``d_i = x_i - c_i``
+    and ``nrm = sqrt(0.0 + d_0 * d_0 + ...)``, None when nrm is not finite, x
+    when ``nrm <= r``, else ``c_i + (r / nrm) * d_i``."""
+    n = len(c)
+    body = [f"{_names('x', n)}= x"] + [f"d{i} = x{i} - c{i}" for i in range(n)]
+    body += [f"nrm = sqrt({_squares('d', n)})", "if not isfinite(nrm):", "    return None",
+             f"if nrm <= c{n}:", "    return x", f"f = c{n} / nrm",
+             "return (" + "".join(f"c{i} + f * d{i}, " for i in range(n)) + ")"]
+    return _kernel("def kernel(x):\n" + _block(body, 1), [*c, r])
 
 
 class _Kernels:

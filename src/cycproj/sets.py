@@ -41,9 +41,12 @@ complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
 is a halfspace, ``||x||^2 + <l, x> + c`` a ball.  Every other set goes
-through (d)/(e) by its constraints.  All vectors are plain tuples of floats
-and every path is deterministic, so identical inputs -- the point and the
-optional warm start -- give bitwise identical projections.
+through (d)/(e) by its constraints.  The closed form and the residual each
+run in one straight-line kernel per set, compiled on first use by
+``poly.halfspace_kernel``/``poly.ball_kernel`` and ``poly.residual_kernel``.
+All vectors are plain tuples of floats and every path is deterministic, so
+identical inputs -- the point and the optional warm start -- give bitwise
+identical projections.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional, Sequence, Tuple, Union
 
-from .poly import Polynomial, newton_kernel
+from .poly import Polynomial, ball_kernel, halfspace_kernel, newton_kernel, residual_kernel
 
 Vector = Tuple[float, ...]
 
@@ -204,10 +207,12 @@ class ConvexSetDescriptor:
     is not checked.
     ``analytic_hint`` is the set's closed form, the :class:`Halfspace` or
     :class:`Ball` that :func:`_closed_form` reads from a single constraint's
-    coefficients, or None; the projector dispatches on it.
+    coefficients, or None; the projector dispatches on it.  ``residual`` runs
+    one kernel compiled on first use from all the constraints, the projector
+    one compiled from the closed form; both keep the plain loops' arithmetic.
     """
 
-    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_newton_kernels")
+    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed", "_newton_kernels")
 
     def __init__(self, name: str, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -223,6 +228,9 @@ class ConvexSetDescriptor:
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "analytic_hint", _closed_form(constraints))
         object.__setattr__(self, "dimension", dim)
+        # the residual and closed-form kernels, compiled on first use
+        object.__setattr__(self, "_residual", None)
+        object.__setattr__(self, "_closed", None)
         # Newton kernels of two or more active constraints, by active indices
         object.__setattr__(self, "_newton_kernels", {})
 
@@ -231,7 +239,7 @@ class ConvexSetDescriptor:
 
     def __reduce__(self):
         # rebuilt by the constructor, which derives the closed form again;
-        # the Newton kernels are not copied but compiled again on first use
+        # the kernels are not copied but compiled again on first use
         return (ConvexSetDescriptor, (self.name, self.constraints))
 
     def __repr__(self):
@@ -243,17 +251,23 @@ class ConvexSetDescriptor:
         when evaluation overflows."""
         if len(x) != self.dimension:
             raise ValueError(f"point length {len(x)} != dimension {self.dimension}")
-        worst = 0.0
         try:
-            for g in self.constraints:
-                v = g.evaluate(x)
-                if v > worst:
-                    worst = v
-                elif v != v:
-                    return v  # NaN: membership is unknown, never report 0
+            return (self._residual or self._compile_residual())(x)
         except OverflowError as exc:
             raise NumericalError(f"overflow evaluating the constraints of {self.name!r}") from exc
-        return worst
+
+    def _compile_residual(self):
+        object.__setattr__(self, "_residual", residual_kernel(self.constraints))
+        return self._residual
+
+    def _compile_closed_form(self):
+        hint = self.analytic_hint
+        if isinstance(hint, Halfspace):
+            kernel = halfspace_kernel(hint.a, hint.b)
+        else:
+            kernel = ball_kernel(hint.center, hint.radius)
+        object.__setattr__(self, "_closed", kernel)
+        return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +349,11 @@ def project(
     without ``start`` the cold path is unchanged.
     """
     x = finite_vector(x, "point", s.dimension)
-    hint = s.analytic_hint
-    if hint is not None:  # closed forms
-        if isinstance(hint, Halfspace):
-            v = vdot(hint.a, x) - hint.b
-            if v <= 0.0:
-                return x
-            nn = vdot(hint.a, hint.a)
-            return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
-        dx = vsub(x, hint.center)
-        nrm = vnorm(dx)
-        if not math.isfinite(nrm):
+    if s.analytic_hint is not None:  # closed forms; only the ball's returns None, on overflow
+        y = (s._closed or s._compile_closed_form())(x)
+        if y is None:
             raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
-        if nrm <= hint.radius:
-            return x
-        f = hint.radius / nrm
-        return tuple([ci + f * di for ci, di in zip(hint.center, dx)])
+        return y
     # one pass over the constraints at x serves the feasibility test, the
     # active-set test and the cold Newton seed
     values = []

@@ -242,3 +242,46 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
             break
         y, lams, stat, vals, grads, fnorm = new
     return result(True)
+
+
+def reference_residual(s, x):
+    """max_j [g_j(x)]_+ as a plain loop over ``Polynomial.evaluate``,
+    returning at the first NaN value without evaluating the constraints
+    after it; an overflow propagates as ``OverflowError``.  The compiled
+    ``ConvexSetDescriptor.residual`` must match it bit for bit."""
+    worst = 0.0
+    for g in s.constraints:
+        v = g.evaluate(x)
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+    return worst
+
+
+def reference_halfspace(hint, x):
+    """Projection onto the ``Halfspace`` {<a, x> <= b} by the vector
+    helpers: x when ``vdot(a, x) - b <= 0``, else ``x_i - v * a_i / nn``."""
+    from cycproj.sets import vdot
+
+    v = vdot(hint.a, x) - hint.b
+    if v <= 0.0:
+        return x
+    nn = vdot(hint.a, hint.a)
+    return tuple([xi - v * ai / nn for xi, ai in zip(x, hint.a)])
+
+
+def reference_ball(hint, x):
+    """Projection onto the ``Ball`` by the vector helpers: x when
+    ``vnorm(x - center) <= radius``, else ``center + (radius / nrm) * (x -
+    center)``; None when the norm is not finite."""
+    from cycproj.sets import vnorm, vsub
+
+    dx = vsub(x, hint.center)
+    nrm = vnorm(dx)
+    if not math.isfinite(nrm):
+        return None
+    if nrm <= hint.radius:
+        return x
+    f = hint.radius / nrm
+    return tuple([ci + f * di for ci, di in zip(hint.center, dx)])

@@ -605,6 +605,15 @@ def test_cmd_errorbound_missing_center():
     assert cli.main(["errorbound", "--example", "ex5.5", "--samples", "60"]) == 1
 
 
+@pytest.mark.parametrize("center, count", [("0,0,0", 3), ("0", 1)])
+def test_cmd_errorbound_center_of_the_wrong_length_names_the_option(tmp_path, capsys, center, count):
+    out = tmp_path / "eb.json"
+    assert cli.main(["errorbound", "--example", "ex5.5", "--center", center, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --center has {count} coordinates, problem dimension is 2\n"
+    assert not out.exists()
+
+
 # -- replicate ----------------------------------------------------------------------
 
 

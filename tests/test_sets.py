@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
@@ -20,7 +22,7 @@ from cycproj.sets import (
     vdist,
     vsub,
 )
-from helpers import brute_force_distances
+from helpers import brute_force_distances, reference_ball, reference_halfspace, reference_residual
 
 LEFT_DISK_POLY = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 2.0})
 
@@ -637,3 +639,101 @@ def test_polynomial_pickle_recompiles_lazily():
     assert q.evaluate((0.3, 0.4)) == p.evaluate((0.3, 0.4))
     assert q._kernels.value is not None and q._kernels.gradient is None
     assert q.hessian_rows((0.3, 0.4)) == p.hessian_rows((0.3, 0.4))
+
+
+# -- the compiled residual and closed-form kernels against the plain loops ----
+
+
+def _hex(v):
+    return None if v is None else [u.hex() for u in v] if isinstance(v, tuple) else v.hex()
+
+
+@st.composite
+def _set_and_point(draw):
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    coefficients = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3).map(float))
+    constraints = [
+        Polynomial(n, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    coordinates = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    return ConvexSetDescriptor("generated", constraints), tuple(draw(st.lists(coordinates, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_set_and_point())
+def test_compiled_residual_matches_the_loop_bit_for_bit(case):
+    s, x = case
+    assert residual(s, x).hex() == reference_residual(s, x).hex()
+
+
+def test_compiled_residual_keeps_the_loop_order_at_nan_and_overflow():
+    x = (1e200, 1e200, 1e200)
+    zero = Polynomial(3)
+    nan = Polynomial(3, {(1, 1, 0): 1.0, (1, 0, 1): -1.0})  # inf - inf at x
+    overflow = Polynomial(3, {(2, 0, 0): 1.0})  # 1e200 ** 2 raises OverflowError
+    # the NaN comes first: returned without evaluating the overflowing constraint
+    s = ConvexSetDescriptor("nan-first", [zero, nan, overflow])
+    assert math.isnan(residual(s, x)) and math.isnan(reference_residual(s, x))
+    assert residual(s, (1.0, 2.0, 3.0)).hex() == reference_residual(s, (1.0, 2.0, 3.0)).hex()
+    s = ConvexSetDescriptor("overflow-first", [zero, overflow, nan])
+    with pytest.raises(OverflowError):
+        reference_residual(s, x)
+    with pytest.raises(NumericalError, match="overflow evaluating the constraints of 'overflow-first'"):
+        residual(s, x)
+    with pytest.raises(ValueError, match="point length 2 != dimension 3"):
+        residual(s, (1.0, 2.0))
+    assert residual(ConvexSetDescriptor("zero", [zero]), x).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize(
+    "terms, points",
+    [
+        # x0 + 2 x1 <= 3, with a zero coefficient's term kept in the sums: 0 * x2
+        ({(1, 0, 0): 1.0, (0, 1, 0): 2.0, (0, 0, 0): -3.0},
+         [(1.0, 1.0, 7.0), (0.0, 0.0, -0.0), (3.0, 1.5, 1e300), (-1e300, 1e300, 0.5), (0.1, 0.2, 0.3)]),
+        # the disk of radius 2 about (1, -0.5)
+        ({(2, 0): 1.0, (1, 0): -2.0, (0, 2): 1.0, (0, 1): 1.0, (0, 0): -2.75},
+         [(3.0, -0.5), (1.0, 1.5), (1.0, -0.5), (0.3, 0.7), (4.0, 4.0), (-7.5, 0.25), (1e200, 0.0)]),
+        # the unit disk
+        ({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+         [(1.0, 0.0), (0.6, 0.8), (0.0, -0.0), (2.0, -2.0), (1e-300, 1.0), (1e200, 0.0)]),
+    ],
+)
+def test_closed_form_kernels_match_the_vector_helpers_bit_for_bit(terms, points):
+    s = ConvexSetDescriptor("closed", [Polynomial(len(next(iter(terms))), terms)])
+    hint = s.analytic_hint
+    reference = reference_halfspace if isinstance(hint, Halfspace) else reference_ball
+    for x in points:
+        expected = reference(hint, x)
+        if expected is None:
+            with pytest.raises(NumericalError, match="overflow evaluating the constraints of 'closed'"):
+                project(s, x)
+        else:
+            assert _hex(project(s, x)) == _hex(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    st.floats(-5.0, 5.0),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+)
+def test_generated_closed_forms_match_the_vector_helpers_bit_for_bit(linear, c, x):
+    def outcome(f, *args):
+        # the error's type where one is raised: a halfspace whose |a|^2
+        # underflows to 0 divides by zero in both
+        try:
+            return _hex(f(*args))
+        except ZeroDivisionError as exc:
+            return type(exc)
+
+    x = tuple(x)
+    for terms in ({(1, 0): linear[0], (0, 1): linear[1], (0, 0): c},
+                  {(2, 0): 1.0, (0, 2): 1.0, (1, 0): linear[0], (0, 1): linear[1], (0, 0): -abs(c) - 1.0}):
+        s = ConvexSetDescriptor("generated", [Polynomial(2, terms)])
+        hint = s.analytic_hint
+        if hint is not None:
+            reference = reference_halfspace if isinstance(hint, Halfspace) else reference_ball
+            assert outcome(project, s, x) == outcome(reference, hint, x)
