@@ -62,9 +62,9 @@ def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxx = math.fsum([(a - mx) ** 2 for a in xs])
-    sxy = math.fsum([(a - mx) * (b - my) for a, b in zip(xs, ys)])
-    syy = math.fsum([(b - my) ** 2 for b in ys])
+    sxx = math.fsum((a - mx) ** 2 for a in xs)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    syy = math.fsum((b - my) ** 2 for b in ys)
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae identical")
     slope = sxy / sxx
@@ -75,21 +75,32 @@ def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
 
 def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], List[float]]:
     """The window's step indices and the logs of their errors, which both
-    fits share."""
+    fits share.  ``errors`` is read once, so it may be a generator."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    pts = [(k, e) for k, e in errors if lo <= k <= hi]
-    if len(pts) < MIN_FIT_POINTS:
+    ks: List[int] = []
+    log_errors: List[float] = []
+    bad = None  # the first point whose error has no log
+    for k, e in errors:
+        if lo <= k <= hi:
+            ks.append(k)
+            if bad is not None:
+                continue
+            if math.isfinite(e) and e > 0.0:
+                log_errors.append(math.log(e))
+            else:
+                bad = k, e
+    if len(ks) < MIN_FIT_POINTS:
         raise ValueError(
-            f"window {window} holds {len(pts)} points; at least {MIN_FIT_POINTS} required"
+            f"window {window} holds {len(ks)} points; at least {MIN_FIT_POINTS} required"
         )
-    for k, e in pts:
+    if bad is not None:
+        k, e = bad
         if not math.isfinite(e):
             raise ValueError(f"non-finite error {e} at k={k} inside the fit window")
-        if e <= 0.0:
-            raise ValueError(f"nonpositive error {e} at k={k} inside the fit window")
-    return [k for k, _ in pts], [math.log(e) for _, e in pts]
+        raise ValueError(f"nonpositive error {e} at k={k} inside the fit window")
+    return ks, log_errors
 
 
 def _power_fit(ks: List[int], log_errors: List[float]) -> PowerFit:

@@ -17,12 +17,14 @@ import json
 import math
 import re
 import sys
+from array import array
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from . import analysis, catalog, rates
 from .engine import (
+    Points,
     ProjectionStepError,
     Trace,
     alternating_project,
@@ -163,12 +165,17 @@ def save_problem(problem: FeasibilityProblem, path: str):
 
 @dataclass
 class TraceData:
+    """The columns of a trace file, in the layout of :class:`Trace`: ``ks``
+    and ``set_indices`` are lists of ints, ``residuals_before`` and
+    ``step_norms`` are ``array('d')``, and ``points`` is a :class:`Points`
+    view of one flat ``array('d')`` of the iterates."""
+
     dimension: int
     ks: List[int]
     set_indices: List[int]
-    residuals_before: List[float]
-    step_norms: List[float]
-    points: List[Tuple[float, ...]]
+    residuals_before: array
+    step_norms: array
+    points: Points
     thinned: bool
 
 
@@ -179,16 +186,17 @@ _ROWS_PER_WRITE = 4096  # rows formatted and written per chunk, bounding memory
 def write_trace(trace: Trace, path: str):
     n = trace.problem.dimension
     row = "%d,%d" + ",%.17g" * (n + 2) + "\r\n"
-    rows = zip(trace.ks, trace.set_indices, trace.residuals_before, trace.step_norms, trace.iterates)
+    coords = iter(trace.iterates.flat)
+    rows = zip(trace.ks, trace.set_indices, trace.residuals_before, trace.step_norms, *[coords] * n)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if trace.thinned:
             fh.write("# thinned=true\r\n")
         fh.write(",".join(_TRACE_COLUMNS + [f"x_{i}" for i in range(n)]) + "\r\n")
         while True:
-            chunk = [row % (k, j, r, sn, *x) for k, j, r, sn, x in islice(rows, _ROWS_PER_WRITE)]
+            chunk = "".join(map(row.__mod__, islice(rows, _ROWS_PER_WRITE)))
             if not chunk:
                 break
-            fh.write("".join(chunk))
+            fh.write(chunk)
 
 
 def read_trace(path: str) -> TraceData:
@@ -203,16 +211,16 @@ def read_trace(path: str) -> TraceData:
             fh.seek(pos)
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[:4] != _TRACE_COLUMNS:
+        if not header or header[:4] != _TRACE_COLUMNS or len(header) < 5:
             raise ValueError(f"{path}: not a trace file (bad header {header!r})")
         width = len(header)
-        data = TraceData(width - 4, [], [], [], [], [], thinned)
-        add_k, add_set, add_residual, add_step, add_point = (
+        data = TraceData(width - 4, [], [], array("d"), array("d"), Points(width - 4), thinned)
+        add_k, add_set, add_residual, add_step, add_coords = (
             data.ks.append,
             data.set_indices.append,
             data.residuals_before.append,
             data.step_norms.append,
-            data.points.append,
+            data.points.flat.extend,
         )
         prev_k = 0
         try:  # one handler for the whole loop, so a row pays nothing for it
@@ -229,7 +237,7 @@ def read_trace(path: str) -> TraceData:
                 add_set(int(row[1]))
                 add_residual(float(row[2]))
                 add_step(float(row[3]))
-                add_point(tuple(map(float, row[4:])))
+                add_coords(map(float, row[4:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num + skipped}: {exc}") from exc
     return data
@@ -347,8 +355,9 @@ def cmd_rate(args) -> int:
     else:
         target = data.points[-1]
         errors_used = "distance-to-final-recorded-iterate"
-    errors = [(k, vdist(x, target)) for k, x in zip(data.ks, data.points)]
-    del data  # the parsed trace is not needed by the fit, so its memory is reused
+    # computed as the fit reads them, so no list of (k, e_k) pairs is built
+    errors = ((k, vdist(x, target)) for k, x in zip(data.ks, data.points))
+    del data  # the fit keeps only the columns it reads
     report = analysis.compare_with_theory(
         errors, n=args.n, d=args.d, window=window, errors_used=errors_used
     )
@@ -441,12 +450,12 @@ def _check_ex53() -> List[Tuple[str, bool]]:
         entry = catalog.get_entry(f"ex5.3:alpha={alpha:g}")
         A, B = entry.pair
         result = alternating_project(A, B, entry.default_start, max_iters=60, stop_tol=1e-16)
-        for i, k in enumerate(result.b_trace.ks):
+        for k, x in zip(result.b_trace.ks, result.b_trace.iterates):
             pair_idx = k // 2
             if pair_idx < 1 or pair_idx > 50:
                 continue
             b_formula, _ = entry.closed_form(pair_idx)
-            worst = max(worst, vdist(result.b_trace.iterates[i], b_formula))
+            worst = max(worst, vdist(x, b_formula))
     out.append((f"closed-form match k<=50: max dev {worst:.1e} <= 1e-10", worst <= 1e-10))
     entry = catalog.get_entry("ex5.3:alpha=0.5")
     A, B = entry.pair
@@ -476,10 +485,9 @@ def _check_ex55() -> List[Tuple[str, bool]]:
     alpha = entry.scalar_start(entry.default_start)
     worst_alpha = 0.0
     worst_r2 = 0.0
-    for i, k in enumerate(tr.ks):
+    for k, x in zip(tr.ks, tr.iterates):
         if k > 1000:
             break
-        x = tr.iterates[i]
         worst_alpha = max(worst_alpha, abs(abs(x[0]) - alpha))
         worst_r2 = max(worst_r2, abs(x[0] * x[0] + x[1] * x[1] - 2.0 * abs(x[0])))
         alpha = catalog.alpha_step(alpha)
@@ -499,11 +507,11 @@ def _check_ex57() -> List[Tuple[str, bool]]:
     y = entry.scalar_start(entry.default_start)
     worst_step = 0.0
     worst_oracle = 0.0
-    for i, k in enumerate(tr.ks):
+    for k, x in zip(tr.ks, tr.iterates):
         if k // 2 > 1000:
             break
         y_prev = y
-        y_next = tr.iterates[i][1]
+        y_next = x[1]
         worst_step = max(worst_step, abs(2.0 * y_next**3 + y_next - y_prev))
         y = catalog.power_chain_step(y_prev, 2)
         worst_oracle = max(worst_oracle, abs(y - y_next))

@@ -6,16 +6,24 @@ m = 2 with a stop rule on the pair (a_k, b_k).
 
 A run produces a :class:`Trace` holding every recorded projection step: the
 post-step iterate, the index of the set projected onto, the residual of that
-set at the pre-step point, and the step norm.  Long runs switch to thinned
-recording (dense head, geometrically spaced checkpoints, the final sweep).
-Runs are strictly sequential and deterministic; traces are immutable once returned.
+set at the pre-step point, and the step norm.  The trace is columnar: the
+step and set indices are lists of ints, the residuals and step norms are
+``array('d')`` columns, and the iterates are one flat ``array('d')`` read
+through the :class:`Points` view, so a recorded step of an n-dimensional run
+holds 8(n + 2) bytes of floats besides its two ints.  Long runs switch to
+thinned recording (dense head, geometrically spaced checkpoints, the final
+sweep).  Runs are strictly sequential and deterministic; traces are
+immutable once returned.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .sets import (
@@ -49,26 +57,90 @@ class ProjectionStepError(RuntimeError):
         self.partial_trace = partial_trace
 
 
+class Points(SequenceABC):
+    """Read-only sequence of the points stored row by row in one flat
+    ``array('d')``: item i is the tuple ``flat[i*n:(i+1)*n]``.
+
+    A slice is a list of tuples, iteration yields tuples, and the view
+    compares equal to a list of the same tuples.
+    """
+
+    __slots__ = ("dimension", "flat")
+
+    def __init__(self, dimension: int, flat: Optional[array] = None):
+        self.dimension = dimension
+        self.flat = array("d") if flat is None else flat
+
+    @classmethod
+    def of(cls, dimension: int, points) -> "Points":
+        """The view of ``points`` (a Points or any iterable of n-vectors)."""
+        if isinstance(points, Points):
+            return points
+        points = list(points)
+        flat = array("d", chain.from_iterable(points))
+        if len(flat) != dimension * len(points):
+            raise ValueError(f"every point must have {dimension} coordinates")
+        return cls(dimension, flat)
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.dimension
+
+    def __iter__(self):
+        coords = iter(self.flat)
+        return zip(*[coords] * self.dimension)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("point index out of range")
+        n = self.dimension
+        return tuple(self.flat[i * n : i * n + n])
+
+    def __eq__(self, other):
+        if isinstance(other, Points):
+            return self.dimension == other.dimension and self.flat == other.flat
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Points({self.dimension}, {list(self)!r})"
+
+
 @dataclass
 class Trace:
     """Recorded history of one projection run.
 
     ``ks`` are the recorded step indices (k >= 1, strictly increasing); the
-    parallel lists hold the iterate reached at step k, the set projected
+    parallel columns hold the iterate reached at step k, the set projected
     onto, the residual of that set before the step, and the step norm.
-    ``x0`` is the starting point (step 0).
+    ``ks`` and ``set_indices`` are lists of ints, ``residuals_before`` and
+    ``step_norms`` are ``array('d')``, and ``iterates`` is a :class:`Points`
+    view of one flat ``array('d')``; plain lists are converted on
+    construction.  ``x0`` is the starting point (step 0).
     """
 
     problem: FeasibilityProblem
     x0: Vector
     ks: List[int]
-    iterates: List[Vector]
+    iterates: Points
     set_indices: List[int]
-    residuals_before: List[float]
-    step_norms: List[float]
+    residuals_before: array
+    step_norms: array
     sets_per_sweep: int
     total_steps: int
     thinned: bool
+
+    def __post_init__(self):
+        self.iterates = Points.of(self.problem.dimension, self.iterates)
+        if not isinstance(self.residuals_before, array):
+            self.residuals_before = array("d", self.residuals_before)
+        if not isinstance(self.step_norms, array):
+            self.step_norms = array("d", self.step_norms)
 
     def last_iterate(self) -> Vector:
         return self.iterates[-1] if self.iterates else self.x0
@@ -126,21 +198,28 @@ def _run_steps(
     x = x0
     last: List[Optional[Vector]] = [None] * m
     before = after = (None,) * m
+    n = problem.dimension
     ks: List[int] = []
-    iterates: List[Vector] = []
+    iterates = Points(n)
+    flat = iterates.flat
     set_indices: List[int] = []
-    residuals_before: List[float] = []
-    step_norms: List[float] = []
-    columns = (ks, iterates, set_indices, residuals_before, step_norms)
+    residuals_before = array("d")
+    step_norms = array("d")
+    add_k, add_iterate, add_set = ks.append, flat.extend, set_indices.append
+    add_residual, add_step = residuals_before.append, step_norms.append
 
     def make_trace(total):
         # the final sweep replaces the recorded steps it holds
         while final_sweep and ks and ks[-1] > total - m:
-            for column in columns:
+            del flat[-n:]
+            for column in (ks, set_indices, residuals_before, step_norms):
                 column.pop()
-        for step in final_sweep:
-            for column, value in zip(columns, step):
-                column.append(value)
+        for k, y, idx, rb, sn in final_sweep:
+            add_k(k)
+            add_iterate(y)
+            add_set(idx)
+            add_residual(rb)
+            add_step(sn)
         return Trace(
             problem=problem,
             x0=x0,
@@ -163,7 +242,6 @@ def _run_steps(
         )
 
     sets = problem.sets
-    add_k, add_iterate, add_set, add_residual, add_step = (column.append for column in columns)
     k = 0
     moved = 0.0
     while k < max_steps:
@@ -251,14 +329,17 @@ class AlternatingResult:
 
 
 def _subtrace(combined: Trace, parity: int) -> Trace:
-    sel = [i for i, k in enumerate(combined.ks) if k % 2 == parity]
+    keep = [k % 2 == parity for k in combined.ks]
     return replace(
         combined,
-        ks=[combined.ks[i] for i in sel],
-        iterates=[combined.iterates[i] for i in sel],
-        set_indices=[combined.set_indices[i] for i in sel],
-        residuals_before=[combined.residuals_before[i] for i in sel],
-        step_norms=[combined.step_norms[i] for i in sel],
+        ks=list(compress(combined.ks, keep)),
+        iterates=Points(
+            combined.problem.dimension,
+            array("d", chain.from_iterable(compress(combined.iterates, keep))),
+        ),
+        set_indices=list(compress(combined.set_indices, keep)),
+        residuals_before=array("d", compress(combined.residuals_before, keep)),
+        step_norms=array("d", compress(combined.step_norms, keep)),
     )
 
 
@@ -347,24 +428,21 @@ def check_descent_inequality(trace: Trace, problem: FeasibilityProblem) -> Desce
     oracle = problem.intersection_oracle
     if oracle is None:
         raise CapabilityError("descent check needs an intersection oracle")
-    pairs = []
-    if trace.ks and trace.ks[0] == 1:
-        pairs.append((trace.x0, trace.iterates[0], trace.step_norms[0], 1))
-    for i in range(len(trace.ks) - 1):
-        if trace.ks[i + 1] == trace.ks[i] + 1:
-            pairs.append(
-                (trace.iterates[i], trace.iterates[i + 1], trace.step_norms[i + 1], trace.ks[i + 1])
-            )
     min_slack = math.inf
     violations = []
-    for x_prev, x_next, sn, k in pairs:
-        d_prev = oracle.distance(x_prev)
-        d_next = oracle.distance(x_next)
-        slack = (d_prev * d_prev - d_next * d_next) - sn * sn
-        if slack < min_slack:
-            min_slack = slack
-        if slack < _DESCENT_SLACK:
-            violations.append((k, slack))
-    if not pairs:
+    paired = False
+    prev_k, x_prev = 0, trace.x0
+    for k, x, sn in zip(trace.ks, trace.iterates, trace.step_norms):
+        if k == prev_k + 1:
+            d_prev = oracle.distance(x_prev)
+            d_next = oracle.distance(x)
+            slack = (d_prev * d_prev - d_next * d_next) - sn * sn
+            paired = True
+            if slack < min_slack:
+                min_slack = slack
+            if slack < _DESCENT_SLACK:
+                violations.append((k, slack))
+        prev_k, x_prev = k, x
+    if not paired:
         min_slack = 0.0
     return DescentReport(min_slack=min_slack, violations=violations)

@@ -40,13 +40,13 @@ complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
 
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
-is a halfspace, ``||x||^2 + <l, x> + c`` a ball.  Every other set goes
-through (d)/(e) by its constraints.  The closed form and the residual each
-run in one straight-line kernel per set, compiled on first use by
-``poly.halfspace_kernel``/``poly.ball_kernel`` and ``poly.residual_kernel``.
-All vectors are plain tuples of floats and every path is deterministic, so
-identical inputs -- the point and the optional warm start -- give bitwise
-identical projections.
+whose normal a has 0 < <a, a> < inf is a halfspace, ``||x||^2 + <l, x> + c``
+a ball.  Every other set goes through (d)/(e) by its constraints.  The
+closed form and the residual each run in one straight-line kernel per set,
+compiled on first use by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
+``poly.residual_kernel``.  All vectors are plain tuples of floats and every
+path is deterministic, so identical inputs -- the point and the optional
+warm start -- give bitwise identical projections.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ class Ball:
 
 def _closed_form(constraints: Sequence[Polynomial]) -> Optional[Union[Halfspace, Ball]]:
     """The halfspace or ball that a single constraint g <= 0 describes: an
-    affine g with a nonzero linear part, or g = ||x||^2 + <l, x> + c (every
-    x_i^2 coefficient exactly 1.0, no other term of degree >= 2) with a
-    positive finite squared radius; None for anything else."""
+    affine g whose linear part a has 0 < <a, a> < inf, or
+    g = ||x||^2 + <l, x> + c (every x_i^2 coefficient exactly 1.0, no other
+    term of degree >= 2) with a positive finite squared radius; None for
+    anything else."""
     if len(constraints) != 1:
         return None
     g = constraints[0]
@@ -175,7 +176,8 @@ def _closed_form(constraints: Sequence[Polynomial]) -> Optional[Union[Halfspace,
         else:
             return None
     if squares == 0:
-        return Halfspace(tuple(linear), 0.0 - c) if any(linear) else None
+        # the kernel divides by <a, a>, which must neither underflow nor overflow
+        return Halfspace(tuple(linear), 0.0 - c) if 0.0 < vdot(linear, linear) < math.inf else None
     if squares < g.dimension:
         return None
     center = tuple([-0.5 * li + 0.0 for li in linear])

@@ -373,6 +373,23 @@ def test_cmd_run_solver_failure_writes_partial(tmp_path):
     assert not out.exists()
 
 
+def test_cmd_run_halfspace_with_an_underflowing_normal_is_a_solver_failure(tmp_path, capsys):
+    # <a, a> of the normal 1e-170 * e_2 underflows to 0, so the set has no closed
+    # form; it used to reach the halfspace kernel and raise ZeroDivisionError
+    doc = {
+        "dimension": 2,
+        "sets": [{"name": "tiny", "constraints": [{"terms": [{"exponents": [0, 1], "coefficient": 1e-170}]}]}],
+    }
+    pfile = tmp_path / "tiny.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    code = cli.main(["run", "--problem", str(pfile), "--x0", "0,0.5", "--sweeps", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (tmp_path / "t.csv.partial").exists() and not out.exists()
+
+
 # -- rate ------------------------------------------------------------------------
 
 
