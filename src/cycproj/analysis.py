@@ -10,6 +10,7 @@ empirically, next to the worst-case theoretical exponent.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,7 @@ from .sets import (
     finite_vector,
     residual,
     vdist,
+    vdot,
 )
 
 ErrorSeq = Sequence[Tuple[int, float]]
@@ -256,22 +258,25 @@ def error_bound_probe(
     For each sample x, L = dist(x, C) and R = sum_i dist^theta(x, C_i); the
     fitted tau is the log-log slope of L^theta against R.  Samples with
     L = 0 or R = 0 enter the counts but not the fit.  A distance to the
-    power theta past the float range raises OverflowError.
+    power theta past the float range raises OverflowError.  The samples come
+    from a Mersenne Twister, ``random.Random(seed)`` for an int ``seed >= 0``:
+    each candidate reads ``uniform(-1, 1)`` once per coordinate in index
+    order and is rejected outside the unit ball.
     """
-    import numpy as np  # only the probe's sampler needs numpy; run and rate never load it
-
     if not 0.0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     xbar = finite_vector(xbar, "center")
     for s in problem.sets:
         if not residual(s, xbar) <= _PROBE_FEAS_TOL:
             raise ValueError(f"center is infeasible for set {s.name!r}")
     n = problem.dimension
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     tau_theory = rates.holder_exponent_tau(n, problem.max_degree)
     log_l: List[float] = []
     log_r: List[float] = []
@@ -280,13 +285,11 @@ def error_bound_probe(
     heuristic = False
     drawn = 0
     while drawn < n_samples:
-        cand = rng.uniform(-1.0, 1.0, size=n)
-        nrm2 = float(np.dot(cand, cand))
-        if nrm2 > 1.0:
+        cand = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        if vdot(cand, cand) > 1.0:
             continue
         drawn += 1
-        # plain floats, as everywhere in cycproj: numpy scalars would warn on overflow
-        x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand.tolist()))
+        x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand))
         dist_c, heur = _dist_to_intersection(problem, x)
         heuristic = heuristic or heur
         r_sum = 0.0

@@ -302,6 +302,12 @@ _positive = _checked(float, lambda v: v > 0.0, "a positive number")  # NaN fails
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
+def _logspace(lo: float, hi: float, count: int) -> List[float]:
+    """``count`` powers of ten with exponents evenly spaced from lo to hi inclusive."""
+    step = (hi - lo) / max(count - 1, 1)
+    return [10.0 ** (i * step + lo) for i in range(count - 1)] + [10.0 ** (hi if count > 1 else lo)]
+
+
 def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
     try:
         values = tuple(float(p) for p in text.split(","))
@@ -376,9 +382,7 @@ def cmd_errorbound(args) -> int:
         entry = catalog.get_entry(args.example)
         if entry.curve is None:
             raise ValueError(f"catalog entry {entry.id} has no curve attached")
-        import numpy as np  # loaded only here and in the ex3.2 check, not by run or rate
-
-        ts = np.logspace(math.log10(args.t_lo), math.log10(args.t_hi), args.samples)
+        ts = _logspace(math.log10(args.t_lo), math.log10(args.t_hi), args.samples)
         try:
             exponent, r2 = analysis.error_bound_exponent_on_curve(entry.problem, entry.curve, ts)
         except (NumericalError, OverflowError) as exc:
@@ -546,9 +550,7 @@ def _check_ex32() -> List[Tuple[str, bool]]:
     )
     d = entry.problem.intersection_oracle.distance(x)
     out.append((f"dist(x(t), S) = ||x(t)|| (dev {abs(d - vnorm(x)):.1e})", abs(d - vnorm(x)) <= 1e-15))
-    import numpy as np
-
-    ts = np.logspace(-3, -1, 50)
+    ts = _logspace(-3, -1, 50)
     exponent, _ = analysis.error_bound_exponent_on_curve(entry.problem, entry.curve, ts)
     out.append(
         (f"curve exponent {exponent:.5f} within 1e-3 of 0.25", abs(exponent - 0.25) <= 1e-3)
@@ -622,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eb.add_argument("--theta", type=float, default=2.0)
     p_eb.add_argument("--samples", type=_count, default=200)
     p_eb.add_argument("--radius", type=float, default=0.5)
-    p_eb.add_argument("--seed", type=int, default=0)
+    p_eb.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)
     p_eb.add_argument("--curve", action="store_true", help="sample along the entry's curve instead")
     p_eb.add_argument("--t-lo", type=float, default=1e-3, dest="t_lo")
     p_eb.add_argument("--t-hi", type=float, default=1e-1, dest="t_hi")

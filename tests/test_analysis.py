@@ -207,6 +207,8 @@ def test_probe_input_validation():
         error_bound_probe(entry.problem, (0.0, 0.0), theta=0.0, n_samples=60, radius=0.1, seed=0)
     with pytest.raises(ValueError):
         error_bound_probe(entry.problem, (0.0, 0.0), theta=1.0, n_samples=0, radius=0.1, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        error_bound_probe(entry.problem, (0.0, 0.0), theta=1.0, n_samples=60, radius=0.1, seed=-5)
 
 
 @pytest.mark.parametrize(
@@ -221,7 +223,7 @@ def test_probe_rejects_nan_and_unbounded_options(theta, radius):
 
 def test_probe_samples_past_the_float_range_are_a_numerical_error():
     # samples ~1e300 from the center: their squared distances overflow, which
-    # plain floats report through the projector, with no numpy warning first
+    # the projector reports as a numerical error
     entry = get_entry("ex5.5")
     with pytest.raises(NumericalError):
         error_bound_probe(entry.problem, (0.0, 0.0), theta=2.0, n_samples=5, radius=1e300, seed=1)

@@ -336,6 +336,8 @@ def test_negative_value_with_exponent_reaches_its_option_check(tmp_path, capsys,
          "argument --samples: must be an integer >= 1, got '0'"),
         (["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "-5"],
          "argument --samples: must be an integer >= 1, got '-5'"),
+        (["errorbound", "--example", "ex5.5", "--center", "0,0", "--seed", "-5"],
+         "argument --seed: must be an integer >= 0, got '-5'"),
     ],
 )
 def test_option_checks_name_the_option(tmp_path, capsys, args, message):
@@ -712,11 +714,13 @@ def test_cmd_errorbound_curve_rejects_bad_parameter_range(tmp_path, capsys, boun
     assert not out.exists()
 
 
-def test_run_and_rate_never_load_numpy(tmp_path):
-    # only errorbound and replicate need numpy; a fresh interpreter that runs
-    # the run -> rate path, the KKT Newton projections included, never loads it
+def test_cli_never_needs_numpy(tmp_path):
+    # cycproj needs nothing beyond CPython: with numpy blocked before the
+    # import, a fresh interpreter runs every subcommand, the KKT Newton
+    # projections, the probe's sampler and the curve grid included
     script = """
 import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import cycproj
 from cycproj import cli
 d = sys.argv[1]
@@ -726,11 +730,43 @@ assert cli.main(["run", "--example", "ex5.8:n=3", "--x0", "2,1,0", "--sweeps", "
                  "--out", d + "/ex58.csv"]) == 0
 assert cli.main(["rate", "--trace", d + "/ex55.csv", "--n", "2", "--d", "2",
                  "--window", "10:400", "--limit", "0,0", "--out", d + "/rate.json"]) == 0
-assert "numpy" not in sys.modules, "numpy was loaded"
+assert cli.main(["errorbound", "--example", "ex5.5", "--center", "0,0", "--samples", "40",
+                 "--radius", "0.5", "--seed", "1", "--out", d + "/ball.json"]) == 0
+assert cli.main(["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "50",
+                 "--t-lo", "1e-3", "--t-hi", "1e-1", "--out", d + "/curve.json"]) == 0
+assert cli.main(["replicate", "--all"]) == 0
 """
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "ex58.csv").exists() and (tmp_path / "rate.json").exists()
+    for name in ("ex58.csv", "rate.json", "ball.json", "curve.json"):
+        assert (tmp_path / name).exists(), name
+    assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-3, -1), (math.log10(1e-3), math.log10(1e-1))],
+    ids=["replicate-grid", "readme-grid"],
+)
+def test_logspace_follows_numpy_logspace(lo, hi):
+    # same exponents as numpy.linspace, bit for bit; numpy's power and libm's
+    # pow may then round a point differently, by at most one ulp
+    ts = cli._logspace(lo, hi, 50)
+    assert ts == [10.0**y for y in np.linspace(lo, hi, 50).tolist()]
+    for t, ref in zip(ts, np.logspace(lo, hi, 50).tolist()):
+        assert abs(t - ref) <= math.ulp(ref)
+
+
+def test_logspace_of_one_point_is_its_lower_end():
+    assert cli._logspace(-3.0, -1.0, 1) == [10.0**-3.0]
+
+
+def test_cmd_errorbound_curve_of_one_sample_is_input_error(tmp_path, capsys):
+    out = tmp_path / "curve.json"
+    args = ["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "1", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert "fewer than 2 informative points" in capsys.readouterr().err
+    assert not out.exists()
