@@ -25,7 +25,6 @@ from .engine import (
     Trace,
     alternating_project,
     check_descent_inequality,
-    check_fejer,
     cyclic_project,
 )
 from .poly import Monomial, Polynomial

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .poly import Polynomial
-from .rates import RateClass, cyclic_rate
+from .rates import ExponentOverflowError, RateClass, cyclic_rate
 from .sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
@@ -294,8 +294,8 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
     Along the curve x(t) = (t^(d^(n-1)), ..., t) the pooled residual is
     t^(d^n) while the distance to the solution set is ||x(t)|| = O(t), the
     worst case for the error-bound exponent.  This entry exists for the
-    probe; its first set has empty interior and is not meant to be projected
-    onto.
+    probe; its first set has empty interior and projecting onto it raises
+    ``ProjectionError``.
     """
     if d < 2 or d % 2:
         raise ValueError("d must be even and >= 2")
@@ -373,4 +373,10 @@ def get_entry(entry_id: str) -> CatalogEntry:
             except ValueError:
                 what = "an integer" if kind is int else "a number"
                 raise ValueError(f"parameter {key!r} in {entry_id!r} must be {what}, got {value!r}") from None
-    return builder(**kwargs)
+    try:
+        return builder(**kwargs)
+    except ExponentOverflowError:  # the rate formula names its own overflow
+        raise
+    except OverflowError:  # as (1 + alpha) ** 2 for ex5.3:alpha=1e200
+        given = ", ".join(map(repr, kwargs))
+        raise ValueError(f"parameter {given} in {entry_id!r} is too large: the entry overflows the float range") from None

@@ -145,15 +145,6 @@ class Trace:
     def last_iterate(self) -> Vector:
         return self.iterates[-1] if self.iterates else self.x0
 
-    def sweep_points(self):
-        """Recorded iterates at sweep boundaries (k multiple of m), start included."""
-        m = self.sets_per_sweep
-        out = [(0, self.x0)]
-        for k, x in zip(self.ks, self.iterates):
-            if k % m == 0:
-                out.append((k, x))
-        return out
-
 
 def _checkpoints(max_steps: int) -> set:
     """The step indices a thinned run records: the first 10^4, then
@@ -380,36 +371,6 @@ def alternating_project(
         gap_vector=vsub(b_last, a_last),
         limits=(a_last, b_last),
     )
-
-
-@dataclass(frozen=True)
-class FejerReport:
-    violations: List[Tuple[int, int]]  # (step index k, witness index)
-
-
-_WITNESS_FEAS_TOL = 1e-8
-_FEJER_SLACK = 1e-9
-
-
-def check_fejer(trace: Trace, witnesses: Sequence[Sequence[float]]) -> FejerReport:
-    """Verify distance monotonicity to each witness at recorded sweep ends.
-
-    Every witness must be feasible for all of the trace's sets (residual
-    <= 1e-8).  A pair (k, w) is reported when the distance to witness w
-    increased by more than 1e-9 between consecutive recorded sweep ends.
-    """
-    ws = [finite_vector(w, f"witness {i}") for i, w in enumerate(witnesses)]
-    for i, w in enumerate(ws):
-        for s in trace.problem.sets:
-            if not residual(s, w) <= _WITNESS_FEAS_TOL:
-                raise ValueError(f"witness {i} is infeasible for set {s.name!r}")
-    points = trace.sweep_points()
-    violations = []
-    for (k_prev, x_prev), (k_next, x_next) in zip(points, points[1:]):
-        for i, w in enumerate(ws):
-            if vdist(x_next, w) > vdist(x_prev, w) + _FEJER_SLACK:
-                violations.append((k_next, i))
-    return FejerReport(violations=violations)
 
 
 @dataclass(frozen=True)

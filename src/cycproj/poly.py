@@ -40,8 +40,9 @@ v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 + v_1 * v_1 +
   ...``, the gradients as the columns of G) with right-hand side ``-F`` by
   ``solve(A, b)`` and damped by Armijo halving down to t = 2^-40; then up
   to two full polish steps, each kept only while ||F|| strictly falls.  It
-  returns ``(converged, y, lams, vals, grads)``, or None when abandoned
-  (non-finite ||F||, a singular system or the backtracking floor).
+  returns ``(y, lams, vals, grads)`` when it converged, or None when
+  abandoned (non-finite ||F||, a singular system, the backtracking floor or
+  ``max_iter`` steps without converging).
 
 ``residual_kernel(polys)`` compiles a set's ``max_j [g_j(x)]_+`` from its
 constraints' value sums, ``halfspace_kernel(a, b)`` and ``ball_kernel(c, r)``
@@ -217,7 +218,7 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
                 return None
         {state} = {trial_state}
     else:
-        return False, {result}
+        return None
     for _ in range(2):
         if fn == 0.0:
             break
@@ -230,7 +231,7 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
         if not isfinite(ft) or ft >= fn:
             break
         {state} = {trial_state}
-    return True, {result}
+    return {result}
 """
 
 

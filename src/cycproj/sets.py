@@ -29,10 +29,14 @@ kernel runs the steps and the polish, and elimination code compiled once
 per system size, passed in as ``_solve_dense``, solves each bordered KKT
 system.  Without a closed form, each constraint is evaluated once at the
 input point, and the result's membership check reuses the Newton state's
-values of the active constraints.  When an attempt does not converge (a
-degenerate constraint), the rescue restores feasibility and starts Newton
-again from the state at its own last point; a seed state is always built
-from values and gradients its maker already holds.
+values of the active constraints; a seed state is always built from values
+and gradients its maker already holds.
+
+The projector has one failure rule: it returns a point only when a Newton
+solve converged and :func:`_accept` passed the result, and raises
+:class:`ProjectionError` otherwise, as where a constraint's gradient vanishes
+where the projection lands (the first set {x_1^d <= 0} of the catalog's
+ex3.2): there is no KKT multiplier, so Newton does not converge.
 
 Every projection meets two fixed module constants: its constraint residual
 is at most ``FEASIBILITY_TOL`` and its first-order optimality and
@@ -67,9 +71,9 @@ Vector = Tuple[float, ...]
 
 
 class ProjectionError(RuntimeError):
-    """The projector found no KKT point within its budget, as on an empty set
-    or where the constraints meet with none.  Carries the least-violating
-    point the solver reached (else the input point) and its residual."""
+    """The projector found no KKT point within its budget, as on an empty
+    set, where the constraints meet with none or where a gradient vanishes on
+    the set.  Carries the least-violating point reached (else x) and its residual."""
 
     def __init__(self, message, best=None, feasibility=None):
         super().__init__(message)
@@ -487,11 +491,12 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
     :func:`_kkt_state`), starts one attempt in turn, until one succeeds.
     Each attempt runs the Newton kernel of the active constraints (one
     constraint's ``kkt_newton``, or the set's cached ``newton_kernel`` of
-    several), and :func:`_rescue` takes over from its state when it does not
-    converge.
+    several); an attempt succeeds when the kernel converges and
+    :func:`_accept` passes its point.
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
-    negative multiplier, or an inactive constraint violated at the would-be
+    out of iterations, as where a gradient vanishes on the set, negative
+    multiplier, or an inactive constraint violated at the would-be
     solution); the list ``rejected``, when given, receives the point and
     multipliers of each converged attempt that :func:`_accept` turned down.
     The caller goes on to branch (e), or to its next working set.
@@ -507,65 +512,19 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
         state = newton(x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL)
         if state is None:
             continue
-        converged, y, lams, vals, grads = state
-        if converged:
-            result = _accept(s, active, y, lams, vals)
-            if result is None and rejected is not None:
-                rejected.append((y, lams))
-        else:
-            result = _rescue(s, active, gs, x, y, vals, grads)
+        y, lams, vals, _ = state
+        result = _accept(s, active, y, lams, vals)
         if result is not None:
             return result
+        if rejected is not None:
+            rejected.append((y, lams))
     return None
-
-
-def _rescue(s, active, gs, x, y, vals, grads):
-    """Finish a Newton attempt that did not converge, for degenerate
-    constraints (gradients vanishing on the set, hence no finite KKT point):
-    restore feasibility by Gauss-Newton steps on the worst constraint alone,
-    then pick the least-squares multipliers, which minimize the stationarity
-    defect achievable at the restored point.  When that point is within
-    tolerance, :func:`_kkt_newton` polishes it from there, seeded with the
-    state at the point and the multipliers."""
-    p = len(gs)
-    target = FEASIBILITY_TOL * 1e-4
-    for _ in range(120):
-        worst = max(range(p), key=lambda jj: abs(vals[jj]))
-        v = vals[worst]
-        if abs(v) <= target:
-            break
-        worst_grad = grads[worst]
-        gn2 = vdot(worst_grad, worst_grad)
-        if gn2 <= 0.0:
-            break
-        f = v / gn2
-        y = [yi - f * gi for yi, gi in zip(y, worst_grad)]
-        vals = [g.evaluate(y) for g in gs]
-        grads = [g.gradient(y) for g in gs]
-    if max(map(abs, vals)) > FEASIBILITY_TOL:
-        return None
-    lam = _multipliers(x, y, grads, _gram(grads))
-    if lam is None:
-        return None
-    state = _kkt_state(x, y, lam, vals, grads)
-    n = len(x)
-    if vnorm(state[n + p : 2 * n + p]) > OPTIMALITY_TOL:  # the stationarity defect
-        return None
-    return _kkt_newton(s, active, x, (state,))
 
 
 def _gram(grads):
     """G G^T of the gradients, the rows of G."""
     n = len(grads[0])
     return [[sum(ga[i] * gb[i] for i in range(n)) for gb in grads] for ga in grads]
-
-
-def _multipliers(x, y, grads, gram):
-    """The least-squares multipliers, which minimize the stationarity defect
-    ||y - x + sum_j lam_j grad_j|| at y, by the normal equations on ``gram``;
-    None when it is singular."""
-    n = len(x)
-    return _solve_dense(gram, [-sum(grad[i] * (y[i] - x[i]) for i in range(n)) for grad in grads])
 
 
 def _accept(s, active, y, lams, vals):
@@ -682,7 +641,9 @@ def _feasibility_seed(s, active, x, y):
             return None
     if not max(map(abs, vals)) <= FEASIBILITY_TOL:  # NaN fails too
         return None
-    lam = _multipliers(x, y, grads, _gram(grads))
+    # the least-squares multipliers minimize ||y - x + sum_j lam_j grad_j||
+    rhs = [-sum(grad[i] * (y[i] - x[i]) for i in range(len(x))) for grad in grads]
+    lam = _solve_dense(_gram(grads), rhs)
     return None if lam is None else (y, lam, _kkt_state(x, y, lam, vals, grads))
 
 

@@ -188,9 +188,10 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     every |g_j(y)| <= feas_tol and |stat| <= opt_tol, for at most
     ``max_iter`` steps; then up to two full polish steps, each kept only
     while ||F|| strictly falls.  Returns None when abandoned (non-finite
-    ||F||, a singular system or the backtracking floor), else (converged,
-    y, lams, values, gradients).  ``events``, when given, collects "floor",
-    "not converged" and "polish rejected" as they happen."""
+    ||F||, a singular system, the backtracking floor or ``max_iter`` steps
+    without converging), else (y, lams, values, gradients).  ``events``,
+    when given, collects "floor", "not converged" and "polish rejected" as
+    they happen."""
     events = [] if events is None else events
     n, p = len(x), len(gs)
     y, lams = list(seed[:n]), list(seed[n : n + p])
@@ -205,9 +206,6 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
         y_new = [yi + t * si for yi, si in zip(y, step)]
         lams_new = [li + t * si for li, si in zip(lams, step[n:])]
         return (y_new, lams_new) + reference_kkt_state(gs, x, y_new, lams_new)
-
-    def result(converged):
-        return converged, tuple(y), tuple(lams), tuple(vals), tuple(map(tuple, grads))
 
     for _ in range(max_iter):
         if not math.isfinite(fnorm):
@@ -229,7 +227,7 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
         y, lams, stat, vals, grads, fnorm = new
     else:
         events.append("not converged")
-        return result(False)
+        return None
     for _ in range(2):
         if fnorm == 0.0:
             break
@@ -241,7 +239,7 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
             events.append("polish rejected")
             break
         y, lams, stat, vals, grads, fnorm = new
-    return result(True)
+    return tuple(y), tuple(lams), tuple(vals), tuple(map(tuple, grads))
 
 
 def reference_residual(s, x):

@@ -273,7 +273,8 @@ def test_cmd_run_input_errors(tmp_path):
     ("ex5.8:n=2.5", "parameter 'n' in 'ex5.8:n=2.5' must be an integer, got '2.5'"),
     ("ex5.3:alpha=abc", "parameter 'alpha' in 'ex5.3:alpha=abc' must be a number, got 'abc'"),
     ("ex5.7:d=4,d=2", "parameter 'd' repeated in 'ex5.7:d=4,d=2'"),
-], ids=["ex5.5", "ex5.8", "ex5.3", "ex5.8-non-integer", "ex5.3-non-number", "ex5.7-repeated"])
+    ("ex5.3:alpha=1e200", "parameter 'alpha' in 'ex5.3:alpha=1e200' is too large: the entry overflows the float range"),
+], ids=["ex5.5", "ex5.8", "ex5.3", "ex5.8-non-integer", "ex5.3-non-number", "ex5.7-repeated", "ex5.3-overflow"])
 def test_unknown_catalog_parameter_is_input_error(tmp_path, capsys, entry_id, message):
     out = tmp_path / "run.csv"
     assert cli.main(["run", "--example", entry_id, "--x0", "0,2", "--out", str(out)]) == 1
@@ -618,6 +619,30 @@ def test_errorbound_curve_past_the_float_range_is_an_input_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: --t-hi 1e+80 is too large") and "Traceback" not in err
     assert not out.exists()
+
+
+# the curve-mode errorbound JSON on ex3.2, IEEE-754 doubles and an x86-64 glibc ``pow``
+EX32_CURVE_SHA = "93843877945a4b8b39cef149b50f6114d6a837d866af9e9cb4f759213ee2a413"
+
+
+def test_ex32_projections_are_solver_failures_and_its_curve_keeps_its_bytes(tmp_path, capsys):
+    # the gradient of ex3.2's first set {x_1^d <= 0} vanishes on the set, so a
+    # projection onto it has no KKT point: a run and a ball probe exit 2,
+    # while the curve mode, which only evaluates residuals, is unchanged
+    out = tmp_path / "c.csv"
+    args = ["run", "--example", "ex3.2:n=2,d=4", "--x0", "0.3,0.2", "--sweeps", "10", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert "no KKT point found for set 'chain-0'" in capsys.readouterr().err
+    assert not out.exists() and read_trace(str(out) + ".partial").ks == []
+    probe = tmp_path / "eb.json"
+    args = ["errorbound", "--example", "ex3.2:n=2,d=2", "--center", "0,0", "--out", str(probe)]
+    assert cli.main(args) == 2
+    assert "no KKT point found for set 'chain-0'" in capsys.readouterr().err
+    assert not probe.exists()
+    curve = tmp_path / "curve.json"
+    assert cli.main(["errorbound", "--example", "ex3.2:n=2,d=2", "--curve", "--samples", "50",
+                     "--t-lo", "1e-3", "--t-hi", "1e-1", "--out", str(curve)]) == 0
+    assert hashlib.sha256(curve.read_bytes()).hexdigest() == EX32_CURVE_SHA
 
 
 def test_cmd_errorbound_missing_center():

@@ -10,7 +10,6 @@ from cycproj.engine import (
     Trace,
     alternating_project,
     check_descent_inequality,
-    check_fejer,
     cyclic_project,
 )
 from cycproj.poly import Polynomial
@@ -270,73 +269,6 @@ def test_alternating_gap_monotone_tail():
 
 
 # -- structural checks ------------------------------------------------------------
-
-
-def test_check_fejer_constant_trace():
-    prob = two_halfplanes()
-    trace = cyclic_project(prob, (-1.0, -1.0), max_sweeps=5, stop_tol=1e-12)
-    report = check_fejer(trace, [(-2.0, -2.0), (0.0, 0.0)])
-    assert report.violations == []
-    assert len(trace.sweep_points()) > 1
-
-
-def test_check_fejer_on_tangent_disks():
-    entry = get_entry("ex5.5")
-    trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=500, stop_tol=1e-14)
-    report = check_fejer(trace, [(0.0, 0.0)])
-    assert report.violations == []
-
-
-def test_check_fejer_all_feasible_catalog_runs():
-    # distance to the known limit never increases at sweep boundaries
-    for eid, start, sweeps in (
-        ("ex5.1", (1.0, 1.0), 300),
-        ("ex5.5", (0.0, 2.0), 400),
-        ("ex5.7:d=2", (1.0, 1.0), 400),
-    ):
-        entry = get_entry(eid)
-        trace = cyclic_project(entry.problem, start, max_sweeps=sweeps, stop_tol=1e-14)
-        report = check_fejer(trace, [entry.problem.intersection_oracle.point])
-        assert report.violations == [], eid
-
-
-def test_check_fejer_rejects_infeasible_witness():
-    entry = get_entry("ex5.5")
-    trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=5, stop_tol=1e-14)
-    with pytest.raises(ValueError):
-        check_fejer(trace, [(5.0, 5.0)])
-
-
-def test_check_fejer_rejects_non_finite_witness():
-    # a NaN witness used to pass the feasibility check and report no violation
-    entry = get_entry("ex5.5")
-    trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=5, stop_tol=1e-14)
-    for witness in ((math.nan, 0.0), (0.0, -math.inf)):
-        with pytest.raises(ValueError, match="witness 1 must be finite"):
-            check_fejer(trace, [(0.0, 0.0), witness])
-
-
-def test_check_fejer_detects_corruption():
-    entry = get_entry("ex5.5")
-    trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=100, stop_tol=1e-14)
-    # push one sweep-boundary iterate away from the witness
-    idx = next(i for i, k in enumerate(trace.ks) if k % 2 == 0 and k >= 20)
-    bad = list(trace.iterates)
-    bad[idx] = tuple(5.0 * v + 1.0 for v in bad[idx])
-    corrupted = Trace(
-        problem=trace.problem,
-        x0=trace.x0,
-        ks=trace.ks,
-        iterates=bad,
-        set_indices=trace.set_indices,
-        residuals_before=trace.residuals_before,
-        step_norms=trace.step_norms,
-        sets_per_sweep=trace.sets_per_sweep,
-        total_steps=trace.total_steps,
-        thinned=trace.thinned,
-    )
-    report = check_fejer(corrupted, [(0.0, 0.0)])
-    assert (trace.ks[idx], 0) in report.violations
 
 
 def test_descent_inequality_on_catalog_run():

@@ -13,13 +13,14 @@ list code and ``reference_solve_dense``.  Results are compared through
 import copy
 import pickle
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cycproj import poly, sets
 from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
-from cycproj.sets import FEASIBILITY_TOL, OPTIMALITY_TOL, ConvexSetDescriptor, project
+from cycproj.sets import FEASIBILITY_TOL, OPTIMALITY_TOL, ConvexSetDescriptor, ProjectionError, project
 from helpers import reference_kkt_state, reference_newton, reference_seeds1
 
 
@@ -169,18 +170,18 @@ def test_newton_kernel_backtracking_floor():
 def test_newton_kernel_rejected_polish_step():
     g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
     [(events, result)] = _newton_events(g, (0.9095578363365777, 1.732340106813079))
-    assert events == ["polish rejected"] and result[0] is True
+    assert events == ["polish rejected"] and result is not None
 
 
-def test_newton_kernel_hands_a_degenerate_set_to_the_rescue():
-    # {x_1^2 <= 0} has a zero gradient on the set, so Newton does not
-    # converge; the kernel returns its state, and the rescue restores
-    # feasibility and finishes the projection with a seeded Newton solve
+def test_newton_kernel_abandons_a_degenerate_set():
+    # {x_1^2 <= 0} has a zero gradient on the set, so there is no KKT
+    # multiplier: Newton runs out of iterations, the kernel abandons the
+    # attempt and the projection is refused
     s = get_entry("ex3.2:n=2,d=2").problem.sets[0]
     [(events, result)] = _newton_events(s.constraints[0], (0.3, 0.2))
-    assert events == ["not converged"] and result[0] is False
-    y = project(s, (0.3, 0.2))
-    assert s.residual(y) <= FEASIBILITY_TOL and abs(y[0]) < 1e-5 and y[1] == 0.2
+    assert events == ["not converged"] and result is None
+    with pytest.raises(ProjectionError, match="'chain-0'"):
+        project(s, (0.3, 0.2))
 
 
 def test_newton_kernel_from_a_warm_seed():

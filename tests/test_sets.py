@@ -430,18 +430,22 @@ def test_project_far_start_onto_quartic_ball():
 
 
 def test_project_degenerate_thin_set():
+    # {x_1^2 <= 0} is the line x_1 = 0, where the gradient vanishes: no KKT point
     thin = ConvexSetDescriptor("thin", [Polynomial(2, {(2, 0): 1.0})])
-    y = project(thin, (0.3, 0.7))
-    assert abs(y[0]) <= 1e-5 and y[1] == 0.7
+    with pytest.raises(ProjectionError, match="'thin'") as exc_info:
+        project(thin, (0.3, 0.7))
+    assert exc_info.value.best == (0.3, 0.7)
 
 
-@pytest.mark.xfail(strict=True, reason="the KKT Newton rescue stops on the constraint value "
-                   "|g| <= 1e-14, which bounds the distance only by |g|^(1/d)")
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_distance_to_degenerate_chain_set_is_exact(d):
-    # {x_1^d <= 0} is the line x_1 = 0, so the distance is |x_1|
+    # {x_1^d <= 0} is the line x_1 = 0, where the gradient vanishes, so the
+    # projection has no KKT multiplier and is refused rather than inexact
     s = get_entry(f"ex3.2:n=2,d={d}").problem.sets[0]
-    assert distance(s, (1e-3, 0.3)) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
+    x = (1e-3, 0.3)
+    with pytest.raises(ProjectionError, match="'chain-0'") as exc_info:
+        distance(s, x)
+    assert exc_info.value.best == x
 
 
 def test_project_empty_set_raises_with_best_iterate():

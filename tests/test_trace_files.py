@@ -6,20 +6,23 @@ writer, so a change in row formatting, line ends, the header or the thinned
 marker shows up here.  They assume IEEE-754 doubles and an x86-64 glibc
 ``pow``; the runs use closed-form ball projections, single-constraint KKT
 Newton solves, and working-set solves by Newton on two active constraints.
-A float.hex dump of projections solved on two and three active constraints,
-and of the rescue of a degenerate constraint, is pinned the same way.
+A float.hex dump of projections solved on two and three active constraints
+is pinned the same way; projections onto a degenerate constraint, which has
+no KKT point, must raise.
 """
 
 import hashlib
 import json
 import math
 
+import pytest
+
 from cycproj import cli, engine
 from cycproj.catalog import get_entry
 from cycproj.cli import read_trace, write_trace
 from cycproj.engine import Trace, alternating_project, cyclic_project
 from cycproj.poly import Polynomial
-from cycproj.sets import ConvexSetDescriptor, project
+from cycproj.sets import ConvexSetDescriptor, ProjectionError, project
 
 DENSE_EX55_SHA = "933c82e940436f78fbdb0d17693b1a9d77e7e42c6c634301eb3db9d886f7e64b"
 RATE_EX55_SHA = "268096575c4eeb04371f4946478239b49cd45581e988a966e1911db31e5b9bcf"
@@ -31,7 +34,7 @@ EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
 CROSSED_LENS_ERRORBOUND_SHA = "1d51fe63a07cdf00c0766794f13110c2cb955954717c85329b141c5d382e2bd3"
 EX58_N2_ALTERNATING_SHA = "e7c0143c8a667c1dfe5cba6e147ad0fd083ecefb5ceaa1fc2bdc078becbf57ab"
 EX57_D2_SHA = "ae629e28f6d2b06095362f34ad80baa1621a30b585c70421f21a79f6a8b3d022"
-MULTI_CONSTRAINT_PROJECTIONS_SHA = "35e724b94ac7a6442f7c2963da3624b6dd8c7af4ddaf3884ccf8abd29f023e3f"
+MULTI_CONSTRAINT_PROJECTIONS_SHA = "2b15183e18889cefdb64899e74acb36ce2e10fa1696f1a540ddcb2df206a1f74"
 
 
 def _sha256(path) -> str:
@@ -308,24 +311,18 @@ def _affine_poly(a, b):
 
 def test_multi_constraint_projection_bytes(monkeypatch):
     # projections that need the KKT Newton solve on two and three active
-    # constraints (the working set of branch (e)) and the rescue of a
-    # degenerate constraint, dumped through float.hex
+    # constraints (the working set of branch (e)), dumped through float.hex;
+    # a degenerate constraint, whose gradient vanishes on the set, is refused
     from cycproj import sets
 
     active_sizes = []
-    rescues = []
-    kkt_newton, rescue = sets._kkt_newton, sets._rescue
+    kkt_newton = sets._kkt_newton
 
     def recording_newton(s, active, *args, **kwargs):
         active_sizes.append(len(active))
         return kkt_newton(s, active, *args, **kwargs)
 
-    def recording_rescue(*args):
-        rescues.append(args[0].name)
-        return rescue(*args)
-
     monkeypatch.setattr(sets, "_kkt_newton", recording_newton)
-    monkeypatch.setattr(sets, "_rescue", recording_rescue)
     quartic = Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -1.0})
     grid = [(-2.0 + 0.5 * i, -2.0 + 0.5 * j) for i in range(9) for j in range(9)]
     cases = [
@@ -339,14 +336,16 @@ def test_multi_constraint_projection_bytes(monkeypatch):
         ("ball-quadrant", [_disk_poly((0.0, 0.0, 0.0), 4.0), _affine_poly((1.0, 0.0, 0.0), 0.0),
                            _affine_poly((0.0, 1.0, 0.0), 0.0)],
          [(1.0, 1.0, 5.0), (0.5, 0.25, -3.0), (1.0, 2.0, 0.5)]),
-        ("ex3.2", get_entry("ex3.2:n=2,d=2").problem.sets[0].constraints,
-         [(0.3, 0.2), (0.1, -0.4), (1.0, 1.0)]),
     ]
     lines = []
     for name, constraints, points in cases:
         s = ConvexSetDescriptor(name, constraints)
         for x in points:
             lines.append(f"{name} {' '.join(_hex(x))} -> {' '.join(_hex(project(s, x)))}\n")
-    assert len(lines) == 255 and set(active_sizes) == {1, 2, 3} and rescues == ["ex3.2"] * 3
+    assert len(lines) == 252 and set(active_sizes) == {1, 2, 3}
+    degenerate = ConvexSetDescriptor("ex3.2", get_entry("ex3.2:n=2,d=2").problem.sets[0].constraints)
+    for x in [(0.3, 0.2), (0.1, -0.4), (1.0, 1.0)]:
+        with pytest.raises(ProjectionError, match="'ex3.2'"):
+            project(degenerate, x)
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == MULTI_CONSTRAINT_PROJECTIONS_SHA
