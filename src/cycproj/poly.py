@@ -5,34 +5,39 @@ stored as an exponent-vector -> coefficient map.  Terms are kept in a fixed
 graded-lexicographic order so that evaluation is a deterministic, bit
 reproducible sum.
 
-Evaluation runs compiled kernels: straight-line Python functions generated
-from the ordered terms, one ``total += c * x0 ** e0 * ...`` statement per
-term.  The value kernel is compiled on the first ``evaluate``; the gradient
-and Hessian kernels together on the first ``gradient`` or ``hessian_rows``,
-from the symbolic partial derivatives.  Each term multiplies its coefficient
-by ``x_i ** e_i`` for the variables it uses, in index order, and the sum
-starts from 0.0 in graded-lex order, so the arithmetic is that of a plain
-loop over the terms.  Coefficients are bound as closure cells c0, c1, ...,
-never written into the source, so they stay exact, and the source depends
-only on the dimension and the exponent structure: polynomials of one
-structure share one compiled factory (``_factory``, cached by source text)
-and differ only in their cells.
+This module is the one compiler of the package: every kernel is
+straight-line Python source generated here and made a function by
+``_factory``, the only ``exec``.  A polynomial's own kernels live on it:
+the value kernel, compiled on the first ``evaluate``; the gradient and
+Hessian kernels, together on the first ``gradient`` or ``hessian_rows``,
+from the symbolic partial derivatives; and ``kkt_seed``, compiled by
+``kkt_kernels()``.  Each term is one ``total += c * x0 ** e0 * ...``
+statement that multiplies its coefficient by ``x_i ** e_i`` for the
+variables it uses, in index order, and the sum starts from 0.0 in
+graded-lex order, so the arithmetic is that of a plain loop over the
+terms.  Coefficients are bound as closure cells c0, c1, ..., never written
+into the source, so they stay exact, and the source depends only on the
+dimension and the exponent structure: polynomials of one structure share
+one compiled factory (``_factory``, cached by source text) and differ only
+in their cells.
 
-``kkt_kernels()`` compiles, on first use, the two kernels of the projection's
-one-constraint KKT Newton solve from the templates ``_SEED_SOURCE`` and
-``_NEWTON_SOURCE``, cached with the others; ``newton_kernel(polys)`` compiles
-the Newton kernel of any p active constraints from the same template.  A
-state at (y, lam) is the flat tuple ``(y..., lam_1..lam_p, s..., v_1..v_p,
-grad g_1(y)..., ..., grad g_p(y)..., ||F||)`` of the stationarity vector
-``s_i = (y_i - point_i) + lam_1 * g_1i + ... + lam_p * g_pi``, the values
-v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 + v_1 * v_1 +
-...))``.
+The kernels of a set's projection are compiled here and kept by the set
+(``sets.ConvexSetDescriptor``): ``newton_kernel(polys)``, for each subset of
+active constraints, from the template ``_NEWTON_SOURCE``;
+``residual_kernel``, ``halfspace_kernel`` and ``ball_kernel``.
+``solve_kernel(n)`` compiles the dense solver of n x n systems, cached by
+n.  A KKT state at (y, lam) is the flat tuple ``(y..., lam_1..lam_p, s...,
+v_1..v_p, grad g_1(y)..., ..., grad g_p(y)..., ||F||)`` of the stationarity
+vector ``s_i = (y_i - point_i) + lam_1 * g_1i + ... + lam_p * g_pi``, the
+values v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 +
+v_1 * v_1 + ...))``.
 
-- ``kkt_seed(point, gx, start)`` returns the states of the seeds: the
-  first-order step ``point - lam * grad g(point)`` with ``lam = gx /
-  |grad g(point)|^2``, preceded, when ``start`` is given and has the smaller
-  ||F||, by ``start`` with the least-squares multiplier of ``point - start =
-  lam * grad g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
+- ``kkt_seed(point, gx, start)``, from the template ``_SEED_SOURCE``,
+  returns the one-constraint states of the seeds: the first-order step
+  ``point - lam * grad g(point)`` with ``lam = gx / |grad g(point)|^2``,
+  preceded, when ``start`` is given and has the smaller ||F||, by ``start``
+  with the least-squares multiplier of ``point - start = lam * grad
+  g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
 - A Newton kernel ``(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs
   at most ``max_iter`` Newton steps from a seed state until every ``|v_j| <=
   feas_tol`` and ``|s| <= opt_tol``, each solving the bordered KKT system
@@ -44,7 +49,7 @@ v_j = g_j(y) and ``||F|| = sqrt((0.0 + s_0 * s_0 + ...) + (0.0 + v_1 * v_1 +
   abandoned (non-finite ||F||, a singular system, the backtracking floor or
   ``max_iter`` steps without converging).
 
-``residual_kernel(polys)`` compiles a set's ``max_j [g_j(x)]_+`` from its
+``residual_kernel(polys)`` computes a set's ``max_j [g_j(x)]_+`` from its
 constraints' value sums, ``halfspace_kernel(a, b)`` and ``ball_kernel(c, r)``
 the closed-form projections, each with the float operations of the plain loop
 it replaces.
@@ -110,10 +115,10 @@ def _names(prefix: str, n: int) -> str:
 @functools.lru_cache(maxsize=128)
 def _factory(source: str):
     """``make(c0, c1, ...)``, which returns the kernel of ``source`` with its
-    coefficients bound as closure cells.  One factory, its code and its
-    globals serve every polynomial whose kernel has this text: a kernel's
-    global lookups are cached per code object against one globals dict, so
-    kernels sharing code must share their globals too."""
+    coefficients bound as closure cells; the one ``exec`` of the package.
+    One factory, its code and its globals serve every kernel of this text: a
+    kernel's global lookups are cached per code object against one globals
+    dict, so kernels sharing code must share their globals too."""
     namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite, "range": range, "sqrt": math.sqrt}
     exec(source, namespace)
     return namespace["make"]
@@ -239,12 +244,12 @@ def _squares(v: str, n: int) -> str:
     return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
 
 
-def newton_kernel(polys, sums=None):
+def newton_kernel(polys):
     """Compile the damped KKT Newton kernel of the constraints ``polys`` from
-    ``_NEWTON_SOURCE`` (see the module docstring); ``sums`` are their
-    ``_derivative_sums()``, when the caller already has them."""
+    ``_NEWTON_SOURCE`` (see the module docstring); a set keeps one per subset
+    of active constraints."""
     n, p = polys[0].dimension, len(polys)
-    sums = sums or [g._derivative_sums() for g in polys]
+    sums = [g._derivative_sums() for g in polys]
     ks = range(p)
     coeffs = []
     system = [line for k, (_, upper) in enumerate(sums) for name, terms in upper
@@ -319,14 +324,53 @@ def ball_kernel(c, r):
     return _kernel("def kernel(x):\n" + _block(body, 1), [*c, r])
 
 
+@functools.lru_cache(maxsize=None)
+def solve_kernel(n: int):
+    """Compile ``solve(A, b)`` for n x n systems: Gaussian elimination with
+    partial pivoting, unrolled into straight-line code over one local name
+    per entry.  Column by column it searches the pivot (first largest
+    ``abs``), returns None on a zero or non-finite pivot, swaps the pivot row
+    up, and subtracts ``f * pivot row`` from each row below whose factor
+    ``f`` is nonzero; then it back-substitutes from the last row.  Entries
+    left of the diagonal are never read again once their column is done, so
+    they are neither swapped nor updated."""
+    a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
+    b = [f"b{r}" for r in range(n)]
+    lines = [
+        "".join("(" + "".join(f"{v}, " for v in row) + "), " for row in a) + "= A",
+        "".join(f"{v}, " for v in b) + "= b",
+    ]
+    for col in range(n):
+        below = range(col + 1, n)
+        lines += [f"piv = {col}", f"best = abs({a[col][col]})"]
+        for r in below:
+            lines += [f"v = abs({a[r][col]})", "if v > best:", "    best = v", f"    piv = {r}"]
+        lines += ["if best == 0.0 or not isfinite(best):", "    return None"]
+        for r in below:
+            top = a[col][col:] + [b[col]]
+            low = a[r][col:] + [b[r]]
+            lines.append(f"{'if' if r == col + 1 else 'elif'} piv == {r}:")
+            lines.append(f"    {', '.join(top + low)} = {', '.join(low + top)}")
+        if below:
+            lines.append(f"inv = 1.0 / {a[col][col]}")
+        for r in below:
+            lines += [f"f = {a[r][col]} * inv", "if f != 0.0:"]
+            lines += [f"    {a[r][c]} -= f * {a[col][c]}" for c in range(col + 1, n)]
+            lines.append(f"    {b[r]} -= f * {b[col]}")
+    for r in range(n - 1, -1, -1):
+        acc = b[r] + "".join(f" - {a[r][c]} * x{c}" for c in range(r + 1, n))
+        lines.append(f"x{r} = ({acc}) / {a[r][r]}")
+    lines.append("return [" + ", ".join(f"x{r}" for r in range(n)) + "]")
+    return _kernel("def kernel(A, b):\n" + _block(lines, 1), [])
+
+
 class _Kernels:
     """The compiled kernels of one polynomial, each None until first use."""
 
-    __slots__ = ("value", "gradient", "hessian_rows", "kkt_seed", "kkt_newton")
+    __slots__ = ("value", "gradient", "hessian_rows", "kkt_seed")
 
     def __init__(self):
-        self.value = self.gradient = self.hessian_rows = None
-        self.kkt_seed = self.kkt_newton = None
+        self.value = self.gradient = self.hessian_rows = self.kkt_seed = None
 
 
 class Polynomial:
@@ -365,8 +409,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # rebuilt from the terms; the compiled kernels are not copied but
-        # recompiled on first use
+        # rebuilt from the terms; its own kernels are not copied but
+        # recompiled on first use, and a set's are compiled by the set
         return (Polynomial, (self.dimension, dict(self._ordered)))
 
     # -- basic structure ---------------------------------------------------
@@ -440,11 +484,10 @@ class Polynomial:
         return self._kernels.value
 
     def kkt_kernels(self) -> _Kernels:
-        """The kernels with the one-constraint KKT Newton pair compiled:
-        ``kkt_seed(point, gx, start)`` and ``kkt_newton(point, seed, solve,
-        max_iter, feas_tol, opt_tol)`` (see the module docstring)."""
+        """The kernels with the one-constraint KKT Newton seed kernel
+        ``kkt_seed(point, gx, start)`` compiled (see the module docstring)."""
         kernels = self._kernels
-        return kernels if kernels.kkt_newton is not None else self._compile_kkt()
+        return kernels if kernels.kkt_seed is not None else self._compile_kkt()
 
     def _derivative_sums(self):
         """The gradient's sums g0, g1, ... and the Hessian's upper triangle
@@ -469,11 +512,10 @@ class Polynomial:
 
     def _compile_kkt(self) -> _Kernels:
         n = self.dimension
-        sums = self._derivative_sums()
-        ordered = self._ordered
+        gradient, _ = self._derivative_sums()
 
         def grad(coeffs, var="x"):
-            return [line for name, terms in sums[0] for line in _sum(coeffs, name, terms, var)]
+            return [line for name, terms in gradient for line in _sum(coeffs, name, terms, var)]
 
         coeffs = []
         stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
@@ -486,7 +528,7 @@ class Polynomial:
                 gn=_squares("g", n),
                 first_order=_block([f"x{i} = p{i} - lam * g{i}" for i in range(n)], 1),
                 grad=_block(grad(coeffs), 1),
-                value=_block(_sum(coeffs, "v", ordered), 1),
+                value=_block(_sum(coeffs, "v", self._ordered), 1),
                 stat=_block(stat, 1),
                 state=f"({_names('x', n)}lam, {_names('s', n)}v, {_names('g', n)}"
                 f"sqrt({_squares('s', n)} + v * v))",
@@ -494,6 +536,4 @@ class Polynomial:
             ),
             coeffs,
         )
-        # the same derivative sums serve the Newton kernel
-        kernels.kkt_newton = newton_kernel([self], [sums])
         return kernels

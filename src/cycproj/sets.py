@@ -22,15 +22,15 @@ projector dispatches, in order:
                                  ``ProjectionError``.
 
 Every Newton solve is :func:`_kkt_newton`, which runs the seed states its
-caller builds, one after another, through a kernel compiled by
-``poly.newton_kernel``: the constraint's own ``kkt_newton``, or, for two or
-more active constraints, one cached on the set by their indices.  The
-kernel runs the steps and the polish, and elimination code compiled once
-per system size, passed in as ``_solve_dense``, solves each bordered KKT
-system.  Without a closed form, each constraint is evaluated once at the
-input point, and the result's membership check reuses the Newton state's
-values of the active constraints; a seed state is always built from values
-and gradients its maker already holds.
+caller builds, one after another, through the kernel that
+``poly.newton_kernel`` compiles for the active constraints, one or more,
+cached on the set by their indices.  The kernel runs the steps and the
+polish, and ``poly.solve_kernel``'s elimination code for the system size,
+passed in as ``_solve_dense``, solves each bordered KKT system.  Without a
+closed form, each constraint is evaluated once at the input point, and the
+result's membership check reuses the Newton state's values of the active
+constraints; a seed state is always built from values and gradients its
+maker already holds.
 
 The projector has one failure rule: it returns a point only when a Newton
 solve converged and :func:`_accept` passed the result, and raises
@@ -47,7 +47,7 @@ from a set's single constraint when the set is built: an affine constraint
 whose normal a has 0 < <a, a> < inf is a halfspace, ``||x||^2 + <l, x> + c``
 a ball.  Every other set goes through (d)/(e) by its constraints.  The
 closed form and the residual each run in one straight-line kernel per set,
-compiled on first use by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
+compiled with the set by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
 ``poly.residual_kernel``.  All vectors are plain tuples of floats and every
 path is deterministic, so identical inputs -- the point and the optional
 warm start -- give bitwise identical projections.
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional, Sequence, Tuple, Union
 
-from .poly import Polynomial, ball_kernel, halfspace_kernel, newton_kernel, residual_kernel
+from .poly import Polynomial, ball_kernel, halfspace_kernel, newton_kernel, residual_kernel, solve_kernel
 
 Vector = Tuple[float, ...]
 
@@ -198,7 +198,7 @@ OPTIMALITY_TOL = 1e-10
 
 # solver budgets: Newton (and Gauss-Newton seed) iterations, working-set
 # changes
-_NEWTON_MAX_ITER = 100
+_NEWTON_MAX_ITER = 200
 _WORKING_SET_MAX_CHANGES = 20
 
 
@@ -213,9 +213,11 @@ class ConvexSetDescriptor:
     is not checked.
     ``analytic_hint`` is the set's closed form, the :class:`Halfspace` or
     :class:`Ball` that :func:`_closed_form` reads from a single constraint's
-    coefficients, or None; the projector dispatches on it.  ``residual`` runs
-    one kernel compiled on first use from all the constraints, the projector
-    one compiled from the closed form; both keep the plain loops' arithmetic.
+    coefficients, or None; the projector dispatches on it.  The set holds
+    every kernel its projection runs: :func:`residual`'s, compiled with it
+    from all the constraints, the closed form's, and the Newton kernel of
+    each subset of active constraints, compiled on first use; all keep the
+    plain loops' arithmetic.
     """
 
     __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed", "_newton_kernels")
@@ -232,48 +234,29 @@ class ConvexSetDescriptor:
                 raise ValueError("all constraints must share the ambient dimension")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "analytic_hint", _closed_form(constraints))
+        hint = _closed_form(constraints)
+        object.__setattr__(self, "analytic_hint", hint)
         object.__setattr__(self, "dimension", dim)
-        # the residual and closed-form kernels, compiled on first use
-        object.__setattr__(self, "_residual", None)
-        object.__setattr__(self, "_closed", None)
-        # Newton kernels of two or more active constraints, by active indices
+        closed = None
+        if isinstance(hint, Halfspace):
+            closed = halfspace_kernel(hint.a, hint.b)
+        elif isinstance(hint, Ball):
+            closed = ball_kernel(hint.center, hint.radius)
+        object.__setattr__(self, "_residual", residual_kernel(constraints))
+        object.__setattr__(self, "_closed", closed)
+        # Newton kernels by the tuple of active constraint indices, compiled on first use
         object.__setattr__(self, "_newton_kernels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexSetDescriptor is immutable")
 
     def __reduce__(self):
-        # rebuilt by the constructor, which derives the closed form again;
-        # the kernels are not copied but compiled again on first use
+        # rebuilt by the constructor, which derives the closed form and
+        # compiles the kernels again; the Newton kernels on first use
         return (ConvexSetDescriptor, (self.name, self.constraints))
 
     def __repr__(self):
         return f"ConvexSetDescriptor({self.name!r}, dim={self.dimension}, m={len(self.constraints)})"
-
-    def residual(self, x: Sequence[float]) -> float:
-        """max_j [g_j(x)]_+ ; zero exactly when x belongs to the set, NaN
-        when a constraint evaluates to NaN.  Raises :class:`NumericalError`
-        when evaluation overflows."""
-        if len(x) != self.dimension:
-            raise ValueError(f"point length {len(x)} != dimension {self.dimension}")
-        try:
-            return (self._residual or self._compile_residual())(x)
-        except OverflowError as exc:
-            raise NumericalError(f"overflow evaluating the constraints of {self.name!r}") from exc
-
-    def _compile_residual(self):
-        object.__setattr__(self, "_residual", residual_kernel(self.constraints))
-        return self._residual
-
-    def _compile_closed_form(self):
-        hint = self.analytic_hint
-        if isinstance(hint, Halfspace):
-            kernel = halfspace_kernel(hint.a, hint.b)
-        else:
-            kernel = ball_kernel(hint.center, hint.radius)
-        object.__setattr__(self, "_closed", kernel)
-        return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,16 @@ class FeasibilityProblem:
 
 
 def residual(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
-    return s.residual(x)
+    """max_j [g_j(x)]_+ ; zero exactly when x belongs to the set, NaN when a
+    constraint evaluates to NaN.  Raises :class:`NumericalError` when
+    evaluation overflows."""
+    if len(x) != s.dimension:
+        raise ValueError(f"point length {len(x)} != dimension {s.dimension}")
+    kernel = s._residual
+    try:
+        return kernel(x)
+    except OverflowError as exc:
+        raise NumericalError(f"overflow evaluating the constraints of {s.name!r}") from exc
 
 
 def project(
@@ -355,8 +347,9 @@ def project(
     without ``start`` the cold path is unchanged.
     """
     x = finite_vector(x, "point", s.dimension)
-    if s.analytic_hint is not None:  # closed forms; only the ball's returns None, on overflow
-        y = (s._closed or s._compile_closed_form())(x)
+    closed = s._closed
+    if closed is not None:  # closed forms; only the ball's returns None, on overflow
+        y = closed(x)
         if y is None:
             raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
         return y
@@ -367,8 +360,8 @@ def project(
         for g in s.constraints:
             values.append(g.evaluate(x))
     except OverflowError as exc:
-        # ConvexSetDescriptor.residual stops at a NaN value, so an overflow
-        # past one is met while projecting
+        # residual stops at a NaN value, so an overflow past one is met
+        # while projecting
         nan_seen = any(v != v for v in values)
         where = "while projecting onto" if nan_seen else "evaluating the constraints of"
         raise NumericalError(f"overflow {where} {s.name!r}") from exc
@@ -390,8 +383,8 @@ def project(
 
 
 def _max_violation(values) -> float:
-    """max_j [v_j]_+ of the constraint values, as ConvexSetDescriptor.residual
-    takes it: zero exactly when every value is <= 0, NaN at the first NaN."""
+    """max_j [v_j]_+ of the constraint values, as :func:`residual` takes it:
+    zero exactly when every value is <= 0, NaN at the first NaN."""
     worst = 0.0
     for v in values:
         if v > worst:
@@ -409,59 +402,11 @@ def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
 # -- branch (d): damped Newton on the active-constraint KKT system ----------
 
 
-def _compile_solver(n: int):
-    """Compile ``solve(A, b)`` for n x n systems: Gaussian elimination with
-    partial pivoting, unrolled into straight-line code over one local name
-    per entry.  Column by column it searches the pivot (first largest
-    ``abs``), returns None on a zero or non-finite pivot, swaps the pivot row
-    up, and subtracts ``f * pivot row`` from each row below whose factor
-    ``f`` is nonzero; then it back-substitutes from the last row.  Entries
-    left of the diagonal are never read again once their column is done, so
-    they are neither swapped nor updated."""
-    a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
-    b = [f"b{r}" for r in range(n)]
-    lines = [
-        "def solve(A, b):",
-        "    " + "".join("(" + "".join(f"{v}, " for v in row) + "), " for row in a) + "= A",
-        "    " + "".join(f"{v}, " for v in b) + "= b",
-    ]
-    for col in range(n):
-        below = range(col + 1, n)
-        lines.append(f"    piv = {col}")
-        lines.append(f"    best = abs({a[col][col]})")
-        for r in below:
-            lines.append(f"    v = abs({a[r][col]})")
-            lines += ["    if v > best:", "        best = v", f"        piv = {r}"]
-        lines += ["    if best == 0.0 or not isfinite(best):", "        return None"]
-        for r in below:
-            top = a[col][col:] + [b[col]]
-            low = a[r][col:] + [b[r]]
-            lines.append(f"    {'if' if r == col + 1 else 'elif'} piv == {r}:")
-            lines.append(f"        {', '.join(top + low)} = {', '.join(low + top)}")
-        if below:
-            lines.append(f"    inv = 1.0 / {a[col][col]}")
-        for r in below:
-            lines += [f"    f = {a[r][col]} * inv", "    if f != 0.0:"]
-            lines += [f"        {a[r][c]} -= f * {a[col][c]}" for c in range(col + 1, n)]
-            lines.append(f"        {b[r]} -= f * {b[col]}")
-    for r in range(n - 1, -1, -1):
-        acc = b[r] + "".join(f" - {a[r][c]} * x{c}" for c in range(r + 1, n))
-        lines.append(f"    x{r} = ({acc}) / {a[r][r]}")
-    lines.append("    return [" + ", ".join(f"x{r}" for r in range(n)) + "]")
-    namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite}
-    exec("\n".join(lines), namespace)
-    return namespace["solve"]
-
-
-_SOLVERS = {}  # compiled solvers by system size
-
-
 def _solve_dense(A, b):
-    """Solve A z = b (lists of rows and of values) by the solver compiled
-    for ``len(b)`` on first use (see :func:`_compile_solver`); None if a
-    pivot is zero or non-finite.  ``A`` and ``b`` are left unchanged."""
-    n = len(b)
-    return (_SOLVERS.get(n) or _SOLVERS.setdefault(n, _compile_solver(n)))(A, b)
+    """Solve A z = b (lists of rows and of values) by ``poly.solve_kernel``
+    of ``len(b)``; None if a pivot is zero or non-finite.  ``A`` and ``b``
+    are left unchanged."""
+    return solve_kernel(len(b))(A, b)
 
 
 def _kkt_state(x, y, lams, vals, grads):
@@ -489,10 +434,9 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
 
     Each of the ``seeds``, Newton states built by the caller (see
     :func:`_kkt_state`), starts one attempt in turn, until one succeeds.
-    Each attempt runs the Newton kernel of the active constraints (one
-    constraint's ``kkt_newton``, or the set's cached ``newton_kernel`` of
-    several); an attempt succeeds when the kernel converges and
-    :func:`_accept` passes its point.
+    Each attempt runs the Newton kernel of the active constraints, cached on
+    the set by their indices; an attempt succeeds when the kernel converges
+    and :func:`_accept` passes its point.
 
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     out of iterations, as where a gradient vanishes on the set, negative
@@ -501,12 +445,8 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
     multipliers of each converged attempt that :func:`_accept` turned down.
     The caller goes on to branch (e), or to its next working set.
     """
-    gs = [s.constraints[j] for j in active]
-    if len(gs) == 1:
-        newton = gs[0].kkt_kernels().kkt_newton
-    else:
-        cache, key = s._newton_kernels, tuple(active)
-        newton = cache.get(key) or cache.setdefault(key, newton_kernel(gs))
+    cache, key = s._newton_kernels, tuple(active)
+    newton = cache.get(key) or cache.setdefault(key, newton_kernel([s.constraints[j] for j in active]))
     for seed in seeds:
         # _solve_dense is looked up here, so a replaced solver sees every solve
         state = newton(x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL)
@@ -610,8 +550,8 @@ def _project_penalty(s, x, values):
     if any(v != v for v in values):
         raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
     # x comes first, with a finite residual, so a NaN residual never wins
-    best = tuple(min(reached, key=s.residual))
-    feas = s.residual(best)
+    best = tuple(min(reached, key=lambda y: residual(s, y)))
+    feas = residual(s, best)
     raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=feas)
 
 

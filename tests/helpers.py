@@ -180,9 +180,8 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     ``reference_kkt_state``, ``reference_kkt_system`` and
     ``reference_solve_dense``, from a flattened ``seed`` state (y...,
     lam..., stat..., values..., each gradient..., ||F||).  The compiled
-    Newton kernels (``Polynomial.kkt_kernels().kkt_newton`` for one
-    constraint, ``poly.newton_kernel`` for any number) must match it bit for
-    bit.
+    Newton kernel ``poly.newton_kernel`` of any number of constraints, which
+    a set caches per active subset, must match it bit for bit.
 
     Newton steps, each damped by Armijo halving down to t = 2^-40, run until
     every |g_j(y)| <= feas_tol and |stat| <= opt_tol, for at most

@@ -645,6 +645,47 @@ def test_ex32_projections_are_solver_failures_and_its_curve_keeps_its_bytes(tmp_
     assert hashlib.sha256(curve.read_bytes()).hexdigest() == EX32_CURVE_SHA
 
 
+def _disk(cx):
+    # the unit disk about (cx, 0)
+    return {"terms": [{"exponents": [2, 0], "coefficient": 1.0}, {"exponents": [1, 0], "coefficient": -2.0 * cx},
+                      {"exponents": [0, 2], "coefficient": 1.0},
+                      {"exponents": [0, 0], "coefficient": cx * cx - 1.0}]}
+
+
+def test_errorbound_refinement_failure_is_a_solver_failure(tmp_path, capsys):
+    # without an oracle the probe refines each sample by cyclic projections; the
+    # tangent disks meet only at 0 with antiparallel gradients, so a projection
+    # onto them has no KKT point and the run fails at its first step
+    doc = {"dimension": 2, "sets": [
+        {"name": "tangent-disks", "constraints": [_disk(-1.0), _disk(1.0)]},
+        {"name": "halfplane", "constraints": [{"terms": [{"exponents": [1, 0], "coefficient": 1.0},
+                                                         {"exponents": [0, 0], "coefficient": -1.0}]}]},
+    ]}
+    pfile = tmp_path / "tangent.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "eb.json"
+    code = cli.main(["errorbound", "--problem", str(pfile), "--center", "0,0", "--samples", "5",
+                     "--radius", "0.5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection onto set 0 ('tangent-disks') failed at step 1: no KKT point found")
+    assert not out.exists()
+
+
+def test_errorbound_exponent_past_64_bits_is_an_input_error(tmp_path, capsys):
+    # a constraint of degree 10^10: the probe's kappa(2, 2 * 10^10) leaves the 64-bit range
+    doc = {"dimension": 2, "sets": [{"name": "flat", "constraints": [{"terms": [
+        {"exponents": [10**10, 0], "coefficient": 1.0}, {"exponents": [0, 2], "coefficient": 1.0},
+        {"exponents": [0, 0], "coefficient": -1.0}]}]}]}
+    pfile = tmp_path / "flat.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "eb.json"
+    assert cli.main(["errorbound", "--problem", str(pfile), "--center", "0,0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa(2,20000000000) = ") and err.endswith(" exceeds 64-bit range\n")
+    assert not out.exists()
+
+
 def test_cmd_errorbound_missing_center():
     assert cli.main(["errorbound", "--example", "ex5.5", "--samples", "60"]) == 1
 

@@ -13,7 +13,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycproj import sets
+from cycproj import poly, sets
 from helpers import reference_solve_dense
 
 entries = st.one_of(
@@ -123,6 +123,6 @@ def test_non_finite_first_column_is_singular_for_both(system):
 
 def test_one_solver_compiled_per_size():
     assert sets._solve_dense([[2.0]], [1.0]) == [0.5]
-    solver = sets._SOLVERS[1]
+    solver = poly.solve_kernel(1)
     assert sets._solve_dense([[4.0]], [1.0]) == [0.25]
-    assert sets._SOLVERS[1] is solver
+    assert poly.solve_kernel(1) is solver

@@ -1,6 +1,6 @@
 """The compiled KKT Newton kernels against plain loops.
 
-``Polynomial.kkt_kernels()`` carries ``kkt_seed`` and ``kkt_newton``, and
+``Polynomial.kkt_kernels()`` carries ``kkt_seed``, and
 ``poly.newton_kernel`` compiles the Newton kernel of any number of
 constraints: straight-line code that fuses the value, gradient and Hessian
 sums with the Newton seeds, the bordered KKT systems, the damped steps and
@@ -73,10 +73,10 @@ def kkt_cases(draw):
 
 def newton(g, x, seed, events=None):
     """The Newton kernel's outcome from ``seed``, which must equal the
-    reference loop's: one polynomial's ``kkt_newton``, or the
-    ``newton_kernel`` of a tuple of them."""
+    reference loop's: the ``newton_kernel`` of one polynomial or of a tuple
+    of them."""
     gs = [g] if isinstance(g, Polynomial) else list(g)
-    kernel = g.kkt_kernels().kkt_newton if isinstance(g, Polynomial) else poly.newton_kernel(gs)
+    kernel = poly.newton_kernel(gs)
     limits = (100, FEASIBILITY_TOL, OPTIMALITY_TOL)
     got = outcome(kernel, x, seed, sets._solve_dense, *limits)
     assert got == outcome(reference_newton, gs, x, seed, *limits, events)
@@ -195,9 +195,9 @@ def test_newton_kernel_from_a_warm_seed():
 def test_kkt_kernels_compile_once_per_polynomial():
     g = Polynomial(2, {(4, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     k = g.kkt_kernels()
-    assert k is g._kernels and k.kkt_seed is not None and k.kkt_newton is not None
-    newton_kernel = k.kkt_newton
-    assert g.kkt_kernels().kkt_newton is newton_kernel
+    assert k is g._kernels and k.kkt_seed is not None
+    seed_kernel = k.kkt_seed
+    assert g.kkt_kernels().kkt_seed is seed_kernel
 
 
 def test_kernel_code_is_shared_by_polynomials_of_one_structure():
@@ -207,17 +207,17 @@ def test_kernel_code_is_shared_by_polynomials_of_one_structure():
     assert p.evaluate(x) == 1.5**4 - 1.5 - 1.0 and q.evaluate(x) == 3.0 * 1.5**4 + 0.375 + 2.0
     assert p.gradient(x) != q.gradient(x)
     kp, kq = p.kkt_kernels(), q.kkt_kernels()
-    for name in ("value", "gradient", "hessian_rows", "kkt_seed", "kkt_newton"):
-        fp, fq = getattr(kp, name), getattr(kq, name)
+    pairs = [(getattr(kp, name), getattr(kq, name)) for name in ("value", "gradient", "hessian_rows", "kkt_seed")]
+    for fp, fq in pairs + [(poly.newton_kernel([p]), poly.newton_kernel([q]))]:
         # one factory: the same code and the same globals, its own coefficients
         assert fp is not fq and fp.__code__ is fq.__code__ and fp.__globals__ is fq.__globals__
     assert bits(kp.kkt_seed(x, p.evaluate(x), None)) == bits(reference_seeds1(p, x, p.evaluate(x), None))
     assert bits(kq.kkt_seed(x, q.evaluate(x), None)) == bits(reference_seeds1(q, x, q.evaluate(x), None))
     # copies are rebuilt from the terms and compile their own kernels
     for c in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert c == p and c._kernels.value is None and c._kernels.kkt_newton is None
+        assert c == p and c._kernels.value is None and c._kernels.kkt_seed is None
         assert c.evaluate(x) == p.evaluate(x) and c._kernels.value is not p._kernels.value
-        assert c.kkt_kernels().kkt_newton.__code__ is kp.kkt_newton.__code__
+        assert c.kkt_kernels().kkt_seed.__code__ is kp.kkt_seed.__code__
     assert poly._factory.cache_info().currsize <= poly._factory.cache_info().maxsize
 
 

@@ -83,6 +83,15 @@ def test_overflow_is_a_numerical_error():
     assert disk.analytic_hint == Ball((0.0, 0.0), 1.0)
     with pytest.raises(NumericalError):
         project(disk, (1e200, 0.0))  # |x - center| overflows in the closed form
+    sextic = Polynomial(2, {(6, 0): 1.0, (0, 0): -1.0})
+    # y = 1 is a finite violation, then x^6 overflows
+    s = ConvexSetDescriptor("halfplane-and-sextic", [Polynomial(2, {(0, 1): 1.0}), sextic])
+    with pytest.raises(NumericalError, match="^overflow evaluating the constraints of 'halfplane-and-sextic'$"):
+        project(s, (1e60, 1.0))
+    # the first value is inf - inf = NaN, which the residual would have returned, then x^6 overflows
+    s = ConvexSetDescriptor("nan-and-sextic", [Polynomial(2, {(2, 0): 1e200, (0, 2): -1e200}), sextic])
+    with pytest.raises(NumericalError, match="^overflow while projecting onto 'nan-and-sextic'$"):
+        project(s, (1e60, 1e60))
 
 
 def test_projection_never_returns_a_point_of_unknown_membership():
@@ -413,9 +422,6 @@ def test_project_fails_fast_where_the_constraints_meet_with_no_kkt_point(x):
     assert exc_info.value.feasibility <= residual(tangent, x)
 
 
-@pytest.mark.xfail(strict=True, reason="the cold seed lies near 0.75 x and damped Newton on the "
-                   "quartic shrinks that distance by about a quarter per step, so its 100 "
-                   "iterations run out before it converges")
 def test_project_far_start_onto_quartic_ball():
     quartic, _ = get_entry("ex5.8:n=2").pair
     x = (1e10, 1.0)
