@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,7 @@ class RateReport:
     verdict: str  # "CONSISTENT" | "INCONSISTENT"
 
 
-def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
+def _ols(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float, float]:
     """Least-squares slope, intercept and r^2 (r^2 = 1 for zero-variance ys)."""
     n = len(xs)
     mx = math.fsum(xs) / n
@@ -75,14 +76,14 @@ def _ols(xs: List[float], ys: List[float]) -> Tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], List[float]]:
+def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[array, array]:
     """The window's step indices and the logs of their errors, which both
     fits share.  ``errors`` is read once, so it may be a generator."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    ks: List[int] = []
-    log_errors: List[float] = []
+    ks = array("q")
+    log_errors = array("d")
     bad = None  # the first point whose error has no log
     for k, e in errors:
         if lo <= k <= hi:
@@ -105,13 +106,13 @@ def _log_window(errors: ErrorSeq, window: Tuple[int, int]) -> Tuple[List[int], L
     return ks, log_errors
 
 
-def _power_fit(ks: List[int], log_errors: List[float]) -> PowerFit:
-    slope, _, r2 = _ols([math.log(k) for k in ks], log_errors)
+def _power_fit(ks: array, log_errors: array) -> PowerFit:
+    slope, _, r2 = _ols(array("d", map(math.log, ks)), log_errors)
     return PowerFit(exponent=slope, r2=r2)
 
 
-def _geometric_fit(ks: List[int], log_errors: List[float]) -> GeometricFit:
-    slope, _, r2 = _ols([float(k) for k in ks], log_errors)
+def _geometric_fit(ks: array, log_errors: array) -> GeometricFit:
+    slope, _, r2 = _ols(array("d", ks), log_errors)
     return GeometricFit(ratio=math.exp(slope), r2=r2)
 
 

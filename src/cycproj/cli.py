@@ -19,11 +19,12 @@ import re
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import analysis, catalog, rates
 from .engine import (
+    Ints,
     Points,
     ProjectionStepError,
     Trace,
@@ -31,7 +32,7 @@ from .engine import (
     check_descent_inequality,
     cyclic_project,
 )
-from .poly import Polynomial
+from .poly import Polynomial, distance_kernel
 from .rates import PowerLaw
 from .sets import (
     CapabilityError,
@@ -165,14 +166,14 @@ def save_problem(problem: FeasibilityProblem, path: str):
 
 @dataclass
 class TraceData:
-    """The columns of a trace file, in the layout of :class:`Trace`: ``ks``
-    and ``set_indices`` are lists of ints, ``residuals_before`` and
-    ``step_norms`` are ``array('d')``, and ``points`` is a :class:`Points`
-    view of one flat ``array('d')`` of the iterates."""
+    """The columns of a trace file, in the layout of :class:`Trace`: the
+    :class:`Ints` views ``ks`` and ``set_indices``, the ``array('d')``
+    columns ``residuals_before`` and ``step_norms``, and the :class:`Points`
+    view ``points`` of the iterates."""
 
     dimension: int
-    ks: List[int]
-    set_indices: List[int]
+    ks: Ints
+    set_indices: Ints
     residuals_before: array
     step_norms: array
     points: Points
@@ -214,10 +215,10 @@ def read_trace(path: str) -> TraceData:
         if not header or header[:4] != _TRACE_COLUMNS or len(header) < 5:
             raise ValueError(f"{path}: not a trace file (bad header {header!r})")
         width = len(header)
-        data = TraceData(width - 4, [], [], array("d"), array("d"), Points(width - 4), thinned)
+        data = TraceData(width - 4, Ints(), Ints(), array("d"), array("d"), Points(width - 4), thinned)
         add_k, add_set, add_residual, add_step, add_coords = (
-            data.ks.append,
-            data.set_indices.append,
+            data.ks.values.append,
+            data.set_indices.values.append,
             data.residuals_before.append,
             data.step_norms.append,
             data.points.flat.extend,
@@ -234,12 +235,17 @@ def read_trace(path: str) -> TraceData:
                     raise ValueError(f"step indices must be strictly increasing (k={k})")
                 prev_k = k
                 add_k(k)
-                add_set(int(row[1]))
+                idx = int(row[1])
+                if idx < 0:
+                    raise ValueError(f"negative set index {idx}")
+                add_set(idx)
                 add_residual(float(row[2]))
                 add_step(float(row[3]))
                 add_coords(map(float, row[4:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num + skipped}: {exc}") from exc
+        except OverflowError as exc:  # raised by the int64 columns' appends
+            raise ValueError(f"{path}: line {reader.line_num + skipped}: index beyond the 64-bit range") from exc
     return data
 
 
@@ -362,7 +368,7 @@ def cmd_rate(args) -> int:
         target = data.points[-1]
         errors_used = "distance-to-final-recorded-iterate"
     # computed as the fit reads them, so no list of (k, e_k) pairs is built
-    errors = ((k, vdist(x, target)) for k, x in zip(data.ks, data.points))
+    errors = zip(data.ks, map(distance_kernel(data.dimension), data.points, repeat(target)))
     del data  # the fit keeps only the columns it reads
     report = analysis.compare_with_theory(
         errors, n=args.n, d=args.d, window=window, errors_used=errors_used

@@ -7,13 +7,13 @@ m = 2 with a stop rule on the pair (a_k, b_k).
 A run produces a :class:`Trace` holding every recorded projection step: the
 post-step iterate, the index of the set projected onto, the residual of that
 set at the pre-step point, and the step norm.  The trace is columnar: the
-step and set indices are lists of ints, the residuals and step norms are
-``array('d')`` columns, and the iterates are one flat ``array('d')`` read
-through the :class:`Points` view, so a recorded step of an n-dimensional run
-holds 8(n + 2) bytes of floats besides its two ints.  Long runs switch to
-thinned recording (dense head, geometrically spaced checkpoints, the final
-sweep).  Runs are strictly sequential and deterministic; traces are
-immutable once returned.
+step and set indices are ``array('q')`` columns read through the
+:class:`Ints` view, the residuals and step norms are ``array('d')`` columns,
+and the iterates are one flat ``array('d')`` read through the :class:`Points`
+view, so a recorded step of an n-dimensional run holds 8(n + 4) bytes.  Long
+runs switch to thinned recording (dense head, geometrically spaced
+checkpoints, the final sweep).  Runs are strictly sequential and
+deterministic; traces are immutable once returned.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .poly import distance_kernel
 from .sets import (
     FEASIBILITY_TOL,
     CapabilityError,
@@ -111,6 +112,40 @@ class Points(SequenceABC):
         return f"Points({self.dimension}, {list(self)!r})"
 
 
+class Ints(SequenceABC):
+    """Read-only sequence of the ints in one ``array('q')``: a slice is
+    another view, and the view compares equal to a list of the same ints."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Optional[array] = None):
+        self.values = array("q") if values is None else values
+
+    @classmethod
+    def of(cls, ints) -> "Ints":
+        """The view of ``ints`` (an Ints or any iterable of ints)."""
+        return ints if isinstance(ints, Ints) else cls(array("q", ints))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        return Ints(self.values[i]) if isinstance(i, slice) else self.values[i]
+
+    def __eq__(self, other):
+        if isinstance(other, Ints):
+            return self.values == other.values
+        if isinstance(other, list):
+            return self.values.tolist() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Ints({self.values.tolist()!r})"
+
+
 @dataclass
 class Trace:
     """Recorded history of one projection run.
@@ -118,17 +153,17 @@ class Trace:
     ``ks`` are the recorded step indices (k >= 1, strictly increasing); the
     parallel columns hold the iterate reached at step k, the set projected
     onto, the residual of that set before the step, and the step norm.
-    ``ks`` and ``set_indices`` are lists of ints, ``residuals_before`` and
-    ``step_norms`` are ``array('d')``, and ``iterates`` is a :class:`Points`
-    view of one flat ``array('d')``; plain lists are converted on
-    construction.  ``x0`` is the starting point (step 0).
+    ``ks`` and ``set_indices`` are :class:`Ints` views of ``array('q')``,
+    ``residuals_before`` and ``step_norms`` are ``array('d')``, and
+    ``iterates`` is a :class:`Points` view of one flat ``array('d')``; plain
+    lists are converted on construction.  ``x0`` is the start (step 0).
     """
 
     problem: FeasibilityProblem
     x0: Vector
-    ks: List[int]
+    ks: Ints
     iterates: Points
-    set_indices: List[int]
+    set_indices: Ints
     residuals_before: array
     step_norms: array
     sets_per_sweep: int
@@ -136,6 +171,8 @@ class Trace:
     thinned: bool
 
     def __post_init__(self):
+        self.ks = Ints.of(self.ks)
+        self.set_indices = Ints.of(self.set_indices)
         self.iterates = Points.of(self.problem.dimension, self.iterates)
         if not isinstance(self.residuals_before, array):
             self.residuals_before = array("d", self.residuals_before)
@@ -190,10 +227,10 @@ def _run_steps(
     last: List[Optional[Vector]] = [None] * m
     before = after = (None,) * m
     n = problem.dimension
-    ks: List[int] = []
+    ks = array("q")
     iterates = Points(n)
     flat = iterates.flat
-    set_indices: List[int] = []
+    set_indices = array("q")
     residuals_before = array("d")
     step_norms = array("d")
     add_k, add_iterate, add_set = ks.append, flat.extend, set_indices.append
@@ -214,9 +251,9 @@ def _run_steps(
         return Trace(
             problem=problem,
             x0=x0,
-            ks=ks,
+            ks=Ints(ks),
             iterates=iterates,
-            set_indices=set_indices,
+            set_indices=Ints(set_indices),
             residuals_before=residuals_before,
             step_norms=step_norms,
             sets_per_sweep=m,
@@ -233,6 +270,7 @@ def _run_steps(
         )
 
     sets = problem.sets
+    dist = distance_kernel(n)
     k = 0
     moved = 0.0
     while k < max_steps:
@@ -251,7 +289,7 @@ def _run_steps(
                 f"beyond tolerance at step {k + 1}"
             )
         last[idx] = y
-        sn = vdist(y, x)
+        sn = dist(y, x)
         k += 1
         if dense or k in keep:
             add_k(k)
@@ -323,12 +361,12 @@ def _subtrace(combined: Trace, parity: int) -> Trace:
     keep = [k % 2 == parity for k in combined.ks]
     return replace(
         combined,
-        ks=list(compress(combined.ks, keep)),
+        ks=Ints(array("q", compress(combined.ks, keep))),
         iterates=Points(
             combined.problem.dimension,
             array("d", chain.from_iterable(compress(combined.iterates, keep))),
         ),
-        set_indices=list(compress(combined.set_indices, keep)),
+        set_indices=Ints(array("q", compress(combined.set_indices, keep))),
         residuals_before=array("d", compress(combined.residuals_before, keep)),
         step_norms=array("d", compress(combined.step_norms, keep)),
     )

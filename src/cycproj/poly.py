@@ -25,7 +25,8 @@ The kernels of a set's projection are compiled here and kept by the set
 (``sets.ConvexSetDescriptor``): ``newton_kernel(polys)``, for each subset of
 active constraints, from the template ``_NEWTON_SOURCE``;
 ``residual_kernel``, ``halfspace_kernel`` and ``ball_kernel``.
-``solve_kernel(n)`` compiles the dense solver of n x n systems, cached by
+``solve_kernel(n)`` compiles the dense solver of n x n systems, and
+``distance_kernel(n)`` the Euclidean distance of n-vectors, each cached by
 n.  A KKT state at (y, lam) is the flat tuple ``(y..., lam_1..lam_p, s...,
 v_1..v_p, grad g_1(y)..., ..., grad g_p(y)..., ||F||)`` of the stationarity
 vector ``s_i = (y_i - point_i) + lam_1 * g_1i + ... + lam_p * g_pi``, the
@@ -322,6 +323,16 @@ def ball_kernel(c, r):
              f"if nrm <= c{n}:", "    return x", f"f = c{n} / nrm",
              "return (" + "".join(f"c{i} + f * d{i}, " for i in range(n)) + ")"]
     return _kernel("def kernel(x):\n" + _block(body, 1), [*c, r])
+
+
+@functools.lru_cache(maxsize=None)
+def distance_kernel(n: int):
+    """Compile ``dist(a, b)`` for n-vectors: with ``d_i = a_i - b_i``, it
+    returns ``sqrt(0.0 + d_0 * d_0 + ...)``, the float operations of
+    ``sets.vdist``; cached by n."""
+    body = [f"{_names('a', n)}= a", f"{_names('b', n)}= b"] + [f"d{i} = a{i} - b{i}" for i in range(n)]
+    body.append(f"return sqrt({_squares('d', n)})")
+    return _kernel("def kernel(a, b):\n" + _block(body, 1), [])
 
 
 @functools.lru_cache(maxsize=None)

@@ -143,6 +143,22 @@ def test_read_trace_names_the_file_and_line_of_a_malformed_number(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
 
 
+@pytest.mark.parametrize("bad_row, reason", [(f"{10**30},0,0.5,0.25,0.3,0.4", "64-bit range"),
+                                              (f"3,{10**30},0.5,0.25,0.3,0.4", "64-bit range"),
+                                              ("3,-1,0.5,0.25,0.3,0.4", "negative set index -1")])
+def test_rate_rejects_an_index_the_int_columns_cannot_hold(tmp_path, capsys, bad_row, reason):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "k,set_index,residual_before,step_norm,x_0,x_1\r\n"
+        "1,0,0.5,0.25,0.1,0.2\r\n"
+        f"{bad_row}\r\n"
+    )
+    args = ["rate", "--trace", str(path), "--n", "2", "--d", "2", "--window", "1:3"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: ") and reason in err and "Traceback" not in err
+
+
 def test_problem_file_non_finite_values_rejected(tmp_path):
     pfile = _write_disk_problem(tmp_path)
     base = json.loads(pfile.read_text())

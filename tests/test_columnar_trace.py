@@ -1,7 +1,10 @@
-"""The columnar trace: the :class:`Points` view's sequence semantics, and the
-memory a recorded step costs in a run's trace and in a trace read from CSV."""
+"""The columnar trace: the :class:`Points` and :class:`Ints` views' sequence
+semantics, and the memory a recorded step costs in a run's trace and in a
+trace read from CSV."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from array import array
 
@@ -9,9 +12,9 @@ import pytest
 
 from cycproj.catalog import get_entry
 from cycproj.cli import read_trace, write_trace
-from cycproj.engine import Points, Trace, alternating_project, cyclic_project
+from cycproj.engine import Ints, Points, Trace, alternating_project, cyclic_project
 
-MAX_BYTES_PER_STEP = 100  # about 80 for 2-D columns; a tuple per step cost about 220
+MAX_BYTES_PER_STEP = 64  # about 50 for 2-D columns; lists of ints took about 80, a tuple per step about 220
 
 
 def _points():
@@ -44,6 +47,55 @@ def test_points_index_slice_len_and_iterate_as_tuples():
             pts[i]
     with pytest.raises(ValueError, match="2 coordinates"):
         Points.of(2, [(1.0, 2.0), (3.0,)])
+
+
+def test_ints_compare_equal_to_a_list_both_ways():
+    ints = Ints.of([1, 2, 3])
+    assert ints == [1, 2, 3] and [1, 2, 3] == ints
+    assert not (ints != [1, 2, 3] or [1, 2, 3] != ints)
+    assert ints != [1, 2] and [1, 2] != ints
+    assert ints != [1, 2, 4] and [1, 2, 4] != ints
+    assert ints == Ints(array("q", [1, 2, 3])) and ints != Ints.of([3, 2, 1])
+    assert Ints() == [] and not Ints()
+
+
+def test_ints_index_slice_and_iterate_as_ints():
+    ints = Ints.of([1, 2, 3])
+    assert len(ints) == 3 and ints[0] == 1 and ints[-1] == 3 and type(ints[1]) is int
+    for piece, listed in ((ints[1:], [2, 3]), (ints[::-1], [3, 2, 1]), (ints[5:], [])):
+        assert isinstance(piece, Ints) and piece == listed and listed == piece
+    assert list(ints) == [1, 2, 3] and list(reversed(ints)) == [3, 2, 1]
+    with pytest.raises(IndexError):
+        ints[3]
+    with pytest.raises(OverflowError):
+        Ints.of([2**63])
+
+
+def test_trace_built_from_lists_holds_int_columns():
+    trace = Trace(get_entry("ex5.5").problem, (0.0, 2.0), [1, 2], [(0.0, 1.0), (1.0, 0.0)], [0, 1],
+                  [0.5, 0.25], [1.0, 2.0], sets_per_sweep=2, total_steps=2, thinned=False)
+    assert isinstance(trace.ks, Ints) and trace.ks.values == array("q", [1, 2])
+    assert isinstance(trace.set_indices, Ints) and trace.set_indices.values == array("q", [0, 1])
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_keep_the_int_columns_views(tmp_path, clone):
+    trace = cyclic_project(get_entry("ex5.5").problem, (0.3, 1.9), max_sweeps=3, stop_tol=1e-300)
+    path = tmp_path / "t.csv"
+    write_trace(trace, str(path))
+    for original in (trace, read_trace(str(path))):
+        back = clone(original)
+        for column, listed in ((back.ks, [1, 2, 3, 4, 5, 6]), (back.set_indices, [0, 1, 0, 1, 0, 1])):
+            assert isinstance(column, Ints)
+            assert column == listed and listed == column and not column != listed
+            assert isinstance(column[2:], Ints) and column[2:] == listed[2:]
+        assert back.ks == original.ks and back.set_indices == original.set_indices
+        if clone is copy.deepcopy:
+            assert back.ks.values is not original.ks.values
 
 
 def test_points_keep_negative_zero_and_nan_bits(tmp_path):
@@ -114,7 +166,7 @@ def _held_bytes(build):
         tracemalloc.stop()
 
 
-def test_recorded_steps_cost_at_most_100_bytes_in_a_run_and_in_a_read(tmp_path):
+def test_recorded_steps_cost_at_most_64_bytes_in_a_run_and_in_a_read(tmp_path):
     problem = get_entry("ex5.5").problem
     start = (0.3, 1.9)
     # one sweep first, so the sets' lazily compiled kernels are not counted

@@ -8,12 +8,14 @@ counts).
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycproj.poly import Polynomial
+from cycproj.poly import Polynomial, distance_kernel
+from cycproj.sets import vdist
 
 
 def reference_value(p, x):
@@ -135,3 +137,41 @@ def test_equality_and_hash_ignore_compiled_kernels():
     assert hash(p) == before == hash(q)
     assert len({p, q}) == 1
     assert p != Polynomial(2, {(2, 0): 1.0})
+
+
+# -- the distance kernel against sets.vdist -------------------------------------
+
+distance_coordinates = st.one_of(
+    coordinates,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e200, -1e200, math.inf, math.nan]),
+    st.floats(-1e-310, 1e-310),  # subnormal
+    st.floats(),
+)
+
+
+@st.composite
+def vector_pair(draw):
+    n = draw(st.integers(1, 4))
+    vector = st.lists(distance_coordinates, min_size=n, max_size=n).map(tuple)
+    return draw(vector), draw(vector)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(vector_pair())
+def test_distance_kernel_matches_vdist_bit_for_bit(case):
+    a, b = case
+    assert bits(distance_kernel(len(a))(a, b)) == bits(vdist(a, b))
+
+
+def test_distance_kernel_keeps_signed_zeros_and_subnormals():
+    for a, b in [((-0.0,), (0.0,)), ((-0.0, -0.0), (-0.0, -0.0)), ((5e-324, 0.0, -5e-324), (0.0, -5e-324, 5e-324)),
+                 ((1e-160, 3e-162, 0.0, -1e-170), (-0.0, 0.0, 1e-320, 1e-170))]:
+        assert bits(distance_kernel(len(a))(a, b)) == bits(vdist(a, b))
+    assert bits(distance_kernel(1)((-0.0,), (0.0,))) == bits(0.0)
+
+
+def test_distance_kernel_is_compiled_once_per_dimension():
+    assert distance_kernel(3) is distance_kernel(3)
+    assert distance_kernel(2) is not distance_kernel(3)
+    with pytest.raises(ValueError):
+        distance_kernel(2)((1.0, 2.0, 3.0), (0.0, 0.0))
