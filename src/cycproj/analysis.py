@@ -232,10 +232,8 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool]:
         return oracle.distance(x), False
     stop_tol = OPTIMALITY_TOL * 1e-2
     # only the final point is used, so only the final sweep is recorded
-    _, after = _run_steps(
-        problem, as_vector(x), _REFINE_SWEEPS, 0, lambda moved, before, after: moved < stop_tol
-    )
-    xhat = after[-1]
+    _, last = _run_steps(problem, as_vector(x), _REFINE_SWEEPS, 0, lambda moved, last: moved < stop_tol)
+    xhat = last[-1]
     surrogate = 0.0
     for s in problem.sets:
         surrogate += distance(s, xhat)

@@ -52,13 +52,9 @@ from .sets import (
 # problem files (JSON)
 
 
-class ProblemFileError(ValueError):
-    pass
-
-
 def _expect(cond, msg):
     if not cond:
-        raise ProblemFileError(msg)
+        raise ValueError(msg)
 
 
 def _is_int(value) -> bool:
@@ -147,11 +143,11 @@ def load_problem(path: str) -> FeasibilityProblem:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
         return problem_from_dict(doc)
-    except (ProblemFileError, ValueError, KeyError, TypeError) as exc:
-        raise ProblemFileError(f"{path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_problem(problem: FeasibilityProblem, path: str):
@@ -325,12 +321,9 @@ def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
 
 
 def _resolve_problem(args) -> FeasibilityProblem:
-    if getattr(args, "problem", None):
+    if args.problem:
         return load_problem(args.problem)
-    try:
-        return catalog.get_entry(args.example).problem
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
+    return catalog.get_entry(args.example).problem
 
 
 def cmd_run(args) -> int:
@@ -383,7 +376,7 @@ def cmd_errorbound(args) -> int:
             raise ValueError(f"--t-lo must be positive and finite, got {args.t_lo!r}")
         if not args.t_lo < args.t_hi < math.inf:
             raise ValueError(f"--t-hi must be finite and greater than --t-lo, got {args.t_hi!r}")
-        if not getattr(args, "example", None):
+        if not args.example:
             raise ValueError("--curve mode requires --example with an attached curve")
         entry = catalog.get_entry(args.example)
         if entry.curve is None:
@@ -409,6 +402,8 @@ def cmd_errorbound(args) -> int:
         }
         _emit(doc, args.out)
         return 0
+    if args.center is None:
+        raise ValueError("--center is required unless --curve is given")
     problem = _resolve_problem(args)
     center = _parse_floats(args.center, "--center")
     if len(center) != problem.dimension:
@@ -675,8 +670,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # solver failures and 1 for input errors
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "errorbound" and not args.curve and args.center is None:
-            raise ValueError("--center is required unless --curve is given")
         return args.func(args)
     except (ValueError, KeyError, OSError, CapabilityError, rates.ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -207,12 +207,13 @@ def _run_steps(
     problem.sets[k % m], warm-started from the last projection onto that set.
 
     The run is a sequence of sweeps over the m sets.  At each sweep end
-    ``stop(moved, before, after)`` decides whether the run ends there:
-    ``moved`` is the sweep's summed step norm, and ``before``/``after`` hold
-    the last projection onto each set at the previous sweep end and at this
-    one (``before`` holds None before the first sweep end).  With ``stop``
-    None the run takes all ``max_sweeps`` sweeps.  Returns the trace and
-    ``after`` at the final sweep end; ``after[-1]`` is the final point.
+    ``stop(moved, last)`` decides whether the run ends there: ``moved`` is
+    the sweep's summed step norm, and ``last`` is the driver's own list of
+    the last projection onto each set, which the driver keeps updating, so a
+    rule that compares sweeps copies what it needs.  With ``stop`` None the
+    run takes all ``max_sweeps`` sweeps.  Returns the trace and the last
+    projection onto each set at the final sweep end, as a tuple whose last
+    item is the final point.
 
     A run of at most ``record_cap`` steps records them all; a longer one
     records its first 10^4 steps, checkpoints at rounded powers of 1.05 and
@@ -225,22 +226,17 @@ def _run_steps(
     final_sweep = deque(maxlen=m)  # a thinned run's last m steps
     x = x0
     last: List[Optional[Vector]] = [None] * m
-    before = after = (None,) * m
     n = problem.dimension
-    ks = array("q")
-    iterates = Points(n)
-    flat = iterates.flat
-    set_indices = array("q")
-    residuals_before = array("d")
-    step_norms = array("d")
+    trace = Trace(problem, x0, Ints(), Points(n), Ints(), array("d"), array("d"), m, 0, not dense)
+    ks, set_indices, flat = trace.ks.values, trace.set_indices.values, trace.iterates.flat
     add_k, add_iterate, add_set = ks.append, flat.extend, set_indices.append
-    add_residual, add_step = residuals_before.append, step_norms.append
+    add_residual, add_step = trace.residuals_before.append, trace.step_norms.append
 
     def make_trace(total):
         # the final sweep replaces the recorded steps it holds
         while final_sweep and ks and ks[-1] > total - m:
             del flat[-n:]
-            for column in (ks, set_indices, residuals_before, step_norms):
+            for column in (ks, set_indices, trace.residuals_before, trace.step_norms):
                 column.pop()
         for k, y, idx, rb, sn in final_sweep:
             add_k(k)
@@ -248,18 +244,8 @@ def _run_steps(
             add_set(idx)
             add_residual(rb)
             add_step(sn)
-        return Trace(
-            problem=problem,
-            x0=x0,
-            ks=Ints(ks),
-            iterates=iterates,
-            set_indices=Ints(set_indices),
-            residuals_before=residuals_before,
-            step_norms=step_norms,
-            sets_per_sweep=m,
-            total_steps=total,
-            thinned=not dense,
-        )
+        trace.total_steps = total
+        return trace
 
     def step_error(message):
         return ProjectionStepError(
@@ -302,12 +288,10 @@ def _run_steps(
         x = y
         moved += sn
         if idx == m - 1:
-            after = tuple(last)
-            if stop is not None and stop(moved, before, after):
+            if stop is not None and stop(moved, last):
                 break
-            before = after
             moved = 0.0
-    return make_trace(k), after
+    return make_trace(k), tuple(last)
 
 
 def cyclic_project(
@@ -328,9 +312,7 @@ def cyclic_project(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     x0 = finite_vector(x0, "x0", problem.dimension)
-    trace, _ = _run_steps(
-        problem, x0, max_sweeps, record_cap, lambda moved, before, after: moved < stop_tol
-    )
+    trace, _ = _run_steps(problem, x0, max_sweeps, record_cap, lambda moved, last: moved < stop_tol)
     return trace
 
 
@@ -395,11 +377,12 @@ def alternating_project(
     b0 = finite_vector(b0, "b0", A.dimension)
     problem = FeasibilityProblem(A.dimension, (A, B), intersection_oracle=oracle)
 
-    def pair_settled(moved, before, after):
-        return (
-            before[0] is not None
-            and vdist(after[0], before[0]) + vdist(after[1], before[1]) < stop_tol
-        )
+    before = [None, None]  # the pair at the previous sweep end
+
+    def pair_settled(moved, last):
+        settled = before[0] is not None and vdist(last[0], before[0]) + vdist(last[1], before[1]) < stop_tol
+        before[:] = last
+        return settled
 
     combined, (a_last, b_last) = _run_steps(problem, b0, max_iters, record_cap, pair_settled)
     return AlternatingResult(

@@ -21,6 +21,7 @@ from cycproj.sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
     NumericalError,
+    vdist,
 )
 
 
@@ -55,6 +56,11 @@ def test_fit_power_window_validation():
         fit_power_rate([(k, e - 1.0) for k, e in errors], (1, 99))  # nonpositive
     with pytest.raises(ValueError):
         fit_power_rate(errors, (50, 10))
+
+
+def test_fit_power_rejects_identical_abscissae():
+    with pytest.raises(ValueError, match="^degenerate fit: all abscissae identical$"):
+        fit_power_rate([(5, 1.0)] * 20, (5, 5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -150,6 +156,15 @@ def test_error_sequence_rejects_a_bad_limit():
     for limit in ((0.0, 0.0, 0.0), (0.0,), (math.nan, 0.0)):
         with pytest.raises(ValueError):
             trace_error_sequence(trace, limit=limit)
+
+
+def test_error_sequence_without_oracle_or_limit_measures_to_the_last_iterate():
+    problem = FeasibilityProblem(2, get_entry("ex5.5").problem.sets)  # no oracle
+    trace = cyclic_project(problem, (0.3, 1.9), max_sweeps=10, stop_tol=1e-300)
+    last = trace.iterates[-1]
+    errors = trace_error_sequence(trace)
+    assert errors == [(k, vdist(x, last)) for k, x in zip(trace.ks, trace.iterates)]
+    assert errors[-1] == (trace.total_steps, 0.0)
 
 
 # -- error-bound probe ---------------------------------------------------------------

@@ -228,6 +228,12 @@ def test_alternating_rejects_wrong_length_start_up_front():
         alternating_project(A, B, (0.0, 2.0, 1.0), max_iters=10, stop_tol=1e-12)
 
 
+def test_alternating_input_validation():
+    A, B = get_entry("ex5.5").pair
+    with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+        alternating_project(A, B, (0.0, 2.0), max_iters=0, stop_tol=1e-12)
+
+
 def test_alternating_interleaving_indices():
     entry = get_entry("ex5.5")
     A, B = entry.pair
@@ -285,6 +291,14 @@ def test_descent_inequality_constant_trace_zero_slack():
     report = check_descent_inequality(trace, entry.problem)
     assert report.violations == []
     assert abs(report.min_slack) <= 1e-12
+
+
+def test_descent_inequality_without_consecutive_steps_reports_zero_slack():
+    entry = get_entry("ex5.1")
+    pts = [(0.5, 0.5), (0.25, 0.25)]
+    trace = Trace(entry.problem, (1.0, 1.0), [2, 4], pts, [1, 3], [0.0, 0.0], [0.1, 0.1], 4, 4, True)
+    report = check_descent_inequality(trace, entry.problem)
+    assert report.min_slack == 0.0 and report.violations == []
 
 
 def test_descent_inequality_flags_non_projection_trace():
