@@ -48,6 +48,7 @@ from .sets import (
     ProjectionError,
     Singleton,
     distance,
+    feasible,
     project,
     residual,
 )

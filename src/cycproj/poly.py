@@ -44,9 +44,14 @@ v_1 * v_1 + ...))``.
   feas_tol`` and ``|s| <= opt_tol``, each solving the bordered KKT system
   ``[[I + sum_j lam_j H_j, G], [G^T, 0]]`` (entries ``0.0 + lam_1 * h_1 +
   ...``, the gradients as the columns of G) with right-hand side ``-F`` by
-  ``solve(A, b)`` and damped by Armijo halving down to t = 2^-40; then up
-  to two full polish steps, each kept only while ||F|| strictly falls.  It
-  returns ``(y, lams, vals, grads)`` when it converged, or None when
+  ``solve(A, b)`` and damped by Armijo halving down to t = 2^-40; then one
+  full polish step, and a second only while ||F|| is above the rounding
+  floor ``4 eps * (1 + sum |point_i| + sum |y_i| + sum_j |lam_j| * sum_i
+  |grad g_j(y)_i|)``, below which a step only shuffles rounding, each kept
+  only while ||F|| strictly falls.  The floor errs low: a constraint of
+  large coefficients, whose values carry more rounding than it counts,
+  still takes both steps.  It returns ``(y, lams, vals, grads)`` when it
+  converged, or None when
   abandoned (non-finite ||F||, a singular system, the backtracking floor or
   ``max_iter`` steps without converging).
 
@@ -200,7 +205,8 @@ def kernel(point, gx, start):
 # y..., l..., s..., v..., g..., fn, constraint k having multiplier l<k>, value
 # v<k>, gradient g<i>_<k> and Hessian h<i>_<j>_<k>; {system} solves for the
 # step d..., dl..., and {trial} computes the trial state x..., lt..., r...,
-# w..., u..., ft at (y..., l...) + t * step.
+# w..., u..., ft at (y..., l...) + t * step; {floor} is the rounding scale
+# whose 2^-50 = 4 eps multiple stops the second polish step.
 _NEWTON_SOURCE = """\
 def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     {p}= point
@@ -225,8 +231,8 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
         {state} = {trial_state}
     else:
         return None
-    for _ in range(2):
-        if fn == 0.0:
+    for polish in range(2):
+        if fn == 0.0 or polish and fn <= 2.0 ** -50 * ({floor}):
             break
 {system2}
         if d is None:
@@ -243,6 +249,10 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
 
 def _squares(v: str, n: int) -> str:
     return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
+
+
+def _abs_sum(g: str, n: int, k: int) -> str:
+    return "0.0" + "".join(f" + abs({g}{i}_{k})" for i in range(n))
 
 
 def newton_kernel(polys):
@@ -282,6 +292,8 @@ def newton_kernel(polys):
             state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
             trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
             feasible=" and ".join(f"abs(v{k}) <= feas_tol" for k in ks),
+            floor="1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
+            + "".join(f" + abs(l{k}) * ({_abs_sum('g', n, k)})" for k in ks),
             stat_squares=_squares("s", n),
             system2=_block(system, 2),
             trial2=_block(trial, 2),

@@ -25,8 +25,9 @@ Every Newton solve is :func:`_kkt_newton`, which runs the seed states its
 caller builds, one after another, through the kernel that
 ``poly.newton_kernel`` compiles for the active constraints, one or more,
 cached on the set by their indices.  The kernel runs the steps and the
-polish, and ``poly.solve_kernel``'s elimination code for the system size,
-passed in as ``_solve_dense``, solves each bordered KKT system.  Without a
+polish, one step and a second only above the rounding floor of ||F||, and
+``poly.solve_kernel``'s elimination code for the system size, passed in as
+``_solve_dense``, solves each bordered KKT system.  Without a
 closed form, each constraint is evaluated once at the input point, and the
 result's membership check reuses the Newton state's values of the active
 constraints; a seed state is always built from values and gradients its
@@ -38,9 +39,14 @@ solve converged and :func:`_accept` passed the result, and raises
 where the projection lands (the first set {x_1^d <= 0} of the catalog's
 ex3.2): there is no KKT multiplier, so Newton does not converge.
 
-Every projection meets two fixed module constants: its constraint residual
-is at most ``FEASIBILITY_TOL`` and its first-order optimality and
-complementarity defects are at most ``OPTIMALITY_TOL``, both 1e-10.
+Every projection meets two fixed module constants, both 1e-10: it passes
+:func:`feasible`, and its first-order optimality and complementarity defects
+are at most ``OPTIMALITY_TOL``.  :func:`feasible` is the one feasibility
+rule, which the drivers' post-step check uses too: every ``g_j(y) <=
+FEASIBILITY_TOL``, or, when that fails, every ``g_j(y) <= FEASIBILITY_TOL *
+max(1, sum_alpha |c_alpha| |y^alpha|)``, since the value of a constraint of
+large terms carries their rounding; :func:`residual` returns the raw
+``max_j [g_j]_+``.
 
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
@@ -327,6 +333,27 @@ def residual(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
         raise NumericalError(f"overflow evaluating the constraints of {s.name!r}") from exc
 
 
+def feasible(s: ConvexSetDescriptor, y: Sequence[float]) -> bool:
+    """Whether ``y`` lies in ``s`` to the feasibility tolerance: every
+    g_j(y) <= FEASIBILITY_TOL, or, failing that, every g_j(y) <=
+    FEASIBILITY_TOL * max(1, sum_alpha |c_alpha| |y^alpha|), the summed size
+    of g_j's terms at y, whose rounding its value carries.  NaN fails.
+    Raises :class:`NumericalError` when evaluation overflows."""
+    if residual(s, y) <= FEASIBILITY_TOL:
+        return True
+    for g in s.constraints:
+        size = 0.0
+        for m in g.terms:
+            term = abs(m.coefficient)
+            for yi, e in zip(y, m.exponents):
+                if e:
+                    term *= abs(yi) ** e
+            size += term
+        if not g.evaluate(y) <= FEASIBILITY_TOL * max(1.0, size):
+            return False
+    return True
+
+
 def project(
     s: ConvexSetDescriptor,
     x: Sequence[float],
@@ -334,8 +361,8 @@ def project(
 ) -> Vector:
     """Euclidean projection of ``x`` onto ``s``.
 
-    The result y satisfies residual(s, y) <= FEASIBILITY_TOL and the
-    first-order optimality/complementarity conditions within OPTIMALITY_TOL.
+    The result y passes :func:`feasible` and meets the first-order
+    optimality/complementarity conditions within OPTIMALITY_TOL.
     Raises :class:`ProjectionError` (with best iterate attached) if no branch
     converges, :class:`NumericalError` on NaN or overflow during the solve,
     and ``ValueError`` when ``x`` has a NaN or infinite coordinate.
@@ -346,7 +373,9 @@ def project(
     than the cold one; the result meets the same tolerances either way, and
     without ``start`` the cold path is unchanged.
     """
-    x = finite_vector(x, "point", s.dimension)
+    x = tuple(map(float, x))
+    if len(x) != s.dimension or not all(map(math.isfinite, x)):
+        x = finite_vector(x, "point", s.dimension)  # raises with the message
     closed = s._closed
     if closed is not None:  # closed forms; only the ball's returns None, on overflow
         y = closed(x)
@@ -468,18 +497,18 @@ def _gram(grads):
 
 
 def _accept(s, active, y, lams, vals):
-    """``tuple(y)``, or None when a multiplier is negative or the point is
-    not in the set: the other constraints are evaluated and checked, then
-    the active constraints' values, which are the Newton state's."""
+    """``tuple(y)``, or None when a multiplier is negative or the point
+    fails :func:`feasible`.  Its absolute test reads the active constraints'
+    values from the Newton state and evaluates only the others, if any; only
+    when that fails does :func:`feasible` run in full."""
     if any(mult < -OPTIMALITY_TOL for mult in lams):
         return None
     result = tuple(y)
-    for j, other in enumerate(s.constraints):
-        if j not in active and not other.evaluate(result) <= FEASIBILITY_TOL:  # NaN fails too
-            return None
-    if not _max_violation(vals) <= FEASIBILITY_TOL:
-        return None
-    return result
+    within = _max_violation(vals) <= FEASIBILITY_TOL  # NaN fails too
+    if within and len(active) < len(s.constraints):
+        within = all(other.evaluate(result) <= FEASIBILITY_TOL
+                     for j, other in enumerate(s.constraints) if j not in active)
+    return result if within or feasible(s, result) else None
 
 
 # -- branch (e): a working set of active constraints

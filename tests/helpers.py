@@ -1,6 +1,7 @@
 """Shared test utilities: brute-force oracles kept independent of the solvers."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -185,12 +186,15 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
 
     Newton steps, each damped by Armijo halving down to t = 2^-40, run until
     every |g_j(y)| <= feas_tol and |stat| <= opt_tol, for at most
-    ``max_iter`` steps; then up to two full polish steps, each kept only
-    while ||F|| strictly falls.  Returns None when abandoned (non-finite
-    ||F||, a singular system, the backtracking floor or ``max_iter`` steps
-    without converging), else (y, lams, values, gradients).  ``events``,
-    when given, collects "floor", "not converged" and "polish rejected" as
-    they happen."""
+    ``max_iter`` steps; then one full polish step, and a second only while
+    ||F|| is above the rounding floor ``4 eps * rounding_scale(x, y, lams,
+    grads)``, each kept only while ||F|| strictly falls.  Returns None when
+    abandoned (non-finite ||F||, a singular system, the backtracking floor
+    or ``max_iter`` steps without converging), else (y, lams, values,
+    gradients).  ``events``, when given, collects "floor", "not converged"
+    and "polish rejected" as they happen; a polish step is rejected when
+    ||F|| does not fall, or, for the second, is already at the rounding
+    floor."""
     events = [] if events is None else events
     n, p = len(x), len(gs)
     y, lams = list(seed[:n]), list(seed[n : n + p])
@@ -227,8 +231,11 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     else:
         events.append("not converged")
         return None
-    for _ in range(2):
+    for polish in range(2):
         if fnorm == 0.0:
+            break
+        if polish and fnorm <= 4.0 * sys.float_info.epsilon * rounding_scale(x, y, lams, grads):
+            events.append("polish rejected")
             break
         step = direction()
         if step is None:
@@ -239,6 +246,20 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
             break
         y, lams, stat, vals, grads, fnorm = new
     return tuple(y), tuple(lams), tuple(vals), tuple(map(tuple, grads))
+
+
+def rounding_scale(x, y, lams, grads):
+    """1 + sum |x_i| + sum |y_i| + sum_j |lam_j| * sum_i |grad_j_i|, each sum
+    taken in index order: ||F|| at y is known only to about eps times this."""
+    total = 1.0
+    for v in (*x, *y):
+        total += abs(v)
+    for lam, grad in zip(lams, grads):
+        size = 0.0
+        for gi in grad:
+            size += abs(gi)
+        total += abs(lam) * size
+    return total
 
 
 def reference_residual(s, x):

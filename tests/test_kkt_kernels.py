@@ -11,6 +11,7 @@ list code and ``reference_solve_dense``.  Results are compared through
 """
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -171,6 +172,39 @@ def test_newton_kernel_rejected_polish_step():
     g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
     [(events, result)] = _newton_events(g, (0.9095578363365777, 1.732340106813079))
     assert events == ["polish rejected"] and result is not None
+
+
+def _polish_solves(g, x):
+    """The dense solves of the Newton kernel from x's cold seed that start
+    from a converged state, which are the polish steps it tries, and whether
+    it returned a point; the kernel must match the reference loop."""
+    [seed] = g.kkt_kernels().kkt_seed(x, g.evaluate(x), None)
+    polish = []
+
+    def solve(A, b):
+        n = len(x)
+        stat, vals = b[:n], b[n:]
+        polish.append(all(abs(v) <= FEASIBILITY_TOL for v in vals)
+                      and math.sqrt(sum(si * si for si in stat)) <= OPTIMALITY_TOL)
+        return sets._solve_dense(A, b)
+
+    kernel = poly.newton_kernel([g])
+    result = kernel(x, seed, solve, 200, FEASIBILITY_TOL, OPTIMALITY_TOL)
+    assert bits(result) == bits(reference_newton([g], x, seed, 200, FEASIBILITY_TOL, OPTIMALITY_TOL))
+    return sum(polish), result is not None
+
+
+def test_second_polish_step_only_above_the_rounding_floor():
+    # on ex5.8:n=2's quartic ball ||F|| reaches the rounding floor of y, x and
+    # lam * grad g after one polish step, so the second is skipped; scaled by
+    # 1e6, the value g(y) carries rounding of 1e6 * eps, above that floor,
+    # and both steps are tried, unless the start is so far that the floor,
+    # which grows with |x|, covers it
+    g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
+    scaled = Polynomial(2, {m.exponents: 1e6 * m.coefficient for m in g.terms})
+    assert _polish_solves(g, (3.0, 0.2)) == (1, True)
+    assert _polish_solves(scaled, (3.0, 0.2)) == (2, True)
+    assert _polish_solves(scaled, (1e10, 1.0)) == (1, True)
 
 
 def test_newton_kernel_abandons_a_degenerate_set():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cycproj.catalog import get_entry
 from cycproj.poly import Polynomial
 from cycproj.sets import (
+    FEASIBILITY_TOL,
     Ball,
     ConvexSetDescriptor,
     FeasibilityProblem,
@@ -17,6 +18,7 @@ from cycproj.sets import (
     ProjectionError,
     Singleton,
     distance,
+    feasible,
     project,
     residual,
     vdist,
@@ -747,3 +749,19 @@ def test_generated_closed_forms_match_the_vector_helpers_bit_for_bit(linear, c, 
         if hint is not None:
             reference = reference_halfspace if isinstance(hint, Halfspace) else reference_ball
             assert outcome(project, s, x) == outcome(reference, hint, x)
+
+
+def test_feasibility_is_judged_against_the_size_of_the_terms():
+    # projections onto a ball of radius 1e4 are exact to rounding, yet the
+    # expanded x^2 + y^2 - 1e8 there reads up to about 1e-8: the absolute test
+    # fails on some, and the rule relative to the terms' size, 1e-10 * 2e8,
+    # passes all; a point 1e-3 outside, a value of 20, fails it
+    rng = np.random.default_rng(0)
+    s = ConvexSetDescriptor("big-ball", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1e8})])
+    ys = [project(s, tuple(x)) for x in rng.uniform(-3e4, 3e4, size=(200, 2))]
+    assert any(residual(s, y) > FEASIBILITY_TOL for y in ys)
+    assert all(feasible(s, y) for y in ys)
+    assert not feasible(s, (1e4 + 1e-3, 0.0)) and not feasible(s, (math.nan, 0.0))
+    # a set of scale 1 keeps the absolute test
+    unit = ConvexSetDescriptor("unit", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
+    assert feasible(unit, (1.0, 0.0)) and not feasible(unit, (1.0 + 1e-9, 0.0))

@@ -27,14 +27,14 @@ from cycproj.sets import ConvexSetDescriptor, ProjectionError, project
 DENSE_EX55_SHA = "933c82e940436f78fbdb0d17693b1a9d77e7e42c6c634301eb3db9d886f7e64b"
 RATE_EX55_SHA = "268096575c4eeb04371f4946478239b49cd45581e988a966e1911db31e5b9bcf"
 THINNED_EX55_SHA = "d470e1295cf54d86c326684587735a57267897d4788eed1cae74cf01559743ce"
-EX58_N3_SHA = "8578210eaabc65868cc805e4e7cbeb40daabb9cbca100841cb5a62d6d3955dec"
+EX58_N3_SHA = "d1b63cd751a9dfbf7c735ca8a49a16095dfca83b968b20523a92c95e89094043"
 HAND_BUILT_SHA = "297f3e2b5eb93672831e74d27c3aa6b3881c3b7ffd8445d556d22f3465013a14"
 LENS_ERRORBOUND_SHA = "d222ac48cc2cc6cc8c8def36925ff4f736395119204b8ee6fff741dd3a686760"
-EX57_D4_SHA = "ad01e2677eed8468bb4381624ed5cb14afcbff803a8436b887eb9e90defd94ba"
+EX57_D4_SHA = "ab91800786f4a5e4f45d3f4acd366dff5abc25af6cdc863f0e8ca2a35cb3057e"
 CROSSED_LENS_ERRORBOUND_SHA = "1d51fe63a07cdf00c0766794f13110c2cb955954717c85329b141c5d382e2bd3"
-EX58_N2_ALTERNATING_SHA = "e7c0143c8a667c1dfe5cba6e147ad0fd083ecefb5ceaa1fc2bdc078becbf57ab"
-EX57_D2_SHA = "ae629e28f6d2b06095362f34ad80baa1621a30b585c70421f21a79f6a8b3d022"
-MULTI_CONSTRAINT_PROJECTIONS_SHA = "2b15183e18889cefdb64899e74acb36ce2e10fa1696f1a540ddcb2df206a1f74"
+EX58_N2_ALTERNATING_SHA = "3e353c5123c409f7425a54664b72d6c00beefb6c9db7de32d02ab00316910794"
+EX57_D2_SHA = "d3c11038ab138b24e6d0fe42ed508b12ce2ef50070f44d41fa39fcdfc665b6aa"
+MULTI_CONSTRAINT_PROJECTIONS_SHA = "80e44aa8235effe33d0ec8fb44187c1a3bf4a30df4d1bb0e3af21e0ebcfe09b0"
 
 
 def _sha256(path) -> str:
