@@ -145,19 +145,7 @@ def test_warm_start_dense_solves_per_step(monkeypatch, entry_id, bound):
 # always tried, 3.1425 and 1.1325 with the second one skipped at the rounding floor
 @pytest.mark.parametrize("entry_id, bound", [("ex5.8:n=2", 3.3), ("ex5.7:d=4", 1.19)])
 def test_polish_at_the_rounding_floor_dense_solves_per_step(monkeypatch, entry_id, bound):
-    calls = [0]
-    solve = sets._solve_dense
-
-    def counting_solve(A, b):
-        calls[0] += 1
-        return solve(A, b)
-
-    monkeypatch.setattr(sets, "_solve_dense", counting_solve)
-    entry = get_entry(entry_id)
-    A, B = entry.pair
-    tr = alternating_project(A, B, entry.default_start, max_iters=200, stop_tol=1e-16).combined
-    assert tr.total_steps == 400
-    assert calls[0] / tr.total_steps <= bound
+    test_warm_start_dense_solves_per_step(monkeypatch, entry_id, bound)
 
 
 # -- thinned recording ---------------------------------------------------------
