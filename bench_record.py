@@ -4,16 +4,18 @@ Run from the repository root:
 
     python3 bench_record.py --label polish_floor --also baseline=../parent
 
-For each workload that ``BENCHMARK.json`` lists and each seed of ``--seeds``,
+For each workload that ``BENCHMARK.json`` lists and each of ten fixed seeds,
 the script runs ``perfbench/run.py --trace 0`` as a subprocess in each tree,
 the trees in turn and the turn's first tree rotating from seed to seed, so
 that a drift of the machine's speed falls on every tree alike.  It reads the
 last two lines of each run, the detail record and the result.  Then it runs
-one traced seed per workload and tree for the per-layer metrics.  Each tree
-gets one file in ``--out-dir``: the environment, and per workload the median
-and interquartile range over seeds of ``op_s``, ``setup_s`` and
-``peak_rss_mb``, each seed's values, the traced seed's per-layer metrics and
-the reference op's digests.  ``perfbench/`` itself is run as it is.
+one traced seed per workload and tree for the per-layer metrics.  Every run
+lasts ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` gives a
+shorter one for a quick check.  Each tree gets one file at the repository
+root: the environment, and per workload the median and interquartile range
+over seeds of ``op_s``, ``setup_s`` and ``peak_rss_mb``, each seed's values,
+the traced seed's per-layer metrics and the reference op's digests.
+``perfbench/`` itself is run as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 END_TO_END = ("op_s", "setup_s", "peak_rss_mb")
-DEFAULT_SEEDS = "51,52,53,54,55,56,57,58,59,60"
+SEEDS = list(range(51, 61))
 TRACE_SEED = 1  # the seed of the traced runs that CI checks
 
 
@@ -92,15 +94,17 @@ def record(trees, workloads, seeds, seconds):
     return docs
 
 
-def main(argv=None) -> int:
+def main(argv=None, workloads=None, seeds=SEEDS, out_dir=ROOT) -> int:
+    """Record the trees of ``argv``; ``workloads`` defaults to those of
+    ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
     ap = argparse.ArgumentParser(description="record the benchmark as BENCH_<label>.json")
     ap.add_argument("--label", required=True, help="label of this tree's file")
     ap.add_argument("--also", action="append", default=[], metavar="LABEL=DIR",
                     help="another checkout, recorded in turn with this one (repeatable)")
-    ap.add_argument("--workloads", help="comma-separated workloads (default: those of BENCHMARK.json)")
-    ap.add_argument("--seeds", default=DEFAULT_SEEDS, help=f"comma-separated seeds (default {DEFAULT_SEEDS})")
-    ap.add_argument("--seconds", type=float, default=10.0, help="budget of each run (default 10)")
-    ap.add_argument("--out-dir", default=ROOT, help="where the files go (default: the repository root)")
+    ap.add_argument("--seconds", type=float, default=float(benchmark["run_seconds"]),
+                    help="budget of each run (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args(argv)
     trees = [(args.label, ROOT)]
     for spec in args.also:
@@ -110,20 +114,15 @@ def main(argv=None) -> int:
         trees.append((label, os.path.abspath(tree)))
     if len({label for label, _ in trees}) != len(trees):
         ap.error("labels must differ")
-    if args.workloads:
-        workloads = args.workloads.split(",")
-    else:
-        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-            workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    for label, doc in record(trees, workloads, seeds, args.seconds).items():
-        path = os.path.join(args.out_dir, f"BENCH_{label}.json")
+    if workloads is None:
+        workloads = [w["name"] for w in benchmark["workloads"]]
+    for label, doc in record(trees, workloads, list(seeds), args.seconds).items():
+        path = os.path.join(out_dir, f"BENCH_{label}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(path)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .poly import distance_kernel
 from .sets import (
+    FEASIBILITY_TOL,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
@@ -269,7 +270,7 @@ def _run_steps(
             raise step_error(
                 f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}"
             ) from exc
-        if not feasible(s, y):
+        if not (residual(s, y) <= FEASIBILITY_TOL or feasible(s, y)):  # NaN fails too
             raise step_error(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}"

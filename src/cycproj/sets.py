@@ -337,7 +337,8 @@ def feasible(s: ConvexSetDescriptor, y: Sequence[float]) -> bool:
     """Whether ``y`` lies in ``s`` to the feasibility tolerance: every
     g_j(y) <= FEASIBILITY_TOL, or, failing that, every g_j(y) <=
     FEASIBILITY_TOL * max(1, sum_alpha |c_alpha| |y^alpha|), the summed size
-    of g_j's terms at y, whose rounding its value carries.  NaN fails.
+    of g_j's terms at y, whose rounding its value carries.  NaN and an
+    overflowed value fail.
     Raises :class:`NumericalError` when evaluation overflows."""
     if residual(s, y) <= FEASIBILITY_TOL:
         return True
@@ -349,7 +350,8 @@ def feasible(s: ConvexSetDescriptor, y: Sequence[float]) -> bool:
                 if e:
                     term *= abs(yi) ** e
             size += term
-        if not g.evaluate(y) <= FEASIBILITY_TOL * max(1.0, size):
+        value = g.evaluate(y)
+        if not (value <= FEASIBILITY_TOL * max(1.0, size) and value < math.inf):
             return False
     return True
 
@@ -373,9 +375,7 @@ def project(
     than the cold one; the result meets the same tolerances either way, and
     without ``start`` the cold path is unchanged.
     """
-    x = tuple(map(float, x))
-    if len(x) != s.dimension or not all(map(math.isfinite, x)):
-        x = finite_vector(x, "point", s.dimension)  # raises with the message
+    x = finite_vector(x, "point", s.dimension)
     closed = s._closed
     if closed is not None:  # closed forms; only the ball's returns None, on overflow
         y = closed(x)
@@ -498,17 +498,18 @@ def _gram(grads):
 
 def _accept(s, active, y, lams, vals):
     """``tuple(y)``, or None when a multiplier is negative or the point
-    fails :func:`feasible`.  Its absolute test reads the active constraints'
-    values from the Newton state and evaluates only the others, if any; only
-    when that fails does :func:`feasible` run in full."""
+    fails :func:`feasible`: the other constraints are evaluated and checked,
+    then the active constraints' values, which are the Newton state's, and
+    only when that absolute test fails does :func:`feasible` run in full."""
     if any(mult < -OPTIMALITY_TOL for mult in lams):
         return None
     result = tuple(y)
-    within = _max_violation(vals) <= FEASIBILITY_TOL  # NaN fails too
-    if within and len(active) < len(s.constraints):
-        within = all(other.evaluate(result) <= FEASIBILITY_TOL
-                     for j, other in enumerate(s.constraints) if j not in active)
-    return result if within or feasible(s, result) else None
+    for j, other in enumerate(s.constraints):
+        if j not in active and not other.evaluate(result) <= FEASIBILITY_TOL:  # NaN fails too
+            return result if feasible(s, result) else None
+    if not _max_violation(vals) <= FEASIBILITY_TOL:
+        return result if feasible(s, result) else None
+    return result
 
 
 # -- branch (e): a working set of active constraints

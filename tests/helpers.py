@@ -191,10 +191,10 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     grads)``, each kept only while ||F|| strictly falls.  Returns None when
     abandoned (non-finite ||F||, a singular system, the backtracking floor
     or ``max_iter`` steps without converging), else (y, lams, values,
-    gradients).  ``events``, when given, collects "floor", "not converged"
-    and "polish rejected" as they happen; a polish step is rejected when
-    ||F|| does not fall, or, for the second, is already at the rounding
-    floor."""
+    gradients).  ``events``, when given, collects "floor", "not converged",
+    "polish rejected" (a polish step that does not lower ||F||) and "polish
+    at floor" (the second polish step skipped at the rounding floor) as they
+    happen."""
     events = [] if events is None else events
     n, p = len(x), len(gs)
     y, lams = list(seed[:n]), list(seed[n : n + p])
@@ -235,7 +235,7 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
         if fnorm == 0.0:
             break
         if polish and fnorm <= 4.0 * sys.float_info.epsilon * rounding_scale(x, y, lams, grads):
-            events.append("polish rejected")
+            events.append("polish at floor")
             break
         step = direction()
         if step is None:

@@ -1,18 +1,18 @@
 """``bench_record.py`` at the repository root, run on a one-second budget."""
 
+import importlib.util
 import json
 import os
-import subprocess
-import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_bench_record_writes_a_bench_file(tmp_path):
-    cmd = [sys.executable, os.path.join(ROOT, "bench_record.py"), "--label", "smoke",
-           "--workloads", "probe_scatter", "--seeds", "1", "--seconds", "1", "--out-dir", str(tmp_path)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("bench_record", os.path.join(ROOT, "bench_record.py"))
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    argv = ["--label", "smoke", "--seconds", "1"]
+    assert bench_record.main(argv, workloads=["probe_scatter"], seeds=[1], out_dir=str(tmp_path)) == 0
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert doc["label"] == "smoke" and doc["settings"]["seeds"] == [1]
     assert {"python", "cpu_model", "nproc", "git_commit"} <= set(doc["environment"])

@@ -168,10 +168,24 @@ def test_newton_kernel_backtracking_floor():
     assert _newton_events(g, (2.0, 1.0)) == [(["floor"], None)]
 
 
-def test_newton_kernel_rejected_polish_step():
+def _quartic_ball(scale=1.0):
+    """ex5.8:n=2's left quartic ball, its coefficients times ``scale``"""
     g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
-    [(events, result)] = _newton_events(g, (0.9095578363365777, 1.732340106813079))
+    return Polynomial(2, {m.exponents: scale * m.coefficient for m in g.terms})
+
+
+def test_newton_kernel_rejected_polish_step():
+    # on the ball scaled by 1e6 the second polish step runs above the
+    # rounding floor, and there it does not lower ||F||
+    [(events, result)] = _newton_events(_quartic_ball(1e6), (3.0, 0.2))
     assert events == ["polish rejected"] and result is not None
+
+
+def test_newton_kernel_polish_at_the_rounding_floor():
+    # after the first polish step ||F|| is at the rounding floor, so the
+    # second is not tried
+    [(events, result)] = _newton_events(_quartic_ball(), (0.9095578363365777, 1.732340106813079))
+    assert events == ["polish at floor"] and result is not None
 
 
 def _polish_solves(g, x):
@@ -200,8 +214,7 @@ def test_second_polish_step_only_above_the_rounding_floor():
     # 1e6, the value g(y) carries rounding of 1e6 * eps, above that floor,
     # and both steps are tried, unless the start is so far that the floor,
     # which grows with |x|, covers it
-    g = get_entry("ex5.8:n=2").problem.sets[0].constraints[0]
-    scaled = Polynomial(2, {m.exponents: 1e6 * m.coefficient for m in g.terms})
+    g, scaled = _quartic_ball(), _quartic_ball(1e6)
     assert _polish_solves(g, (3.0, 0.2)) == (1, True)
     assert _polish_solves(scaled, (3.0, 0.2)) == (2, True)
     assert _polish_solves(scaled, (1e10, 1.0)) == (1, True)

@@ -765,3 +765,6 @@ def test_feasibility_is_judged_against_the_size_of_the_terms():
     # a set of scale 1 keeps the absolute test
     unit = ConvexSetDescriptor("unit", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
     assert feasible(unit, (1.0, 0.0)) and not feasible(unit, (1.0 + 1e-9, 0.0))
+    # a value that overflows to inf fails, though its size is inf too
+    huge = ConvexSetDescriptor("huge", [Polynomial(1, {(2,): 1e300, (0,): -1.0})])
+    assert residual(huge, (1e5,)) == math.inf and not feasible(huge, (1e5,))
