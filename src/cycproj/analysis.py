@@ -220,19 +220,28 @@ _CERT_TOL = 1e-8
 _REFINE_SWEEPS = 2000
 
 
-def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool]:
-    """dist(x, C): exact via the oracle, else via long cyclic refinement.
+def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool, Optional[Sequence[float]]]:
+    """dist(x, C) and whether it is heuristic: exact via the oracle, else via
+    long cyclic refinement, which also returns its first step, the cold
+    projection of x onto the first set (None with the oracle).
 
-    The refined value carries a heuristic flag; it is accepted only when the
-    refined point is itself within 1e-8 of every set (summed), otherwise the
-    distance cannot be certified and a CapabilityError is raised.
+    The refined value is accepted only when the refined point is itself
+    within 1e-8 of every set (summed), otherwise the distance cannot be
+    certified and a CapabilityError is raised.
     """
     oracle = problem.intersection_oracle
     if oracle is not None:
-        return oracle.distance(x), False
+        return oracle.distance(x), False, None
     stop_tol = OPTIMALITY_TOL * 1e-2
+    first = []
+
+    def stop(moved, last):
+        if not first:  # the first sweep's end: last[0] is still P_1(x)
+            first.append(last[0])
+        return moved < stop_tol
+
     # only the final point is used, so only the final sweep is recorded
-    _, last = _run_steps(problem, as_vector(x), _REFINE_SWEEPS, 0, lambda moved, last: moved < stop_tol)
+    _, last = _run_steps(problem, as_vector(x), _REFINE_SWEEPS, 0, stop)
     xhat = last[-1]
     surrogate = 0.0
     for s in problem.sets:
@@ -241,7 +250,7 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool]:
         raise CapabilityError(
             "distance to the intersection could not be certified; provide an oracle"
         )
-    return vdist(x, xhat), True
+    return vdist(x, xhat), True, first[0]
 
 
 def error_bound_probe(
@@ -255,12 +264,14 @@ def error_bound_probe(
     """Sample the ball around ``xbar`` and fit the regularity exponent.
 
     For each sample x, L = dist(x, C) and R = sum_i dist^theta(x, C_i); the
-    fitted tau is the log-log slope of L^theta against R.  Samples with
-    L = 0 or R = 0 enter the counts but not the fit.  A distance to the
-    power theta past the float range raises OverflowError.  The samples come
-    from a Mersenne Twister, ``random.Random(seed)`` for an int ``seed >= 0``:
-    each candidate reads ``uniform(-1, 1)`` once per coordinate in index
-    order and is rejected outside the unit ball.
+    fitted tau is the log-log slope of L^theta against R; without an oracle,
+    dist(x, C_1) comes from the refinement's first step, the cold projection
+    ``distance`` would repeat.  Samples with L = 0 or R = 0 enter the counts
+    but not the fit.  A distance to the power theta past the float range
+    raises OverflowError.  The samples come from a Mersenne Twister,
+    ``random.Random(seed)`` for an int ``seed >= 0``: each candidate reads
+    ``uniform(-1, 1)`` once per coordinate in index order and is rejected
+    outside the unit ball.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
@@ -289,10 +300,10 @@ def error_bound_probe(
             continue
         drawn += 1
         x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand))
-        dist_c, heur = _dist_to_intersection(problem, x)
+        dist_c, heur, first = _dist_to_intersection(problem, x)
         heuristic = heuristic or heur
-        r_sum = 0.0
-        for s in problem.sets:
+        r_sum = (distance(problem.sets[0], x) if first is None else vdist(x, first)) ** theta
+        for s in problem.sets[1:]:
             r_sum += distance(s, x) ** theta
         l_theta = dist_c**theta
         if r_sum > 0.0:

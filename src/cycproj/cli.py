@@ -358,8 +358,11 @@ def cmd_rate(args) -> int:
             raise ValueError("--limit dimension does not match the trace")
         errors_used = "distance-to-given-limit"
     else:
-        target = data.points[-1]
+        target, k = data.points[-1], data.ks[-1]
         errors_used = "distance-to-final-recorded-iterate"
+        if window[0] <= k <= window[1]:
+            raise ValueError(f"--window {args.window} reaches k={k}, the final recorded iterate, whose error is 0 "
+                             f"because it is the default target; end the window before k={k} or pass --limit")
     # computed as the fit reads them, so no list of (k, e_k) pairs is built
     errors = zip(data.ks, map(distance_kernel(data.dimension), data.points, repeat(target)))
     del data  # the fit keeps only the columns it reads

@@ -15,11 +15,12 @@ from the symbolic partial derivatives; and ``kkt_seed``, compiled by
 statement that multiplies its coefficient by ``x_i ** e_i`` for the
 variables it uses, in index order, and the sum starts from 0.0 in
 graded-lex order, so the arithmetic is that of a plain loop over the
-terms.  Coefficients are bound as closure cells c0, c1, ..., never written
-into the source, so they stay exact, and the source depends only on the
-dimension and the exponent structure: polynomials of one structure share
-one compiled factory (``_factory``, cached by source text) and differ only
-in their cells.
+terms.  Coefficients, the derivatives' as ``partial`` computes them, are
+bound as closure cells c0, c1, ..., never written into the source, so they
+stay exact, and the source depends only on the kernel's kind, the dimension
+and the exponent structure: ``_generated`` writes it once per structure,
+so polynomials of one structure share one compiled factory, and one pass
+over their coefficients fills their cells.
 
 The kernels of a set's projection are compiled here and kept by the set
 (``sets.ConvexSetDescriptor``): ``newton_kernel(polys)``, for each subset of
@@ -73,6 +74,7 @@ kernels are equal pure functions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
@@ -119,38 +121,36 @@ def _names(prefix: str, n: int) -> str:
 
 
 @functools.lru_cache(maxsize=128)
-def _factory(source: str):
-    """``make(c0, c1, ...)``, which returns the kernel of ``source`` with its
-    coefficients bound as closure cells; the one ``exec`` of the package.
-    One factory, its code and its globals serve every kernel of this text: a
-    kernel's global lookups are cached per code object against one globals
-    dict, so kernels sharing code must share their globals too."""
+def _factory(source: str, count: int):
+    """``make(c0, ..., c<count - 1>)``, which returns the ``kernel`` that
+    ``source`` defines with those names bound as closure cells; the one
+    ``exec`` of the package.  One factory, its code and its globals serve
+    every kernel of this text: a kernel's global lookups are cached per code
+    object against one globals dict, so kernels sharing code must share their
+    globals too."""
+    names = ", ".join(f"c{i}" for i in range(count))
     namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite, "range": range, "sqrt": math.sqrt}
-    exec(source, namespace)
+    exec(f"def make({names}):\n{_block(source.splitlines(), 1)}\n    return kernel\n", namespace)
     return namespace["make"]
 
 
 def _kernel(source: str, coeffs):
     """The function ``kernel`` defined by ``source``, with the names c0,
     c1, ... bound to ``coeffs``."""
-    names = ", ".join(f"c{i}" for i in range(len(coeffs)))
-    wrapped = f"def make({names}):\n{_block(source.splitlines(), 1)}\n    return kernel\n"
-    return _factory(wrapped)(*coeffs)
+    return _factory(source, len(coeffs))(*coeffs)
 
 
-def _sum(coeffs, name, terms, var: str = "x"):
-    """Statements accumulating the ordered ``terms`` into ``name`` from 0.0,
-    one per term, over the variables var0, var1, ...; each coefficient is
-    appended to ``coeffs`` and named c0, c1, ... by its position there."""
+def _sum(name, terms, var: str = "x"):
+    """Statements accumulating the ordered ``terms``, each (exponents, cell),
+    into ``name`` from 0.0, one per term, over the variables var0, var1, ...;
+    a term's coefficient is the name c<cell>."""
     lines = [f"{name} = 0.0"]
-    for exps, coeff in terms:
-        c = f"c{len(coeffs)}"
-        coeffs.append(coeff)
+    for exps, cell in terms:
         # x ** 1 == x exactly, so the factor is the variable itself
         factors = "".join(
             f" * {var}{i}" if e == 1 else f" * {var}{i} ** {e}" for i, e in enumerate(exps) if e
         )
-        lines.append(f"{name} += {c}{factors}")
+        lines.append(f"{name} += c{cell}{factors}")
     return lines
 
 
@@ -158,15 +158,76 @@ def _block(lines, depth: int) -> str:
     return "\n".join("    " * depth + line for line in lines)
 
 
-def _compile(dimension: int, sums, result: str):
-    """Compile ``kernel(x)``: unpack x into x0, x1, ..., accumulate each
+def _source(dimension: int, sums, result: str) -> str:
+    """The source of ``kernel(x)``: unpack x into x0, x1, ..., accumulate each
     ``(name, ordered terms)`` of ``sums`` and return the expression
     ``result``."""
-    coeffs = []
     body = [f"{_names('x', dimension)}= x"]
     for name, terms in sums:
-        body += _sum(coeffs, name, terms)
-    return _kernel("def kernel(x):\n" + _block(body + [f"return {result}"], 1), coeffs)
+        body += _sum(name, terms)
+    return "def kernel(x):\n" + _block(body + [f"return {result}"], 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _generated(build, dimension: int, shapes, derivatives: bool):
+    """``(make, recipe)`` of the kernel ``build(dimension, layout)`` writes for
+    polynomials whose terms have the exponents ``shapes[0]``, ...: per
+    polynomial, its value terms and, with ``derivatives``, its gradient's
+    sums g0, ... and Hessian's h0_0, h0_1, ..., each (name, terms), a term
+    being (exponents, cell).  Cells number the coefficients, then the
+    derivatives' in ``partial``'s order: cell ``total + r`` is cell
+    ``recipe[r][0]`` times ``recipe[r][1]``, so ``(c * k1) * k2`` as
+    ``partial`` twice rounds it."""
+    total = sum(map(len, shapes))
+    recipe, layout, cells = [], [], itertools.count()
+
+    def partial(terms, var):
+        # differentiation keeps the graded-lex order of the terms it keeps
+        out = []
+        for e, cell in terms:
+            if e[var]:
+                out.append((e[:var] + (e[var] - 1,) + e[var + 1 :], total + len(recipe)))
+                recipe.append((cell, e[var]))
+        return out
+
+    for exps in shapes:
+        value = [(e, next(cells)) for e in exps]
+        gradient = upper = None
+        if derivatives:
+            grads = [partial(value, i) for i in range(dimension)]
+            gradient = [(f"g{i}", g) for i, g in enumerate(grads)]
+            upper = [(f"h{i}_{j}", partial(grads[i], j)) for i in range(dimension) for j in range(i, dimension)]
+        layout.append((value, gradient, upper))
+    return _factory(build(dimension, layout), total + len(recipe)), tuple(recipe)
+
+
+def _compiled(build, polys, derivatives: bool = True):
+    """The kernel ``build`` writes for ``polys`` (see ``_generated``) with
+    their cells bound: one pass over their coefficients once their structure
+    is known.  An overflowed derivative cell raises ``partial``'s ValueError."""
+    shapes = tuple(tuple(e for e, _ in g._ordered) for g in polys)
+    make, recipe = _generated(build, polys[0].dimension, shapes, derivatives)
+    cells = [c for g in polys for _, c in g._ordered]
+    for i, k in recipe:
+        c = cells[i] * k
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c!r}")
+        cells.append(c)
+    return make(*cells)
+
+
+def _value_source(n: int, layout) -> str:
+    return _source(n, [("v", layout[0][0])], "v")
+
+
+def _gradient_source(n: int, layout) -> str:
+    return _source(n, layout[0][1], f"({_names('g', n)})")
+
+
+def _hessian_source(n: int, layout) -> str:
+    # upper triangle only; the returned rows mirror it
+    rows = ", ".join("[" + ", ".join(f"h{min(i, j)}_{max(i, j)}" for j in range(n)) + "]" for i in range(n))
+    return _source(n, layout[0][2], f"[{rows}]")
 
 
 # The one-constraint KKT Newton seed kernel (see the module docstring),
@@ -200,6 +261,28 @@ def kernel(point, gx, start):
     warm = {state}
     return (warm, cold) if warm[-1] < cold[-1] else (cold,)
 """
+
+def _kkt_source(n: int, layout) -> str:
+    [(value, gradient, _)] = layout
+
+    def grad(var="x"):
+        return [line for name, terms in gradient for line in _sum(name, terms, var)]
+
+    stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
+    return _SEED_SOURCE.format(
+        p=_names("p", n),
+        x=_names("x", n),
+        grad_at_point=_block(grad("p"), 1),
+        gn=_squares("g", n),
+        first_order=_block([f"x{i} = p{i} - lam * g{i}" for i in range(n)], 1),
+        grad=_block(grad(), 1),
+        value=_block(_sum("v", value), 1),
+        stat=_block(stat, 1),
+        state=f"({_names('x', n)}lam, {_names('s', n)}v, {_names('g', n)}"
+        f"sqrt({_squares('s', n)} + v * v))",
+        least_squares="(0.0" + "".join(f" + (p{i} - x{i}) * g{i}" for i in range(n)) + ")",
+    )
+
 
 # The KKT Newton kernel of p constraints (see newton_kernel).  The state is
 # y..., l..., s..., v..., g..., fn, constraint k having multiplier l<k>, value
@@ -259,12 +342,14 @@ def newton_kernel(polys):
     """Compile the damped KKT Newton kernel of the constraints ``polys`` from
     ``_NEWTON_SOURCE`` (see the module docstring); a set keeps one per subset
     of active constraints."""
-    n, p = polys[0].dimension, len(polys)
-    sums = [g._derivative_sums() for g in polys]
+    return _compiled(_newton_source, polys)
+
+
+def _newton_source(n: int, layout) -> str:
+    p = len(layout)
     ks = range(p)
-    coeffs = []
-    system = [line for k, (_, upper) in enumerate(sums) for name, terms in upper
-              for line in _sum(coeffs, f"{name}_{k}", terms, "y")]
+    system = [line for k, (_, _, upper) in enumerate(layout) for name, terms in upper
+              for line in _sum(f"{name}_{k}", terms, "y")]
     # entry (i, j) of I + sum_k l_k H_k, shared by (j, i)
     system += [
         f"a{i}_{j} = 0.0" + "".join(f" + l{k} * h{i}_{j}_{k}" for k in ks) + (" + 1.0" if i == j else "")
@@ -276,32 +361,29 @@ def newton_kernel(polys):
     matrix = ", ".join("[" + ", ".join(row) + "]" for row in rows)
     system.append(f"d = solve([{matrix}], [{_names('-s', n)}{_names('-v', p)}])")
     trial = [f"x{i} = y{i} + t * d{i}" for i in range(n)] + [f"lt{k} = l{k} + t * dl{k}" for k in ks]
-    for k, (g, (gradient, _)) in enumerate(zip(polys, sums)):
-        trial += [line for i, (_, terms) in enumerate(gradient) for line in _sum(coeffs, f"u{i}_{k}", terms)]
-        trial += _sum(coeffs, f"w{k}", g._ordered)
+    for k, (value, gradient, _) in enumerate(layout):
+        trial += [line for i, (_, terms) in enumerate(gradient) for line in _sum(f"u{i}_{k}", terms)]
+        trial += _sum(f"w{k}", value)
     trial += [f"r{i} = x{i} - p{i}" + "".join(f" + lt{k} * u{i}_{k}" for k in ks) for i in range(n)]
     trial.append(f"ft = sqrt(({_squares('r', n)}) + ({_squares('w', p)}))")
 
     def grads(g):
         return "".join(f"{g}{i}_{k}, " for k in ks for i in range(n))
 
-    return _kernel(
-        _NEWTON_SOURCE.format(
-            p=_names("p", n),
-            d=_names("d", n) + _names("dl", p),
-            state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
-            trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
-            feasible=" and ".join(f"abs(v{k}) <= feas_tol" for k in ks),
-            floor="1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
-            + "".join(f" + abs(l{k}) * ({_abs_sum('g', n, k)})" for k in ks),
-            stat_squares=_squares("s", n),
-            system2=_block(system, 2),
-            trial2=_block(trial, 2),
-            trial3=_block(trial, 3),
-            result=f"({_names('y', n)}), ({_names('l', p)}), ({_names('v', p)}), ("
-            + "".join("(" + "".join(f"g{i}_{k}, " for i in range(n)) + "), " for k in ks) + ")",
-        ),
-        coeffs,
+    return _NEWTON_SOURCE.format(
+        p=_names("p", n),
+        d=_names("d", n) + _names("dl", p),
+        state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
+        trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
+        feasible=" and ".join(f"abs(v{k}) <= feas_tol" for k in ks),
+        floor="1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
+        + "".join(f" + abs(l{k}) * ({_abs_sum('g', n, k)})" for k in ks),
+        stat_squares=_squares("s", n),
+        system2=_block(system, 2),
+        trial2=_block(trial, 2),
+        trial3=_block(trial, 3),
+        result=f"({_names('y', n)}), ({_names('l', p)}), ({_names('v', p)}), ("
+        + "".join("(" + "".join(f"g{i}_{k}, " for i in range(n)) + "), " for k in ks) + ")",
     )
 
 
@@ -309,10 +391,14 @@ def residual_kernel(polys):
     """Compile ``max_j [g_j(x)]_+`` of the constraints ``polys``: each g_j(x),
     summed as by ``evaluate``, in turn raises the maximum from 0.0, or is
     returned at once when NaN."""
-    coeffs, body = [], [f"{_names('x', polys[0].dimension)}= x", "worst = 0.0"]
-    for g in polys:
-        body += _sum(coeffs, "v", g._ordered) + ["if v > worst:", "    worst = v", "elif v != v:", "    return v"]
-    return _kernel("def kernel(x):\n" + _block(body + ["return worst"], 1), coeffs)
+    return _compiled(_residual_source, polys, derivatives=False)
+
+
+def _residual_source(n: int, layout) -> str:
+    body = [f"{_names('x', n)}= x", "worst = 0.0"]
+    for value, _, _ in layout:
+        body += _sum("v", value) + ["if v > worst:", "    worst = v", "elif v != v:", "    return v"]
+    return "def kernel(x):\n" + _block(body + ["return worst"], 1)
 
 
 def halfspace_kernel(a, b):
@@ -503,7 +589,7 @@ class Polynomial:
         return (self._kernels.hessian_rows or self._compile_derivatives().hessian_rows)(x)
 
     def _compile_value(self):
-        self._kernels.value = _compile(self.dimension, [("v", self._ordered)], "v")
+        self._kernels.value = _compiled(_value_source, [self], derivatives=False)
         return self._kernels.value
 
     def kkt_kernels(self) -> _Kernels:
@@ -512,51 +598,13 @@ class Polynomial:
         kernels = self._kernels
         return kernels if kernels.kkt_seed is not None else self._compile_kkt()
 
-    def _derivative_sums(self):
-        """The gradient's sums g0, g1, ... and the Hessian's upper triangle
-        h0_0, h0_1, ..., each as (name, ordered terms)."""
-        n = self.dimension
-        grads = [self.partial(i) for i in range(n)]
-        gradient = [(f"g{i}", g._ordered) for i, g in enumerate(grads)]
-        upper = [(f"h{i}_{j}", grads[i].partial(j)._ordered) for i in range(n) for j in range(i, n)]
-        return gradient, upper
-
     def _compile_derivatives(self) -> _Kernels:
-        n = self.dimension
-        gradient, upper = self._derivative_sums()
         kernels = self._kernels
-        kernels.gradient = _compile(n, gradient, f"({_names('g', n)})")
-        # upper triangle only; the returned rows mirror it
-        rows = ", ".join(
-            "[" + ", ".join(f"h{min(i, j)}_{max(i, j)}" for j in range(n)) + "]" for i in range(n)
-        )
-        kernels.hessian_rows = _compile(n, upper, f"[{rows}]")
+        kernels.gradient = _compiled(_gradient_source, [self])
+        kernels.hessian_rows = _compiled(_hessian_source, [self])
         return kernels
 
     def _compile_kkt(self) -> _Kernels:
-        n = self.dimension
-        gradient, _ = self._derivative_sums()
+        self._kernels.kkt_seed = _compiled(_kkt_source, [self])
+        return self._kernels
 
-        def grad(coeffs, var="x"):
-            return [line for name, terms in gradient for line in _sum(coeffs, name, terms, var)]
-
-        coeffs = []
-        stat = [f"s{i} = x{i} - p{i} + lam * g{i}" for i in range(n)]
-        kernels = self._kernels
-        kernels.kkt_seed = _kernel(
-            _SEED_SOURCE.format(
-                p=_names("p", n),
-                x=_names("x", n),
-                grad_at_point=_block(grad(coeffs, "p"), 1),
-                gn=_squares("g", n),
-                first_order=_block([f"x{i} = p{i} - lam * g{i}" for i in range(n)], 1),
-                grad=_block(grad(coeffs), 1),
-                value=_block(_sum(coeffs, "v", self._ordered), 1),
-                stat=_block(stat, 1),
-                state=f"({_names('x', n)}lam, {_names('s', n)}v, {_names('g', n)}"
-                f"sqrt({_squares('s', n)} + v * v))",
-                least_squares="(0.0" + "".join(f" + (p{i} - x{i}) * g{i}" for i in range(n)) + ")",
-            ),
-            coeffs,
-        )
-        return kernels

@@ -574,6 +574,23 @@ def test_cmd_rate_power_trace_default_errors(tmp_path):
     assert report["verdict"] == "CONSISTENT"
 
 
+def test_cmd_rate_window_reaching_the_final_iterate_names_the_fixes(tmp_path, capsys):
+    # without --limit the errors are distances to the final recorded iterate,
+    # so the last row's error is 0 by construction
+    trace = tmp_path / "ex55.csv"
+    run = ["run", "--example", "ex5.5", "--x0", "0,2", "--sweeps", "200", "--out", str(trace)]
+    assert cli.main(run) == 0
+    capsys.readouterr()
+    rate = ["rate", "--trace", str(trace), "--n", "2", "--d", "2", "--window"]
+    assert cli.main(rate + ["100:400"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --window 100:400 reaches k=400, the final recorded iterate, whose error is 0 because it is "
+        "the default target; end the window before k=400 or pass --limit\n"
+    )
+    assert cli.main(rate + ["100:399"]) == 0
+    assert cli.main(rate + ["100:400", "--limit", "0,0"]) == 0
+
+
 # -- errorbound --------------------------------------------------------------------
 
 

@@ -268,6 +268,58 @@ def test_kernel_code_is_shared_by_polynomials_of_one_structure():
     assert poly._factory.cache_info().currsize <= poly._factory.cache_info().maxsize
 
 
+def test_a_known_structure_compiles_from_its_cells_bit_for_bit(monkeypatch):
+    # the Hessian cell of 0.1 * x^6 is (0.1 * 6) * 5 = 3.0000000000000004, as
+    # partial twice rounds it, not 0.1 * 30 = 3.0
+    def make(c, b=-0.7, d=-1.0):
+        return Polynomial(2, {(6, 0): c, (1, 1): b, (0, 2): 1.0, (0, 0): d})
+
+    x, start = (1.5, 1.0), (1.0, 1.0)
+
+    def outputs(g):
+        limits = (sets._solve_dense, 200, FEASIBILITY_TOL, OPTIMALITY_TOL)
+        [seed] = g.kkt_kernels().kkt_seed(x, g.evaluate(x), None)
+        pair = (make(1.0, 0.1, -2.0), g)
+        return bits([g.evaluate(x), g.gradient(x), g.hessian_rows(x), g.hessian_rows((1.0, 0.0)),
+                     g.kkt_kernels().kkt_seed(x, g.evaluate(x), start), seed,
+                     poly.newton_kernel([g])(x, seed, *limits),
+                     poly.newton_kernel(list(pair))(x, state_at(pair, x, start, (0.5, 0.5)), *limits)])
+
+    outputs(make(2.0))  # the structure is now known
+    sums = []
+    build = poly._sum
+
+    def counting(*args):
+        sums.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(poly, "_sum", counting)
+    cached = outputs(make(0.1))
+    assert sums == []  # no source was built
+    assert cached[3][0][0] == bits((0.1 * 6) * 5) != bits(0.1 * 30)
+    poly._generated.cache_clear()
+    assert outputs(make(0.1)) == cached and sums
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_an_overflowed_derivative_coefficient_is_refused(known):
+    # 4 * 1e308 overflows, so partial cannot differentiate the constraint
+    if known:
+        g = Polynomial(2, {(4, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+        project(ConvexSetDescriptor("small", [g]), (0.0, 2.0)), g.gradient((0.5, 0.5))
+    else:
+        poly._generated.cache_clear()
+    g = Polynomial(2, {(4, 0): 1e308, (0, 2): 1.0, (0, 0): -1.0})
+    with pytest.raises(ValueError, match="^non-finite coefficient inf$"):
+        project(ConvexSetDescriptor("big", [g]), (0.0, 2.0))
+    with pytest.raises(ValueError, match="^non-finite coefficient inf$"):
+        g.gradient((0.5, 0.5))
+    # the first overflow partial meets names its sign: d/dx before d/dy
+    h = Polynomial(2, {(4, 0): -1e308, (0, 4): 1e308})
+    with pytest.raises(ValueError, match="^non-finite coefficient -inf$"):
+        h.hessian_rows((0.5, 0.5))
+
+
 def _count_evaluations(monkeypatch):
     calls = [0]
     evaluate = Polynomial.evaluate

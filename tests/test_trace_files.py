@@ -263,18 +263,23 @@ def _disk_constraint(cx, cy):
     ]}
 
 
-def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
+def _crossed_lens_errorbound_args(tmp_path):
     # each set is a lens given as two unhinted disk constraints, so samples
     # beyond a lens tip take the working set, which runs the KKT Newton solve
     # on both constraints
-    from cycproj import sets
-
     doc = {"dimension": 2, "sets": [
         {"name": "lens", "constraints": [_disk_constraint(-0.5, 0.0), _disk_constraint(0.5, 0.0)]},
         {"name": "lens-t", "constraints": [_disk_constraint(0.0, -0.5), _disk_constraint(0.0, 0.5)]},
     ]}
     problem = tmp_path / "crossed-lenses.json"
     problem.write_text(json.dumps(doc))
+    return ["errorbound", "--problem", str(problem), "--center", "0,0", "--samples", "40",
+            "--radius", "1.2", "--seed", "5", "--out", str(tmp_path / "eb.json")]
+
+
+def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
+    from cycproj import sets
+
     active_sizes = []
     kkt_newton = sets._kkt_newton
 
@@ -283,12 +288,34 @@ def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
         return kkt_newton(s, active, *args, **kwargs)
 
     monkeypatch.setattr(sets, "_kkt_newton", recording)
-    out = tmp_path / "eb.json"
-    args = ["errorbound", "--problem", str(problem), "--center", "0,0", "--samples", "40",
-            "--radius", "1.2", "--seed", "5", "--out", str(out)]
-    assert cli.main(args) == 0
+    assert cli.main(_crossed_lens_errorbound_args(tmp_path)) == 0
     assert active_sizes.count(2) == 3 and set(active_sizes) == {1, 2}
-    assert _sha256(out) == CROSSED_LENS_ERRORBOUND_SHA
+    assert _sha256(tmp_path / "eb.json") == CROSSED_LENS_ERRORBOUND_SHA
+
+
+def test_probe_takes_the_first_distance_from_the_refinement(tmp_path, monkeypatch):
+    # without an oracle each sample's refinement starts with the cold
+    # projection onto the first set, so the probe computes only the other
+    # m - 1 distances, next to the m of the refined point's certificate
+    from cycproj import analysis
+
+    calls = []
+    distance = analysis.distance
+
+    def counting(s, x):
+        calls.append(s.name)
+        return distance(s, x)
+
+    monkeypatch.setattr(analysis, "distance", counting)
+    assert cli.main(_crossed_lens_errorbound_args(tmp_path)) == 0
+    assert len(calls) == 40 * 3 and calls.count("lens") == 40
+    assert _sha256(tmp_path / "eb.json") == CROSSED_LENS_ERRORBOUND_SHA
+    # with an oracle there is no refinement: m distances per sample
+    calls.clear()
+    args = ["errorbound", "--example", "ex5.5", "--center", "0,0", "--samples", "40", "--radius", "0.5",
+            "--seed", "1", "--out", str(tmp_path / "oracle.json")]
+    assert cli.main(args) == 0
+    assert len(calls) == 40 * 2
 
 
 def _disk_poly(center, r2=1.0):
