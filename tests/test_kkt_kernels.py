@@ -306,7 +306,8 @@ def test_an_overflowed_derivative_coefficient_is_refused(known):
     # 4 * 1e308 overflows, so partial cannot differentiate the constraint
     if known:
         g = Polynomial(2, {(4, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-        project(ConvexSetDescriptor("small", [g]), (0.0, 2.0)), g.gradient((0.5, 0.5))
+        project(ConvexSetDescriptor("small", [g]), (0.0, 2.0))
+        g.gradient((0.5, 0.5))
     else:
         poly._generated.cache_clear()
     g = Polynomial(2, {(4, 0): 1e308, (0, 2): 1.0, (0, 0): -1.0})
