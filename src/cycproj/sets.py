@@ -6,20 +6,22 @@ projector dispatches, in order:
   (a) feasible input          -> returned unchanged,
   (b) one affine constraint   -> closed-form halfspace projection,
   (c) one ball constraint     -> closed-form ball projection,
-  (d) one active constraint   -> damped Newton on the KKT system, seeded
-                                 from the better of a first-order step and
-                                 an optional warm start, both made by the
-                                 constraint's ``kkt_seed`` kernel,
-  (e) anything else           -> a working set of active constraints, each
-                                 W solved by the Newton solve of (d): one
-                                 constraint from its cold ``kkt_seed``, two
-                                 or more from Gauss-Newton feasibility
-                                 seeds; it adds the most violated
-                                 constraint or drops one with a negative
-                                 multiplier until the solution is feasible;
-                                 when it finds no KKT point, as on an empty
-                                 set, the projection fails at once with
+  (d) anything else           -> one working-set loop of damped Newton
+                                 solves on the KKT system; when it finds no
+                                 KKT point, as on an empty set, the
+                                 projection fails at once with
                                  ``ProjectionError``.
+
+The loop holds a working set W of constraints as equalities.  The first W
+is the constraint most violated at x, seeded by its ``kkt_seed`` kernel from
+a first-order step and, when it is the only active constraint, from the warm
+start if that is better.  A set of one constraint fails with its first W.
+Otherwise, when a W fails, :func:`_project_penalty` chooses the next: it
+drops a constraint with a negative multiplier, else adds the most violated
+one, else takes the next subset.  One constraint is solved from its cold
+``kkt_seed``, two or more from Gauss-Newton feasibility seeds.  A solution
+that :func:`_accept` passes is feasible with multipliers >= 0, hence exactly
+the projection for a convex set.
 
 Every Newton solve is :func:`_kkt_newton`, which runs the seed states its
 caller builds, one after another, through the kernel that
@@ -51,7 +53,7 @@ large terms carries their rounding; :func:`residual` returns the raw
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
 whose normal a has 0 < <a, a> < inf is a halfspace, ``||x||^2 + <l, x> + c``
-a ball.  Every other set goes through (d)/(e) by its constraints.  The
+a ball.  Every other set goes through (d) by its constraints.  The
 closed form and the residual each run in one straight-line kernel per set,
 compiled with the set by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
 ``poly.residual_kernel``.  All vectors are plain tuples of floats and every
@@ -365,17 +367,21 @@ def project(
 
     The result y passes :func:`feasible` and meets the first-order
     optimality/complementarity conditions within OPTIMALITY_TOL.
-    Raises :class:`ProjectionError` (with best iterate attached) if no branch
-    converges, :class:`NumericalError` on NaN or overflow during the solve,
-    and ``ValueError`` when ``x`` has a NaN or infinite coordinate.
+    Raises :class:`ProjectionError` (with best iterate attached) if no
+    working set converges, :class:`NumericalError` on NaN or overflow during
+    the solve, and ``ValueError`` when ``x`` has a NaN or infinite coordinate
+    or ``start`` has the wrong length, which is checked on every path.
 
     ``start`` is an optional warm start: a previous projection onto the same
-    set, as the drivers pass.  Only the single-active-constraint Newton
-    branch uses it, and only when it is a better seed (smaller KKT residual)
-    than the cold one; the result meets the same tolerances either way, and
-    without ``start`` the cold path is unchanged.
+    set, as the drivers pass.  Only the first working set uses it, and only
+    when its constraint is the only active one at x (value above
+    -10 FEASIBILITY_TOL) and ``start`` is the better seed (smaller KKT
+    residual) than the cold one; the result meets the same tolerances either
+    way, and without ``start`` the cold path is unchanged.
     """
     x = finite_vector(x, "point", s.dimension)
+    if start is not None and len(start) != s.dimension:
+        raise ValueError(f"warm start has length {len(start)}, set dimension is {s.dimension}")
     closed = s._closed
     if closed is not None:  # closed forms; only the ball's returns None, on overflow
         y = closed(x)
@@ -397,16 +403,37 @@ def project(
     if _max_violation(values) == 0.0:
         return x
     try:
+        # the first working set is the most violated constraint, warm started
+        # when it is the only active one; a lone constraint NaN at x has none
         active = [j for j, v in enumerate(values) if v > -10.0 * FEASIBILITY_TOL]
         if len(active) == 1:
-            if start is not None and len(start) != len(x):
-                raise ValueError(f"warm start has length {len(start)}, set dimension is {len(x)}")
-            j = active[0]
-            seeds = s.constraints[j].kkt_kernels().kkt_seed(x, values[j], start) or ()
-            y = _kkt_newton(s, active, x, seeds)
+            W, warm = (active[0],), start
+        else:
+            W, warm = ((_by_violation(values)[0],) if len(values) > 1 else None), None
+        tried = reached = None  # from the first failure on: the W's tried, the points read
+        while W is not None:
+            rejected, seed = [], None
+            if len(W) == 1:
+                seeds = s.constraints[W[0]].kkt_kernels().kkt_seed(x, values[W[0]], warm) or ()
+                y = _kkt_newton(s, W, x, seeds, rejected)
+            else:  # seeds from x, then from the last point read, the nearer one on a curve
+                y = None
+                for y0 in (x,) if reached[-1] is x else (x, reached[-1]):
+                    seed = _feasibility_seed(s, W, x, y0)
+                    if seed is not None:
+                        y = _kkt_newton(s, W, x, (seed[2],), rejected)
+                        if y is not None:
+                            break
             if y is not None:
                 return y
-        return _project_penalty(s, x, values)
+            if tried is None:
+                tried, reached, warm = {W}, [x], None
+            W = _project_penalty(s, x, values, W, rejected, seed, tried, reached) if len(values) > 1 else None
+        if any(v != v for v in values):
+            raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
+        # x comes first, with a finite residual, so a NaN residual never wins
+        best = tuple(min(reached, key=lambda y: residual(s, y)))
+        raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=residual(s, best))
     except OverflowError as exc:
         raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
 
@@ -428,7 +455,7 @@ def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
     return vdist(as_vector(x), project(s, x))
 
 
-# -- branch (d): damped Newton on the active-constraint KKT system ----------
+# -- damped Newton on the KKT system of a working set ----------------------
 
 
 def _solve_dense(A, b):
@@ -457,7 +484,7 @@ def _stationarity(x, y, lams, grads):
     return stat
 
 
-def _kkt_newton(s, active, x, seeds, rejected=None):
+def _kkt_newton(s, active, x, seeds, rejected):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
@@ -470,9 +497,9 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
     Returns None when every attempt is abandoned (stall, singular Jacobian,
     out of iterations, as where a gradient vanishes on the set, negative
     multiplier, or an inactive constraint violated at the would-be
-    solution); the list ``rejected``, when given, receives the point and
-    multipliers of each converged attempt that :func:`_accept` turned down.
-    The caller goes on to branch (e), or to its next working set.
+    solution); the list ``rejected`` receives the point and multipliers of
+    each converged attempt that :func:`_accept` turned down, where the
+    caller reads its next working set.
     """
     cache, key = s._newton_kernels, tuple(active)
     newton = cache.get(key) or cache.setdefault(key, newton_kernel([s.constraints[j] for j in active]))
@@ -485,8 +512,7 @@ def _kkt_newton(s, active, x, seeds, rejected=None):
         result = _accept(s, active, y, lams, vals)
         if result is not None:
             return result
-        if rejected is not None:
-            rejected.append((y, lams))
+        rejected.append((y, lams))
     return None
 
 
@@ -512,77 +538,49 @@ def _accept(s, active, y, lams, vals):
     return result
 
 
-# -- branch (e): a working set of active constraints
+# -- the next working set
 
 
-def _project_penalty(s, x, values):
-    """Branch (e): a primal working-set loop over the KKT Newton solves of
-    (d), in the style of Goldfarb and Idnani (Math. Programming 27, 1983),
-    on a set of two or more constraints, whose ``values`` at x are given.
+def _by_violation(values):
+    """The constraint indices, most violated at x first (by value, then index)."""
+    return sorted(range(len(values)), key=lambda j: (-values[j], j))
 
-    W starts as the most violated constraint (ordered by its value at x,
-    then its index).  One constraint is solved by :func:`_kkt_newton` from
-    its cold ``kkt_seed``, two or more from :func:`_feasibility_seed`,
-    started at x and then at the last W's point, which is the nearer one
-    when {g_j = 0 : j in W} is a curve or has several points.  A solution
-    that :func:`_accept` passes is feasible with multipliers >= 0, hence
-    exactly the projection for a convex set.  Otherwise the next W is read
-    at the solution that :func:`_accept` turned down, or else at the seed:
-    drop the constraint with the most negative multiplier, else add the one
-    outside W most violated there, else any set of at most n constraints,
-    smallest first.  A W whose seed system is singular (dependent
-    gradients) counts its multipliers as 0.  A W is never solved twice, and
-    at most ``_WORKING_SET_MAX_CHANGES`` are solved.
 
-    When it finds no KKT point (on a single constraint, when branch (d) has
-    failed, it tries none), raises :class:`ProjectionError` at once, whose
-    ``best`` is the least-violating point a W was read at, or x; raises
-    :class:`NumericalError` instead when a constraint is NaN at x.
+# the perfbench tracer labels a projection that calls this name "penalty"
+def _project_penalty(s, x, values, W, rejected, seed, tried, reached):
+    """The working set after W failed, in a primal working-set loop in the
+    style of Goldfarb and Idnani (Math. Programming 27, 1983) on a set of two
+    or more constraints, whose ``values`` at x are given; None when no W is
+    left or ``_WORKING_SET_MAX_CHANGES`` have been tried.
+
+    It is read at the last solution of W that :func:`_accept` turned down,
+    else at W's seed (for one constraint, the :func:`_feasibility_seed` from
+    the last point read), else at that point with multipliers 0: drop the
+    constraint with the most negative multiplier, else add the one outside W
+    most violated there, else take the first untried set of at most n
+    constraints, smallest first, each ordered by violation at x.  The point
+    read is appended to ``reached`` and the W returned added to ``tried``.
     """
-    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
-    subsets = (tuple(sorted(w)) for k in range(1, len(x) + 1) for w in combinations(order, k))
-    W = (order[0],) if len(values) > 1 else None
-    tried = set()
-    reached = [x]
-    y0 = x
-    while W is not None and len(tried) < _WORKING_SET_MAX_CHANGES:
-        tried.add(W)
-        rejected = []
-        seed = None
-        if len(W) == 1:
-            j = W[0]
-            seeds = s.constraints[j].kkt_kernels().kkt_seed(x, values[j], None) or ()
-            y = _kkt_newton(s, W, x, seeds, rejected)
-            if y is None and not rejected:
-                seed = _feasibility_seed(s, W, x, y0)
-        else:
-            y = None
-            for start in (x,) if y0 is x else (x, y0):
-                seed = _feasibility_seed(s, W, x, start)
-                if seed is not None:
-                    y = _kkt_newton(s, W, x, (seed[2],), rejected)
-                    if y is not None:
-                        break
-        if y is not None:
-            return y
-        y0, lam0 = rejected[-1] if rejected else seed[:2] if seed else (y0, [0.0] * len(W))
-        reached.append(y0)
-        drops = sorted(
-            (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
-        )
-        adds = sorted(
-            (-v, tuple(sorted(W + (j,))))
-            for j, v in ((j, g.evaluate(y0)) for j, g in enumerate(s.constraints) if j not in W)
-            if v > FEASIBILITY_TOL
-        )
-        changes = [w for _, w in drops + adds]
-        W = next((w for w in chain(changes, subsets) if w and w not in tried), None)
-    if any(v != v for v in values):
-        raise NumericalError(f"a constraint of {s.name!r} is NaN at the point", best=x)
-    # x comes first, with a finite residual, so a NaN residual never wins
-    best = tuple(min(reached, key=lambda y: residual(s, y)))
-    feas = residual(s, best)
-    raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=feas)
+    y0 = reached[-1]
+    if len(W) == 1 and not rejected:
+        seed = _feasibility_seed(s, W, x, y0)
+    y0, lam0 = rejected[-1] if rejected else seed[:2] if seed else (y0, [0.0] * len(W))
+    reached.append(y0)
+    drops = sorted(
+        (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
+    )
+    adds = sorted(
+        (-v, tuple(sorted(W + (j,))))
+        for j, v in ((j, g.evaluate(y0)) for j, g in enumerate(s.constraints) if j not in W)
+        if v > FEASIBILITY_TOL
+    )
+    if len(tried) >= _WORKING_SET_MAX_CHANGES:
+        return None
+    changes = [w for _, w in drops + adds]
+    subsets = (tuple(sorted(w)) for k in range(1, len(x) + 1) for w in combinations(_by_violation(values), k))
+    W = next((w for w in chain(changes, subsets) if w and w not in tried), None)
+    tried.add(W)
+    return W
 
 
 def _feasibility_seed(s, active, x, y):

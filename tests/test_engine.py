@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cycproj import sets
+from cycproj import engine, sets
 from cycproj.catalog import get_entry
 from cycproj.engine import (
     ProjectionStepError,
@@ -106,6 +106,28 @@ def test_projection_failure_carries_step_index_and_partial_trace():
     assert err.set_index == 1
     assert err.partial_trace.total_steps == 1
     assert err.partial_trace.iterates == [(0.0,)]
+
+
+def test_post_projection_check_stops_the_run(monkeypatch):
+    # a projector that returns a point outside the set at step 3 fails the
+    # step, and the partial trace holds steps 1 and 2
+    calls = []
+
+    def stub(s, x, start=None):
+        calls.append(x)
+        return (1.0, 1.0) if len(calls) == 3 else project(s, x, start=start)
+
+    monkeypatch.setattr(engine, "project", stub)
+    with pytest.raises(ProjectionStepError) as exc_info:
+        cyclic_project(two_halfplanes(), (1.0, 2.0), max_sweeps=5, stop_tol=1e-12)
+    err = exc_info.value
+    assert str(err) == "post-projection iterate violates set 0 ('x<=0') beyond tolerance at step 3"
+    assert err.step_index == 3
+    assert err.set_index == 0
+    assert err.partial_trace.total_steps == 2
+    assert err.partial_trace.ks == [1, 2]
+    assert err.partial_trace.set_indices == [0, 1]
+    assert err.partial_trace.iterates == [(0.0, 2.0), (0.0, 0.0)]
 
 
 # -- warm starts ---------------------------------------------------------------

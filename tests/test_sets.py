@@ -424,6 +424,30 @@ def test_project_fails_fast_where_the_constraints_meet_with_no_kkt_point(x):
     assert exc_info.value.feasibility <= residual(tangent, x)
 
 
+def test_project_solves_each_working_set_once(monkeypatch):
+    # the tangent disks of the test above, from a point where only the right
+    # disk is active: its working set is solved once, then the pair from two
+    # Gauss-Newton seeds, then the left disk
+    from cycproj import sets
+
+    working_sets = []
+    kkt_newton = sets._kkt_newton
+
+    def recording(s, active, *args):
+        working_sets.append(tuple(active))
+        return kkt_newton(s, active, *args)
+
+    monkeypatch.setattr(sets, "_kkt_newton", recording)
+    tangent = ConvexSetDescriptor(
+        "tangent-disks", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c}) for c in (2.0, -2.0)]
+    )
+    with pytest.raises(ProjectionError, match="^no KKT point found for set 'tangent-disks'$") as exc_info:
+        project(tangent, (-0.5, 0.5))
+    assert working_sets == [(1,), (0, 1), (0, 1), (0,)]
+    assert exc_info.value.best == (float.fromhex("0x1p-55"), float.fromhex("0x1.4ceb0b9adc77cp-24"))
+    assert exc_info.value.feasibility == float.fromhex("0x1.b4f27de7faae1p-48")
+
+
 def test_project_far_start_onto_quartic_ball():
     quartic, _ = get_entry("ex5.8:n=2").pair
     x = (1e10, 1.0)
@@ -501,6 +525,18 @@ def test_project_rejects_a_warm_start_of_the_wrong_length():
     quartic, _ = get_entry("ex5.8:n=2").pair
     with pytest.raises(ValueError, match="warm start has length 3, set dimension is 2"):
         project(quartic, (2.0, 1.0), start=(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("s, x", [
+    (get_entry("ex5.5").problem.sets[0], (0.5, 1.0)),  # closed form
+    (get_entry("ex5.8:n=2").problem.sets[0], (-1.0, 0.0)),  # feasible
+    (get_entry("ex5.8:n=2").problem.sets[0], (2.0, 1.0)),  # one active constraint
+    (ConvexSetDescriptor("lens", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75})
+                                  for c in (1.0, -1.0)]), (0.0, 2.0)),  # two active constraints
+], ids=["closed-form", "feasible", "one-active", "two-active"])
+def test_project_checks_the_warm_start_length_on_every_path(s, x):
+    with pytest.raises(ValueError, match="^warm start has length 3, set dimension is 2$"):
+        project(s, x, start=(1.0, 2.0, 3.0))
 
 
 # -- distance -----------------------------------------------------------------

@@ -7,8 +7,9 @@ marker shows up here.  They assume IEEE-754 doubles and an x86-64 glibc
 ``pow``; the runs use closed-form ball projections, single-constraint KKT
 Newton solves, and working-set solves by Newton on two active constraints.
 A float.hex dump of projections solved on two and three active constraints
-is pinned the same way; projections onto a degenerate constraint, which has
-no KKT point, must raise.
+is pinned the same way, and so is one of warm-started projections onto the
+two-constraint sets; projections onto a degenerate constraint, which has no
+KKT point, must raise.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ CROSSED_LENS_ERRORBOUND_SHA = "1d51fe63a07cdf00c0766794f13110c2cb955954717c85329
 EX58_N2_ALTERNATING_SHA = "3e353c5123c409f7425a54664b72d6c00beefb6c9db7de32d02ab00316910794"
 EX57_D2_SHA = "d3c11038ab138b24e6d0fe42ed508b12ce2ef50070f44d41fa39fcdfc665b6aa"
 MULTI_CONSTRAINT_PROJECTIONS_SHA = "80e44aa8235effe33d0ec8fb44187c1a3bf4a30df4d1bb0e3af21e0ebcfe09b0"
+WARM_MULTI_CONSTRAINT_PROJECTIONS_SHA = "6b3acd3d05b930c4fc1755621f20d328926d3c8b753b2bc122d1ec6140946210"
 
 
 def _sha256(path) -> str:
@@ -376,3 +378,30 @@ def test_multi_constraint_projection_bytes(monkeypatch):
             project(degenerate, x)
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == MULTI_CONSTRAINT_PROJECTIONS_SHA
+
+
+def test_warm_started_multi_constraint_projection_bytes():
+    # the sets above, each grid point projected with a warm start from the
+    # previous projection and from the projection of a nearby point, dumped
+    # through float.hex; a warm start seeds the first working set only where
+    # it is the one active constraint
+    quartic = Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -1.0})
+    grid = [(-2.0 + 0.5 * i, -2.0 + 0.5 * j) for i in range(9) for j in range(9)]
+    cases = [
+        ("lens", [_disk_poly((-0.5, 0.0)), _disk_poly((0.5, 0.0))]),
+        ("disk-halfplane", [_disk_poly((0.0, 0.0)), _affine_poly((1.0, 1.0), 0.5)]),
+        ("quartic-halfplane", [quartic, _affine_poly((0.0, 1.0), 0.5)]),
+    ]
+    lines = []
+    for name, constraints in cases:
+        s = ConvexSetDescriptor(name, constraints)
+        previous = None
+        for x in grid + [(0.0, 2.0), (0.25, 2.0), (0.0, -1.5)]:
+            near = project(s, (x[0] + 0.01, x[1] - 0.02))
+            for start in (previous, near):
+                y = project(s, x, start=start)
+                lines.append(f"{name} {' '.join(_hex(x))} -> {' '.join(_hex(y))}\n")
+            previous = y
+    assert len(lines) == 504
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == WARM_MULTI_CONSTRAINT_PROJECTIONS_SHA
