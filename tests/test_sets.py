@@ -528,11 +528,11 @@ def test_project_rejects_a_warm_start_of_the_wrong_length():
 
 
 @pytest.mark.parametrize("s, x", [
-    (get_entry("ex5.5").problem.sets[0], (0.5, 1.0)),  # closed form
-    (get_entry("ex5.8:n=2").problem.sets[0], (-1.0, 0.0)),  # feasible
-    (get_entry("ex5.8:n=2").problem.sets[0], (2.0, 1.0)),  # one active constraint
+    (get_entry("ex5.5").problem.sets[0], (0.5, 1.0)),
+    (get_entry("ex5.8:n=2").problem.sets[0], (-1.0, 0.0)),
+    (get_entry("ex5.8:n=2").problem.sets[0], (2.0, 1.0)),
     (ConvexSetDescriptor("lens", [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75})
-                                  for c in (1.0, -1.0)]), (0.0, 2.0)),  # two active constraints
+                                  for c in (1.0, -1.0)]), (0.0, 2.0)),
 ], ids=["closed-form", "feasible", "one-active", "two-active"])
 def test_project_checks_the_warm_start_length_on_every_path(s, x):
     with pytest.raises(ValueError, match="^warm start has length 3, set dimension is 2$"):
