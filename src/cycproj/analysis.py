@@ -25,6 +25,7 @@ from .sets import (
     Singleton,
     as_vector,
     distance,
+    feasible,
     finite_vector,
     residual,
     vdist,
@@ -215,15 +216,14 @@ class ErrorBoundReport:
     heuristic_distances: bool
 
 
-_PROBE_FEAS_TOL = 1e-8
 _CERT_TOL = 1e-8
 _REFINE_SWEEPS = 2000
 
 
-def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool, Optional[Sequence[float]]]:
-    """dist(x, C) and whether it is heuristic: exact via the oracle, else via
-    long cyclic refinement, which also returns its first step, the cold
-    projection of x onto the first set (None with the oracle).
+def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, Optional[Sequence[float]]]:
+    """dist(x, C): exact via the oracle, else heuristic, via long cyclic
+    refinement, which also returns its first step, the cold projection of x
+    onto the first set (None with the oracle).
 
     The refined value is accepted only when the refined point is itself
     within 1e-8 of every set (summed), otherwise the distance cannot be
@@ -231,7 +231,7 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool, 
     """
     oracle = problem.intersection_oracle
     if oracle is not None:
-        return oracle.distance(x), False, None
+        return oracle.distance(x), None
     stop_tol = OPTIMALITY_TOL * 1e-2
     first = []
 
@@ -250,7 +250,7 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, bool, 
         raise CapabilityError(
             "distance to the intersection could not be certified; provide an oracle"
         )
-    return vdist(x, xhat), True, first[0]
+    return vdist(x, xhat), first[0]
 
 
 def error_bound_probe(
@@ -263,7 +263,9 @@ def error_bound_probe(
 ) -> ErrorBoundReport:
     """Sample the ball around ``xbar`` and fit the regularity exponent.
 
-    For each sample x, L = dist(x, C) and R = sum_i dist^theta(x, C_i); the
+    ``xbar`` must pass :func:`sets.feasible` for every set, the rule the
+    projections meet, else ValueError names the first set it fails.  For
+    each sample x, L = dist(x, C) and R = sum_i dist^theta(x, C_i); the
     fitted tau is the log-log slope of L^theta against R; without an oracle,
     dist(x, C_1) comes from the refinement's first step, the cold projection
     ``distance`` would repeat.  Samples with L = 0 or R = 0 enter the counts
@@ -283,7 +285,7 @@ def error_bound_probe(
         raise ValueError("seed must be >= 0")
     xbar = finite_vector(xbar, "center")
     for s in problem.sets:
-        if not residual(s, xbar) <= _PROBE_FEAS_TOL:
+        if not feasible(s, xbar):
             raise ValueError(f"center is infeasible for set {s.name!r}")
     n = problem.dimension
     rng = random.Random(seed)
@@ -292,7 +294,6 @@ def error_bound_probe(
     log_r: List[float] = []
     violations = 0
     best_c = 0.0
-    heuristic = False
     drawn = 0
     while drawn < n_samples:
         cand = [rng.uniform(-1.0, 1.0) for _ in range(n)]
@@ -300,8 +301,7 @@ def error_bound_probe(
             continue
         drawn += 1
         x = tuple(xi + radius * ci for xi, ci in zip(xbar, cand))
-        dist_c, heur, first = _dist_to_intersection(problem, x)
-        heuristic = heuristic or heur
+        dist_c, first = _dist_to_intersection(problem, x)
         r_sum = (distance(problem.sets[0], x) if first is None else vdist(x, first)) ** theta
         for s in problem.sets[1:]:
             r_sum += distance(s, x) ** theta
@@ -330,7 +330,7 @@ def error_bound_probe(
         seed=seed,
         violations_at_theoretical_tau=violations,
         best_constant=best_c,
-        heuristic_distances=heuristic,
+        heuristic_distances=problem.intersection_oracle is None,
     )
 
 

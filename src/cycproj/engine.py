@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .poly import distance_kernel
 from .sets import (
-    FEASIBILITY_TOL,
     CapabilityError,
     ConvexSetDescriptor,
     FeasibilityProblem,
@@ -270,7 +269,7 @@ def _run_steps(
             raise step_error(
                 f"projection onto set {idx} ({s.name!r}) failed at step {k + 1}: {exc}"
             ) from exc
-        if not (residual(s, y) <= FEASIBILITY_TOL or feasible(s, y)):  # NaN fails too
+        if not feasible(s, y):
             raise step_error(
                 f"post-projection iterate violates set {idx} ({s.name!r}) "
                 f"beyond tolerance at step {k + 1}"

@@ -30,10 +30,9 @@ cached on the set by their indices.  The kernel runs the steps and the
 polish, one step and a second only above the rounding floor of ||F||, and
 ``poly.solve_kernel``'s elimination code for the system size, passed in as
 ``_solve_dense``, solves each bordered KKT system.  Without a
-closed form, each constraint is evaluated once at the input point, and the
-result's membership check reuses the Newton state's values of the active
-constraints; a seed state is always built from values and gradients its
-maker already holds.
+closed form, each constraint is evaluated once at the input point, and a
+seed state is always built from values and gradients its maker already
+holds.
 
 The projector has one failure rule: it returns a point only when a Newton
 solve converged and :func:`_accept` passed the result, and raises
@@ -43,12 +42,13 @@ ex3.2): there is no KKT multiplier, so Newton does not converge.
 
 Every projection meets two fixed module constants, both 1e-10: it passes
 :func:`feasible`, and its first-order optimality and complementarity defects
-are at most ``OPTIMALITY_TOL``.  :func:`feasible` is the one feasibility
-rule, which the drivers' post-step check uses too: every ``g_j(y) <=
-FEASIBILITY_TOL``, or, when that fails, every ``g_j(y) <= FEASIBILITY_TOL *
-max(1, sum_alpha |c_alpha| |y^alpha|)``, since the value of a constraint of
-large terms carries their rounding; :func:`residual` returns the raw
-``max_j [g_j]_+``.
+are at most ``OPTIMALITY_TOL``.  :func:`feasible` is the package's one
+membership test: every ``g_j(y) <= FEASIBILITY_TOL``, or, when that fails,
+every ``g_j(y) <= FEASIBILITY_TOL * max(1, sum_alpha |c_alpha| |y^alpha|)``,
+since the value of a constraint of large terms carries their rounding.  The
+working set's :func:`_accept` applies it to each Newton solution, the step
+loop ``engine._run_steps`` to each projection it takes, and the error-bound
+probe to its center; :func:`residual` returns the raw ``max_j [g_j]_+``.
 
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
@@ -366,7 +366,9 @@ def project(
     """Euclidean projection of ``x`` onto ``s``.
 
     The result y passes :func:`feasible` and meets the first-order
-    optimality/complementarity conditions within OPTIMALITY_TOL.
+    optimality/complementarity conditions within OPTIMALITY_TOL.  ``x`` is
+    returned as it is only when every g_j(x) <= 0 exactly; a point that
+    passes :func:`feasible` only by its tolerance is projected.
     Raises :class:`ProjectionError` (with best iterate attached) if no
     working set converges, :class:`NumericalError` on NaN or overflow during
     the solve, and ``ValueError`` when ``x`` has a NaN or infinite coordinate
@@ -400,7 +402,7 @@ def project(
         nan_seen = any(v != v for v in values)
         where = "while projecting onto" if nan_seen else "evaluating the constraints of"
         raise NumericalError(f"overflow {where} {s.name!r}") from exc
-    if _max_violation(values) == 0.0:
+    if all(v <= 0.0 for v in values):  # NaN fails too
         return x
     try:
         # the first working set is the most violated constraint, warm started
@@ -436,18 +438,6 @@ def project(
         raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=residual(s, best))
     except OverflowError as exc:
         raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
-
-
-def _max_violation(values) -> float:
-    """max_j [v_j]_+ of the constraint values, as :func:`residual` takes it:
-    zero exactly when every value is <= 0, NaN at the first NaN."""
-    worst = 0.0
-    for v in values:
-        if v > worst:
-            worst = v
-        elif v != v:
-            return v
-    return worst
 
 
 def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
@@ -508,11 +498,10 @@ def _kkt_newton(s, active, x, seeds, rejected):
         state = newton(x, seed, _solve_dense, _NEWTON_MAX_ITER, FEASIBILITY_TOL, OPTIMALITY_TOL)
         if state is None:
             continue
-        y, lams, vals, _ = state
-        result = _accept(s, active, y, lams, vals)
+        result = _accept(s, *state[:2])
         if result is not None:
             return result
-        rejected.append((y, lams))
+        rejected.append(state[:2])
     return None
 
 
@@ -522,20 +511,13 @@ def _gram(grads):
     return [[sum(ga[i] * gb[i] for i in range(n)) for gb in grads] for ga in grads]
 
 
-def _accept(s, active, y, lams, vals):
+def _accept(s, y, lams):
     """``tuple(y)``, or None when a multiplier is negative or the point
-    fails :func:`feasible`: the other constraints are evaluated and checked,
-    then the active constraints' values, which are the Newton state's, and
-    only when that absolute test fails does :func:`feasible` run in full."""
+    fails :func:`feasible`."""
     if any(mult < -OPTIMALITY_TOL for mult in lams):
         return None
     result = tuple(y)
-    for j, other in enumerate(s.constraints):
-        if j not in active and not other.evaluate(result) <= FEASIBILITY_TOL:  # NaN fails too
-            return result if feasible(s, result) else None
-    if not _max_violation(vals) <= FEASIBILITY_TOL:
-        return result if feasible(s, result) else None
-    return result
+    return result if feasible(s, result) else None
 
 
 # -- the next working set

@@ -674,6 +674,35 @@ def test_cmd_errorbound_infeasible_center(tmp_path):
     ) == 1
 
 
+def test_cmd_errorbound_accepts_a_boundary_center_of_a_disk_of_radius_1e5(tmp_path, capsys):
+    # x^2 + y^2 - 2e5 x at this boundary point is 3.8e-6, all of it rounding
+    # of terms about 7e10; the center check is feasible's, as the projections'
+    doc = {"dimension": 2, "sets": [
+        {"name": "disk", "constraints": [{"terms": [
+            {"exponents": [2, 0], "coefficient": 1.0}, {"exponents": [1, 0], "coefficient": -2e5},
+            {"exponents": [0, 2], "coefficient": 1.0}]}]},
+        {"name": "halfplane", "constraints": [{"terms": [{"exponents": [0, 1], "coefficient": 1.0}]}]},
+    ]}
+    pfile = tmp_path / "disk.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "eb.json"
+    code = cli.main(["errorbound", "--problem", str(pfile), "--center=176484.21872844885,-64421.7687237691",
+                     "--samples", "40", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["heuristic_distances"] is True
+
+
+@pytest.mark.parametrize("center", ["1e-3,0", "1e-9,0"])
+def test_cmd_errorbound_refuses_a_center_outside_a_unit_disk(tmp_path, capsys, center):
+    # ex5.5's left disk is x^2 + y^2 + 2x <= 0, about 2e-3 and 2e-9 at these
+    # centers; its terms there are far below 1, so feasible's bound is 1e-10
+    out = tmp_path / "eb.json"
+    code = cli.main(["errorbound", "--example", "ex5.5", "--center", center, "--samples", "40", "--out", str(out)])
+    assert code == 1
+    assert "center is infeasible for set 'left-disk'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_errorbound_curve_mode(tmp_path):
     out = tmp_path / "curve.json"
     code = cli.main(

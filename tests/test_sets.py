@@ -324,20 +324,26 @@ def test_project_three_active_constraint_corners(monkeypatch):
         assert active_sizes[-1] == 3
 
 
-def test_corners_are_solved_without_the_penalty_ladder(monkeypatch):
-    # the working set of branch (e) finds the active constraints of the
-    # corners above and of the lens tips, so the ladder never evaluates its
-    # objective
+def test_corners_take_a_pinned_number_of_working_set_changes(monkeypatch):
+    # the working-set loop finds the active constraints of the corners above
+    # and of the lens tips: a corner whose first working set, the most
+    # violated constraint, is not the active set asks _project_penalty for
+    # the next one, at most twice here, and each result passes feasible
     from cycproj import sets
 
-    calls = []
-    penalty_value_grad = sets._penalty_value_grad
+    calls = {"_project_penalty": 0, "_kkt_newton": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return penalty_value_grad(*args)
+    def counting(name):
+        original = getattr(sets, name)
 
-    monkeypatch.setattr(sets, "_penalty_value_grad", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sets, name, counting(name))
     unit = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     outer = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0, (0, 0): -2.0})
     x_le_0 = Polynomial(3, {(1, 0, 0): 1.0})
@@ -346,19 +352,41 @@ def test_corners_are_solved_without_the_penalty_ladder(monkeypatch):
     ball = Polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -4.0})
     # the disks of radius 1 about (-0.5, 0) and (0.5, 0), with tips (0, +-sqrt(0.75))
     lens = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75}) for c in (1.0, -1.0)]
-    for constraints, x in [
-        ([Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})], (1.0, 1.0)),
-        ([unit, Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})], (2.0, 0.0)),
-        ([unit, unit], (-3.0, 0.0)),
-        ([unit, outer], (-3.0, 0.0)),
-        (octant, (1.0, 2.0, 3.0)),
-        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0)),
-        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0)),
-        (lens, (0.25, 2.0)),
-        (lens, (0.0, 2.0)),
+    for constraints, x, penalty, newton in [
+        ([Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})], (1.0, 1.0), 1, 2),
+        ([unit, Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})], (2.0, 0.0), 1, 2),
+        ([unit, unit], (-3.0, 0.0), 0, 1),
+        ([unit, outer], (-3.0, 0.0), 0, 1),
+        (octant, (1.0, 2.0, 3.0), 2, 4),
+        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0), 2, 4),
+        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0), 2, 4),
+        (lens, (0.25, 2.0), 1, 2),
+        (lens, (0.0, 2.0), 1, 2),
     ]:
-        project(ConvexSetDescriptor("corner", constraints), x)
-        assert calls == [], x
+        for name in calls:
+            calls[name] = 0
+        s = ConvexSetDescriptor("corner", constraints)
+        assert feasible(s, project(s, x)), x
+        assert calls == {"_project_penalty": penalty, "_kkt_newton": newton}, x
+
+
+@pytest.mark.parametrize("r", [
+    100.0,
+    pytest.param(1000.0, marks=pytest.mark.xfail(
+        strict=True, raises=ProjectionError,
+        reason="the Gauss-Newton seed of the pair stops at |g_j| <= 1e-10, an absolute "
+               "test, where the disks' terms are about 1e6 and their values carry rounding "
+               "above it, so both seeds of W = (0, 1) are None")),
+])
+def test_lens_tip_is_found_at_scale(r):
+    # the disks of radius r about (-r/2, 0) and (r/2, 0) meet at the tips
+    # (0, +-r sqrt(0.75)); the point above the upper tip projects onto it
+    lens = ConvexSetDescriptor("lens", [
+        Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c * r, (0, 0): -0.75 * r * r}) for c in (1.0, -1.0)
+    ])
+    y = project(lens, (0.25 * r, 2.0 * r))
+    assert feasible(lens, y)
+    assert vdist(y, (0.0, r * math.sqrt(0.75))) <= 1e-12 * r
 
 
 def test_seeded_newton_solves_evaluate_no_gradient_twice(monkeypatch):
