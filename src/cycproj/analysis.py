@@ -22,7 +22,6 @@ from .sets import (
     OPTIMALITY_TOL,
     CapabilityError,
     FeasibilityProblem,
-    Singleton,
     as_vector,
     distance,
     feasible,
@@ -180,7 +179,7 @@ def trace_error_sequence(
     """(k, e_k) pairs from a trace: distance to the problem's singleton oracle
     when available, else to ``limit`` (default: the last recorded iterate)."""
     oracle = trace.problem.intersection_oracle
-    if limit is None and isinstance(oracle, Singleton):
+    if limit is None and oracle is not None:
         target = oracle.point
     elif limit is not None:
         target = finite_vector(limit, "limit")
@@ -343,7 +342,7 @@ def error_bound_exponent_on_curve(
     max_i [g_i(x(t))]_+ along a parametrized curve; needs a singleton oracle.
     """
     oracle = problem.intersection_oracle
-    if not isinstance(oracle, Singleton):
+    if oracle is None:
         raise CapabilityError("curve-mode fit needs a singleton intersection oracle")
     log_r: List[float] = []
     log_d: List[float] = []

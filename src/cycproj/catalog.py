@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .poly import Polynomial
-from .rates import ExponentOverflowError, RateClass, cyclic_rate
+from .rates import RateClass, cyclic_rate
 from .sets import (
     ConvexSetDescriptor,
     FeasibilityProblem,
@@ -272,6 +272,7 @@ def example_5_8(n: int = 2) -> CatalogEntry:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    rate = cyclic_rate(n, 4)  # first: it refuses an n past its range before any set is built
     A = _quartic_ball("left-quartic-ball", n, -1.0)
     B = _quartic_ball("right-quartic-ball", n, 2.0)
     problem = FeasibilityProblem(n, (A, B))
@@ -283,7 +284,7 @@ def example_5_8(n: int = 2) -> CatalogEntry:
         id=f"ex5.8:n={n}",
         problem=problem,
         default_start=tuple(start),
-        theory_rate=cyclic_rate(n, 4),
+        theory_rate=rate,
         known_gap=gap,
     )
 
@@ -301,6 +302,7 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
         raise ValueError("d must be even and >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    rate = cyclic_rate(n, d)  # first: it refuses an (n, d) past its range before any set is built
     sets = []
     e1 = [0] * n
     e1[0] = d
@@ -325,7 +327,7 @@ def example_3_2(n: int = 2, d: int = 2) -> CatalogEntry:
         id=f"ex3.2:n={n},d={d}",
         problem=problem,
         default_start=(0.0,) * n,
-        theory_rate=cyclic_rate(n, d),
+        theory_rate=rate,
         curve=curve,
     )
 
@@ -352,7 +354,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
     """Build the entry for an id like ``"ex5.5"`` or ``"ex5.7:d=4"``."""
     base, _, suffix = entry_id.partition(":")
     if base not in _BUILDERS:
-        raise KeyError(f"unknown catalog id {entry_id!r}; known: {default_ids()}")
+        raise ValueError(f"unknown catalog id {entry_id!r}; known: {default_ids()}")
     builder = _BUILDERS[base]
     params = inspect.signature(builder).parameters
     kwargs = {}
@@ -375,8 +377,6 @@ def get_entry(entry_id: str) -> CatalogEntry:
                 raise ValueError(f"parameter {key!r} in {entry_id!r} must be {what}, got {value!r}") from None
     try:
         return builder(**kwargs)
-    except ExponentOverflowError:  # the rate formula names its own overflow
-        raise
     except OverflowError:  # as (1 + alpha) ** 2 for ex5.3:alpha=1e200
         given = ", ".join(map(repr, kwargs))
         raise ValueError(f"parameter {given} in {entry_id!r} is too large: the entry overflows the float range") from None

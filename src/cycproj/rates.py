@@ -3,7 +3,8 @@
 All exponent formulas work in exact integer arithmetic and divide to float
 only at the very end, so the min{...} selections can never be corrupted by
 rounding.  Intermediates that leave the 64-bit integer range raise
-:class:`ExponentOverflowError` instead of silently degrading.
+:class:`ExponentOverflowError` instead of silently degrading; it is a
+``ValueError``, since such an (n, d) is an input error.
 """
 
 from __future__ import annotations
@@ -15,13 +16,17 @@ from typing import List, Sequence, Union
 _INT64_MAX = 2**63 - 1
 
 
-class ExponentOverflowError(OverflowError):
+class ExponentOverflowError(ValueError):
     """An exact integer intermediate exceeded the 64-bit contract range."""
 
 
 def _guard(value: int, what: str) -> int:
     if value > _INT64_MAX:
-        raise ExponentOverflowError(f"{what} = {value} exceeds 64-bit range")
+        try:
+            shown = str(value)
+        except ValueError:  # past the interpreter's limit on digits converted to text
+            shown = f"a {value.bit_length()}-bit integer"
+        raise ExponentOverflowError(f"{what} = {shown} exceeds 64-bit range")
     return value
 
 

@@ -59,6 +59,10 @@ compiled with the set by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
 ``poly.residual_kernel``.  All vectors are plain tuples of floats and every
 path is deterministic, so identical inputs -- the point and the optional
 warm start -- give bitwise identical projections.
+
+Errors come in two kinds.  Bad input raises ``ValueError``, and
+:class:`CapabilityError`, a check that needs an absent oracle, is one;
+:class:`ProjectionError` and its :class:`NumericalError` are solver failures.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ class NumericalError(ProjectionError):
     """A NaN/Inf appeared during the solve."""
 
 
-class CapabilityError(RuntimeError):
-    """The requested check needs an exact intersection oracle that is absent."""
+class CapabilityError(ValueError):
+    """The requested check needs an exact intersection oracle that is absent: an input error."""
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,8 @@ class FeasibilityProblem:
         for s in sets:
             if s.dimension != dimension:
                 raise ValueError(f"set {s.name!r} has dimension {s.dimension}, expected {dimension}")
+        if intersection_oracle is not None and not isinstance(intersection_oracle, Singleton):
+            raise TypeError(f"intersection_oracle must be a Singleton or None, not {type(intersection_oracle).__name__}")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "max_degree", max(g.degree() for s in sets for g in s.constraints))

@@ -10,18 +10,33 @@ from cycproj.catalog import (
     power_chain_step,
 )
 from cycproj.engine import alternating_project
-from cycproj.rates import PowerLaw
-from cycproj.sets import Singleton, project, residual, vdist, vnorm
+from cycproj.rates import ExponentOverflowError, PowerLaw
+from cycproj.sets import ConvexSetDescriptor, Singleton, project, residual, vdist, vnorm
 
 
 def test_registry_ids_and_parsing():
     assert len(catalog.default_ids()) >= 6
     assert get_entry("ex5.7:d=4").problem.max_degree == 4
     assert get_entry("ex3.2:n=3,d=2").problem.dimension == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog id"):
         get_entry("ex9.9")
     with pytest.raises(ValueError):
         get_entry("ex5.7:d=")
+
+
+@pytest.mark.parametrize("entry_id", ["ex5.8:n=70", "ex3.2:n=70,d=2"])
+def test_builders_refuse_an_n_past_the_rate_range_before_building_a_set(monkeypatch, entry_id):
+    # the sets of an n-variable entry take O(n^2) exponent entries, so the rate is checked first
+    built = []
+
+    def counting(name, constraints):
+        built.append(name)
+        return ConvexSetDescriptor(name, constraints)
+
+    monkeypatch.setattr(catalog, "ConvexSetDescriptor", counting)
+    with pytest.raises(ExponentOverflowError):
+        get_entry(entry_id)
+    assert built == []
 
 
 # -- ex5.1 -------------------------------------------------------------------

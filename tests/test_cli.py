@@ -20,8 +20,9 @@ from cycproj.cli import (
     save_problem,
     write_trace,
 )
-from cycproj.engine import alternating_project, cyclic_project
-from cycproj.sets import Ball, Halfspace, project, vnorm
+from cycproj.engine import ProjectionStepError, alternating_project, cyclic_project
+from cycproj.rates import ExponentOverflowError
+from cycproj.sets import Ball, CapabilityError, Halfspace, NumericalError, ProjectionError, project, vnorm
 
 
 # -- problem files ---------------------------------------------------------------
@@ -532,6 +533,53 @@ def test_exponent_overflow_is_input_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_unknown_catalog_id_prints_its_message_bare(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--example", "ex9.9", "--x0", "1,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown catalog id 'ex9.9'; known: [") and err.endswith("]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ValueError("bad input"), 1),
+        (ExponentOverflowError("bad input"), 1),
+        (CapabilityError("bad input"), 1),
+        (OSError("bad input"), 1),
+        (ProjectionError("solver failed"), 2),
+        (NumericalError("solver failed"), 2),
+        (ProjectionStepError("solver failed", 3, 1, None), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, exc, code):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_rate", failing)
+    argv = ["rate", "--trace", "t.csv", "--n", "2", "--d", "2", "--window", "1:2"]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(exc) in err
+
+
+def test_the_input_error_classes_are_value_errors():
+    # so main's exit-1 clause names ValueError and OSError alone
+    assert issubclass(ExponentOverflowError, ValueError) and not issubclass(ExponentOverflowError, OverflowError)
+    assert issubclass(CapabilityError, ValueError)
+
+
+def test_an_internal_key_error_is_not_an_input_error(monkeypatch):
+    def failing(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_rate", failing)
+    with pytest.raises(KeyError):
+        cli.main(["rate", "--trace", "t.csv", "--n", "2", "--d", "2", "--window", "1:2"])
+
+
 @pytest.mark.parametrize("header, limit, message", [
     ("k,set,residual_before,step_norm,x_0,x_1", [],
      "not a trace file (bad header ['k', 'set', 'residual_before', 'step_norm', 'x_0', 'x_1'])"),
@@ -846,6 +894,16 @@ def test_cmd_replicate_ex53(capsys):
 
 def test_cmd_replicate_unknown_id():
     assert cli.main(["replicate", "--id", "ex7.7"]) == 1
+
+
+@pytest.mark.parametrize("entry_id", ["ex5.8:n=3", "ex5.7:d=4"])
+def test_cmd_replicate_refuses_an_id_with_parameters(capsys, entry_id):
+    # the checks are written for fixed parameters, which a suffix would not change
+    assert cli.main(["replicate", "--id", entry_id]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown replicate id {entry_id!r}; known, without parameters: "
+                            "['ex3.2', 'ex5.1', 'ex5.3', 'ex5.5', 'ex5.7', 'ex5.8']\n")
 
 
 # stdout of `replicate --all`, IEEE-754 doubles and an x86-64 glibc ``pow``

@@ -43,6 +43,17 @@ def test_kappa_values():
         kappa(0, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: cyclic_rate(6000, 4), lambda: holder_exponent_tau(6000, 4), lambda: central_binomial(20000)],
+    ids=["cyclic_rate(6000,4)", "holder_exponent_tau(6000,4)", "central_binomial(20000)"],
+)
+def test_overflow_past_the_digit_limit_names_the_bit_length(call):
+    # these values have more than the 4300 decimal digits CPython converts to text
+    with pytest.raises(ExponentOverflowError, match=r" = a \d+-bit integer exceeds 64-bit range$"):
+        call()
+
+
 def test_tau_degree_one_is_lipschitz():
     for n in range(1, 9):
         assert holder_exponent_tau(n, 1) == 1.0

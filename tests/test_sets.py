@@ -654,6 +654,21 @@ def test_oracles_reject_non_finite_points():
         Singleton((0.0, math.nan))
 
 
+class _DuckOracle:
+    point = (0.0, 0.0)
+
+    def distance(self, x):
+        return vdist(x, self.point)
+
+
+@pytest.mark.parametrize("oracle", [(0.0, 0.0), _DuckOracle()], ids=["tuple", "duck"])
+def test_problem_refuses_an_oracle_that_is_not_a_singleton(oracle):
+    disk = ConvexSetDescriptor("disk", [LEFT_DISK_POLY])
+    with pytest.raises(TypeError, match="must be a Singleton or None"):
+        FeasibilityProblem(2, (disk,), oracle)
+    assert FeasibilityProblem(2, (disk,), None).intersection_oracle is None
+
+
 # -- copying and pickling ------------------------------------------------------------
 
 
