@@ -14,13 +14,16 @@ lasts ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` gives a
 shorter one for a quick check.  Each tree gets one file at the repository
 root: the environment, and per workload the median and interquartile range
 over seeds of ``op_s``, ``setup_s`` and ``peak_rss_mb``, each seed's values,
-the traced seed's per-layer metrics and the reference op's digests.
+the traced seed's per-layer metrics and the reference op's digests.  The
+environment holds the tree's ``source_digest`` next to its ``git_commit``, so
+that a file recorded from a copy without git history names its sources too.
 ``perfbench/`` itself is run as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -42,6 +45,25 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int):
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
+
+
+def source_digest(tree: str) -> str:
+    """SHA-256 over the files of ``tree``'s ``src/`` and ``perfbench/`` in
+    sorted path order, each as ``<path>\\0<size>\\0`` and then its bytes, the
+    path relative to ``tree`` with ``/`` separators; ``__pycache__``
+    directories are skipped.  Hashing an export of a commit, such as ``git
+    archive``'s, the same way checks a BENCH file against that commit."""
+    paths = []
+    for top in ("src", "perfbench"):
+        for root, dirs, files in os.walk(os.path.join(tree, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            paths += [os.path.relpath(os.path.join(root, f), tree).replace(os.sep, "/") for f in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(os.path.join(tree, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def spread(values):
@@ -67,7 +89,7 @@ def record(trees, workloads, seeds, seconds):
     for label, tree in trees:
         doc = {
             "label": label,
-            "environment": environments[label][0],
+            "environment": {**environments[label][0], "source_digest": source_digest(tree)},
             "loadavg_1m": [min(min(e["loadavg_1m_before"], e["loadavg_1m_after"]) for e in environments[label]),
                            max(max(e["loadavg_1m_before"], e["loadavg_1m_after"]) for e in environments[label])],
             "settings": {"seeds": seeds, "seconds": seconds, "trace_seed": TRACE_SEED,

@@ -7,20 +7,21 @@ reproducible sum.
 
 This module is the one compiler of the package: every kernel is
 straight-line Python source generated here and made a function by
-``_factory``, the only ``exec``.  A polynomial's own kernels live on it:
-the value kernel, compiled on the first ``evaluate``; the gradient and
-Hessian kernels, together on the first ``gradient`` or ``hessian_rows``,
-from the symbolic partial derivatives; and ``kkt_seed``, compiled by
-``kkt_kernels()``.  Each term is one ``total += c * x0 ** e0 * ...``
-statement that multiplies its coefficient by ``x_i ** e_i`` for the
-variables it uses, in index order, and the sum starts from 0.0 in
-graded-lex order, so the arithmetic is that of a plain loop over the
-terms.  Coefficients, the derivatives' as ``partial`` computes them, are
-bound as closure cells c0, c1, ..., never written into the source, so they
-stay exact, and the source depends only on the kernel's kind, the dimension
-and the exponent structure: ``_generated`` writes it once per structure,
-so polynomials of one structure share one compiled factory, and one pass
-over their coefficients fills their cells.
+``_factory``, the only ``exec``.  A polynomial's own kernels live on it,
+each compiled on first use: the value and term-size kernels by ``evaluate``
+and ``term_size``; the gradient and Hessian kernels, together, by
+``gradient`` or ``hessian_rows``, from the symbolic partial derivatives;
+``kkt_seed`` by ``kkt_kernels()``.  Each term is one ``total += c * x0 ** e0
+* ...`` statement, or one ``+ abs(c * x0 ** e0 * ...)`` of a term size, that
+multiplies its coefficient by ``x_i ** e_i`` for the variables it uses, in
+index order, and the sum starts from 0.0 in graded-lex order, so the
+arithmetic is that of a plain loop over the terms.  Coefficients, the
+derivatives' as ``partial`` computes them, are bound as closure cells c0,
+c1, ..., never written into the source, so they stay exact, and the source
+depends only on the kernel's kind, the dimension and the exponent structure:
+``_generated`` writes it once per structure, so polynomials of one structure
+share one compiled factory, and one pass over their coefficients fills their
+cells.
 
 The kernels of a set's projection are compiled here and kept by the set
 (``sets.ConvexSetDescriptor``): ``newton_kernel(polys)``, for each subset of
@@ -41,20 +42,19 @@ v_1 * v_1 + ...))``.
   with the least-squares multiplier of ``point - start = lam * grad
   g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
 - A Newton kernel ``(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs
-  at most ``max_iter`` Newton steps from a seed state until every ``|v_j| <=
-  feas_tol`` and ``|s| <= opt_tol``, each solving the bordered KKT system
+  at most ``max_iter`` Newton steps from a seed state until ``|s| <= opt_tol``
+  or ``|s| <= 4 eps * (1 + sum |point_i| + sum |y_i|)``, and every ``|v_j| <=
+  feas_tol * max(1, z_j)``, the package's one scale rule, z_j being g_j's
+  ``term_size`` at y; each step solves the bordered KKT system
   ``[[I + sum_j lam_j H_j, G], [G^T, 0]]`` (entries ``0.0 + lam_1 * h_1 +
   ...``, the gradients as the columns of G) with right-hand side ``-F`` by
   ``solve(A, b)`` and damped by Armijo halving down to t = 2^-40; then one
   full polish step, and a second only while ||F|| is above the rounding
   floor ``4 eps * (1 + sum |point_i| + sum |y_i| + sum_j |lam_j| * sum_i
   |grad g_j(y)_i|)``, below which a step only shuffles rounding, each kept
-  only while ||F|| strictly falls.  The floor errs low: a constraint of
-  large coefficients, whose values carry more rounding than it counts,
-  still takes both steps.  It returns ``(y, lams, vals, grads)`` when it
-  converged, or None when
-  abandoned (non-finite ||F||, a singular system, the backtracking floor or
-  ``max_iter`` steps without converging).
+  only while ||F|| strictly falls.  It returns ``(y, lams, vals, grads)``
+  when it converged, or None when abandoned (non-finite ||F||, a singular
+  system, the backtracking floor or ``max_iter`` steps without converging).
 
 ``residual_kernel(polys)`` computes a set's ``max_j [g_j(x)]_+`` from its
 constraints' value sums, ``halfspace_kernel(a, b)`` and ``ball_kernel(c, r)``
@@ -140,18 +140,22 @@ def _kernel(source: str, coeffs):
     return _factory(source, len(coeffs))(*coeffs)
 
 
+def _terms(terms, var: str):
+    """``c<cell> * var0 ** e0 * ...`` for each of the ordered ``terms``, each
+    (exponents, cell), over the variables it uses, in index order."""
+    # x ** 1 == x exactly, so the factor is the variable itself
+    return [f"c{cell}" + "".join(f" * {var}{i}" if e == 1 else f" * {var}{i} ** {e}" for i, e in enumerate(exps) if e)
+            for exps, cell in terms]
+
+
 def _sum(name, terms, var: str = "x"):
-    """Statements accumulating the ordered ``terms``, each (exponents, cell),
-    into ``name`` from 0.0, one per term, over the variables var0, var1, ...;
-    a term's coefficient is the name c<cell>."""
-    lines = [f"{name} = 0.0"]
-    for exps, cell in terms:
-        # x ** 1 == x exactly, so the factor is the variable itself
-        factors = "".join(
-            f" * {var}{i}" if e == 1 else f" * {var}{i} ** {e}" for i, e in enumerate(exps) if e
-        )
-        lines.append(f"{name} += c{cell}{factors}")
-    return lines
+    """Statements accumulating the ordered ``terms`` into ``name`` from 0.0, one per term."""
+    return [f"{name} = 0.0"] + [f"{name} += {term}" for term in _terms(terms, var)]
+
+
+def _size(terms, var: str) -> str:
+    """The term size sum_alpha |c_alpha| |x^alpha| of ``terms``: one expression, in ``_sum``'s order."""
+    return "(0.0" + "".join(f" + abs({term})" for term in _terms(terms, var)) + ")"
 
 
 def _block(lines, depth: int) -> str:
@@ -218,6 +222,10 @@ def _compiled(build, polys, derivatives: bool = True):
 
 def _value_source(n: int, layout) -> str:
     return _source(n, [("v", layout[0][0])], "v")
+
+
+def _size_source(n: int, layout) -> str:
+    return _source(n, [], _size(layout[0][0], "x"))
 
 
 def _gradient_source(n: int, layout) -> str:
@@ -288,8 +296,9 @@ def _kkt_source(n: int, layout) -> str:
 # y..., l..., s..., v..., g..., fn, constraint k having multiplier l<k>, value
 # v<k>, gradient g<i>_<k> and Hessian h<i>_<j>_<k>; {system} solves for the
 # step d..., dl..., and {trial} computes the trial state x..., lt..., r...,
-# w..., u..., ft at (y..., l...) + t * step; {floor} is the rounding scale
-# whose 2^-50 = 4 eps multiple stops the second polish step.
+# w..., u..., ft at (y..., l...) + t * step; 2^-50 = 4 eps times {scale} or
+# {floor} is the rounding floor of ||s|| or ||F||.  {feasible} tests each |v<k>|
+# <= feas_tol * max(1, z<k>), summing the term size z<k> only if |v<k>| > feas_tol.
 _NEWTON_SOURCE = """\
 def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     {p}= point
@@ -297,7 +306,8 @@ def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     for _ in range(max_iter):
         if not isfinite(fn):
             return None
-        if {feasible} and sqrt({stat_squares}) <= opt_tol:
+        sn = sqrt({stat_squares})
+        if (sn <= opt_tol or sn <= 2.0 ** -50 * ({scale})) and {feasible}:
             break
 {system2}
         if d is None:
@@ -334,10 +344,6 @@ def _squares(v: str, n: int) -> str:
     return "0.0" + "".join(f" + {v}{i} * {v}{i}" for i in range(n))
 
 
-def _abs_sum(g: str, n: int, k: int) -> str:
-    return "0.0" + "".join(f" + abs({g}{i}_{k})" for i in range(n))
-
-
 def newton_kernel(polys):
     """Compile the damped KKT Newton kernel of the constraints ``polys`` from
     ``_NEWTON_SOURCE`` (see the module docstring); a set keeps one per subset
@@ -370,14 +376,16 @@ def _newton_source(n: int, layout) -> str:
     def grads(g):
         return "".join(f"{g}{i}_{k}, " for k in ks for i in range(n))
 
+    scale = "1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
     return _NEWTON_SOURCE.format(
         p=_names("p", n),
         d=_names("d", n) + _names("dl", p),
         state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
         trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
-        feasible=" and ".join(f"abs(v{k}) <= feas_tol" for k in ks),
-        floor="1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
-        + "".join(f" + abs(l{k}) * ({_abs_sum('g', n, k)})" for k in ks),
+        scale=scale,
+        floor=scale + "".join(f" + abs(l{k}) * (0.0" + "".join(f" + abs(g{i}_{k})" for i in range(n)) + ")" for k in ks),
+        feasible=" and ".join(f"(abs(v{k}) <= feas_tol or abs(v{k}) <= feas_tol * {_size(value, 'y')})"
+                              for k, (value, _, _) in enumerate(layout)),
         stat_squares=_squares("s", n),
         system2=_block(system, 2),
         trial2=_block(trial, 2),
@@ -476,10 +484,10 @@ def solve_kernel(n: int):
 class _Kernels:
     """The compiled kernels of one polynomial, each None until first use."""
 
-    __slots__ = ("value", "gradient", "hessian_rows", "kkt_seed")
+    __slots__ = ("value", "gradient", "hessian_rows", "kkt_seed", "term_size")
 
     def __init__(self):
-        self.value = self.gradient = self.hessian_rows = self.kkt_seed = None
+        self.value = self.gradient = self.hessian_rows = self.kkt_seed = self.term_size = None
 
 
 class Polynomial:
@@ -587,6 +595,13 @@ class Polynomial:
         """Hessian at ``x`` as nested lists, exactly symmetric by mirroring."""
         self._check_point(x)
         return (self._kernels.hessian_rows or self._compile_derivatives().hessian_rows)(x)
+
+    def term_size(self, x: Sequence[float]) -> float:
+        """sum_alpha |c_alpha| |x^alpha| in ``evaluate``'s order; the value at ``x`` carries about eps times it."""
+        self._check_point(x)
+        kernels = self._kernels
+        kernels.term_size = kernels.term_size or _compiled(_size_source, [self], derivatives=False)
+        return kernels.term_size(x)
 
     def _compile_value(self):
         self._kernels.value = _compiled(_value_source, [self], derivatives=False)

@@ -20,7 +20,12 @@ class ExponentOverflowError(ValueError):
     """An exact integer intermediate exceeded the 64-bit contract range."""
 
 
-def _guard(value: int, what: str) -> int:
+def _guard(value, what: str, log2: float = 0.0) -> int:
+    """``value``, or what calling it returns, if it fits 64 bits.  Past 2^64 by ``log2`` (an estimate, 1e-12
+    relative) it is refused uncomputed as a floor(log2) + 1-bit integer, unless log2 < 1e12 is that near an integer."""
+    if log2 > 64 and not abs(log2 - round(log2)) <= 1e-12 * log2 < 1.0:
+        raise ExponentOverflowError(f"{what} = a {math.floor(log2) + 1}-bit integer exceeds 64-bit range")
+    value = value() if callable(value) else value
     if value > _INT64_MAX:
         try:
             shown = str(value)
@@ -54,14 +59,15 @@ def central_binomial(s: int) -> int:
     """C(s, floor(s/2)), with the convention C(0,0) = 1."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    return _guard(math.comb(s, s // 2), f"central_binomial({s})")
+    log2 = (math.lgamma(s + 1) - math.lgamma(s // 2 + 1) - math.lgamma(s - s // 2 + 1)) / math.log(2)
+    return _guard(lambda: math.comb(s, s // 2), f"central_binomial({s})", log2)
 
 
 def kappa(n: int, d: int) -> int:
     """(d-1)^n + 1, the single-polynomial error-bound exponent denominator."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    return _guard((d - 1) ** n + 1, f"kappa({n},{d})")
+    return _guard(lambda: (d - 1) ** n + 1, f"kappa({n},{d})", n * math.log2(max(d - 1, 1)))
 
 
 def holder_exponent_tau(n: int, d: int) -> float:
@@ -89,7 +95,7 @@ def cyclic_rate(n: int, d: int) -> RateClass:
         raise ValueError("n and d must be >= 1")
     if d == 1:
         return Linear()
-    a = _guard((2 * d - 1) ** n - 1, f"(2d-1)^n-1 for n={n}, d={d}")
+    a = _guard(lambda: (2 * d - 1) ** n - 1, f"(2d-1)^n-1 for n={n}, d={d}", n * math.log2(2 * d - 1))
     b = _guard(2 * central_binomial(n - 1) * d**n - 2, f"2*beta(n-1)*d^n-2 for n={n}, d={d}")
     return PowerLaw(1.0 / min(a, b))
 

@@ -40,15 +40,17 @@ solve converged and :func:`_accept` passed the result, and raises
 where the projection lands (the first set {x_1^d <= 0} of the catalog's
 ex3.2): there is no KKT multiplier, so Newton does not converge.
 
-Every projection meets two fixed module constants, both 1e-10: it passes
-:func:`feasible`, and its first-order optimality and complementarity defects
-are at most ``OPTIMALITY_TOL``.  :func:`feasible` is the package's one
-membership test: every ``g_j(y) <= FEASIBILITY_TOL``, or, when that fails,
-every ``g_j(y) <= FEASIBILITY_TOL * max(1, sum_alpha |c_alpha| |y^alpha|)``,
-since the value of a constraint of large terms carries their rounding.  The
-working set's :func:`_accept` applies it to each Newton solution, the step
-loop ``engine._run_steps`` to each projection it takes, and the error-bound
-probe to its center; :func:`residual` returns the raw ``max_j [g_j]_+``.
+The package has one scale rule, :func:`_small`: a value v of g at y is small
+when ``v <= tol * max(1, sum_alpha |c_alpha| |y^alpha|)``, by the term size
+``g.term_size(y)`` whose rounding v carries, so sets of scale 1e3 and more
+project where absolute tests refused.  The Newton kernel's convergence test,
+the Gauss-Newton seed (by |v|) and :func:`feasible`, the one membership
+test, apply it.  A projection passes :func:`feasible` (``tol =
+FEASIBILITY_TOL = 1e-10``), and its stationarity defect is at most
+``OPTIMALITY_TOL = 1e-10`` or its rounding floor 4 eps * (1 + sum |x_i| +
+sum |y_i|).  :func:`feasible` checks each Newton solution in
+:func:`_accept`, each step of ``engine._run_steps`` and the error-bound
+probe's center; :func:`residual` returns the raw ``max_j [g_j]_+``.
 
 Branches (b) and (c) take the closed form that :func:`_closed_form` reads
 from a set's single constraint when the set is built: an affine constraint
@@ -341,27 +343,16 @@ def residual(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
         raise NumericalError(f"overflow evaluating the constraints of {s.name!r}") from exc
 
 
+def _small(gs, y, values, tol=FEASIBILITY_TOL) -> bool:
+    """The scale rule: whether each of ``values`` is v <= tol * max(1, g.term_size(y)) for its g of ``gs``,
+    the size summed only where v > tol; NaN and infinity fail."""
+    return all((v <= tol or v <= tol * g.term_size(y)) and v < math.inf for g, v in zip(gs, values))
+
+
 def feasible(s: ConvexSetDescriptor, y: Sequence[float]) -> bool:
-    """Whether ``y`` lies in ``s`` to the feasibility tolerance: every
-    g_j(y) <= FEASIBILITY_TOL, or, failing that, every g_j(y) <=
-    FEASIBILITY_TOL * max(1, sum_alpha |c_alpha| |y^alpha|), the summed size
-    of g_j's terms at y, whose rounding its value carries.  NaN and an
-    overflowed value fail.
-    Raises :class:`NumericalError` when evaluation overflows."""
-    if residual(s, y) <= FEASIBILITY_TOL:
-        return True
-    for g in s.constraints:
-        size = 0.0
-        for m in g.terms:
-            term = abs(m.coefficient)
-            for yi, e in zip(y, m.exponents):
-                if e:
-                    term *= abs(yi) ** e
-            size += term
-        value = g.evaluate(y)
-        if not (value <= FEASIBILITY_TOL * max(1.0, size) and value < math.inf):
-            return False
-    return True
+    """Whether every g_j(y) of ``s`` is :func:`_small`, the residual kernel deciding first when all are <=
+    FEASIBILITY_TOL.  Raises :class:`NumericalError` when evaluation overflows."""
+    return residual(s, y) <= FEASIBILITY_TOL or _small(s.constraints, y, [g.evaluate(y) for g in s.constraints])
 
 
 def project(
@@ -372,7 +363,8 @@ def project(
     """Euclidean projection of ``x`` onto ``s``.
 
     The result y passes :func:`feasible` and meets the first-order
-    optimality/complementarity conditions within OPTIMALITY_TOL.  ``x`` is
+    optimality/complementarity conditions within OPTIMALITY_TOL, or within
+    their rounding floor at a large scale (see the module docstring).  ``x`` is
     returned as it is only when every g_j(x) <= 0 exactly; a point that
     passes :func:`feasible` only by its tolerance is projected.
     Raises :class:`ProjectionError` (with best iterate attached) if no
@@ -577,13 +569,14 @@ def _feasibility_seed(s, active, x, y):
     the least-norm step -G^T (G G^T)^-1 g(y) solved by :func:`_solve_dense`,
     then the least-squares multipliers at the end point, and the Newton
     state there.  Gradients only, no Hessian.  None when G G^T is singular
-    (dependent gradients), a value is not finite or overflows, or the steps
-    do not reach |g_j| <= FEASIBILITY_TOL."""
+    (dependent gradients), a value is not finite or overflows, or the steps,
+    which stop once every |g_j| is :func:`_small` by 1e-4 * FEASIBILITY_TOL,
+    end with one not small by FEASIBILITY_TOL."""
     gs = [s.constraints[j] for j in active]
     vals = [g.evaluate(y) for g in gs]
     grads = [g.gradient(y) for g in gs]
     for _ in range(_NEWTON_MAX_ITER):
-        if max(map(abs, vals)) <= 1e-4 * FEASIBILITY_TOL:
+        if _small(gs, y, map(abs, vals), 1e-4 * FEASIBILITY_TOL):
             break
         z = _solve_dense(_gram(grads), vals)
         if z is None:
@@ -595,7 +588,7 @@ def _feasibility_seed(s, active, x, y):
             grads = [g.gradient(y) for g in gs]
         except OverflowError:  # a step far off the set, as when G G^T is near singular
             return None
-    if not max(map(abs, vals)) <= FEASIBILITY_TOL:  # NaN fails too
+    if not _small(gs, y, map(abs, vals)):
         return None
     # the least-squares multipliers minimize ||y - x + sum_j lam_j grad_j||
     rhs = [-sum(grad[i] * (y[i] - x[i]) for i in range(len(x))) for grad in grads]

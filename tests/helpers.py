@@ -185,7 +185,8 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     a set caches per active subset, must match it bit for bit.
 
     Newton steps, each damped by Armijo halving down to t = 2^-40, run until
-    every |g_j(y)| <= feas_tol and |stat| <= opt_tol, for at most
+    |stat| <= opt_tol or |stat| <= 4 eps * rounding_scale(x, y), and every
+    |g_j(y)| <= feas_tol * max(1, reference_term_size(g_j, y)), for at most
     ``max_iter`` steps; then one full polish step, and a second only while
     ||F|| is above the rounding floor ``4 eps * rounding_scale(x, y, lams,
     grads)``, each kept only while ||F|| strictly falls.  Returns None when
@@ -213,7 +214,7 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     for _ in range(max_iter):
         if not math.isfinite(fnorm):
             return None
-        if all(abs(v) <= feas_tol for v in vals) and math.sqrt(_dot(stat, stat)) <= opt_tol:
+        if converged(gs, x, y, stat, vals, feas_tol, opt_tol):
             break
         step = direction()
         if step is None:
@@ -248,9 +249,36 @@ def reference_newton(gs, x, seed, max_iter, feas_tol, opt_tol, events=None):
     return tuple(y), tuple(lams), tuple(vals), tuple(map(tuple, grads))
 
 
-def rounding_scale(x, y, lams, grads):
+def converged(gs, x, y, stat, vals, feas_tol, opt_tol):
+    """The Newton loop's stop test: |stat| <= opt_tol or |stat| <= 4 eps *
+    rounding_scale(x, y), and |g_j(y)| <= feas_tol * max(1,
+    reference_term_size(g_j, y)) for each constraint."""
+    norm = math.sqrt(_dot(stat, stat))
+    if not (norm <= opt_tol or norm <= 4.0 * sys.float_info.epsilon * rounding_scale(x, y)):
+        return False
+    return all(abs(v) <= feas_tol * max(1.0, reference_term_size(g, y)) for g, v in zip(gs, vals))
+
+
+def reference_term_size(p, y):
+    """sum_alpha |c_alpha| |y^alpha| as a plain loop: the graded-lex ordered
+    terms summed from 0.0, each |c| times ``abs(y_i) ** e_i`` for the
+    variables it uses, in index order.  ``Polynomial.term_size`` and the
+    Newton kernels' term sizes must match it bit for bit."""
+    size = 0.0
+    for mono in p.terms:
+        term = abs(mono.coefficient)
+        for yi, e in zip(y, mono.exponents):
+            if e:
+                term *= abs(yi) ** e
+        size += term
+    return size
+
+
+def rounding_scale(x, y, lams=(), grads=()):
     """1 + sum |x_i| + sum |y_i| + sum_j |lam_j| * sum_i |grad_j_i|, each sum
-    taken in index order: ||F|| at y is known only to about eps times this."""
+    taken in index order: ||F|| at y is known only to about eps times this,
+    and the stationarity vector, without the multiplier terms, to about eps
+    times 1 + sum |x_i| + sum |y_i|."""
     total = 1.0
     for v in (*x, *y):
         total += abs(v)

@@ -4,7 +4,8 @@ The reference below is the plain loop over the graded-lex ordered terms:
 coefficient first, then ``x_i ** e_i`` for each variable with a non-zero
 exponent in index order, summed from 0.0.  The compiled kernels must match it
 bit for bit, so results are compared through ``float.hex`` (the sign of zero
-counts).
+counts).  ``term_size`` must match ``helpers.reference_term_size``, the same
+loop over absolute values.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from cycproj.poly import Polynomial, distance_kernel
 from cycproj.sets import vdist
+from helpers import reference_term_size
 
 
 def reference_value(p, x):
@@ -77,12 +79,13 @@ def test_kernels_match_reference_bit_for_bit(case):
     assert bits(p.evaluate(x)) == bits(reference_value(p, x))
     assert bits(p.gradient(x)) == bits(reference_gradient(p, x))
     assert bits(p.hessian_rows(x)) == bits(reference_hessian_rows(p, x))
+    assert bits(p.term_size(x)) == bits(reference_term_size(p, x))
 
 
 def test_zero_polynomial_kernels():
     p = Polynomial(3)
     x = (1.5, -2.0, -0.0)
-    assert bits(p.evaluate(x)) == bits(0.0)
+    assert bits(p.evaluate(x)) == bits(0.0) == bits(p.term_size(x))
     assert bits(p.gradient(x)) == bits((0.0, 0.0, 0.0))
     assert bits(p.hessian_rows(x)) == bits([[0.0] * 3] * 3)
 

@@ -11,7 +11,6 @@ list code and ``reference_solve_dense``.  Results are compared through
 """
 
 import copy
-import math
 import pickle
 
 import pytest
@@ -163,9 +162,12 @@ def _newton_events(g, x, start=None):
 
 
 def test_newton_kernel_backtracking_floor():
-    # coefficients of 1e12 put ||F|| at a rounding floor far above 1e-10
-    g = Polynomial(2, {(2, 0): 1e12, (0, 2): 1e12, (0, 0): -1e12})
-    assert _newton_events(g, (2.0, 1.0)) == [(["floor"], None)]
+    # on the quartic ball of radius 1e4 the value carries rounding of about
+    # eps * 2e16 = 4, and ||s|| stalls at 2.4e-10, above opt_tol and above its
+    # rounding floor 2^-50 * (1 + sum |p_i| + sum |y_i|) = 4e-11, so no step
+    # lowers ||F|| and Armijo halves down to the floor
+    g = Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -1e16})
+    assert _newton_events(g, (-28000.0, -4000.0)) == [(["floor"], None)]
 
 
 def _quartic_ball(scale=1.0):
@@ -175,9 +177,9 @@ def _quartic_ball(scale=1.0):
 
 
 def test_newton_kernel_rejected_polish_step():
-    # on the ball scaled by 1e6 the second polish step runs above the
+    # on the ball scaled by 1e9 the second polish step runs above the
     # rounding floor, and there it does not lower ||F||
-    [(events, result)] = _newton_events(_quartic_ball(1e6), (3.0, 0.2))
+    [(events, result)] = _newton_events(_quartic_ball(1e9), (3.0, 0.2))
     assert events == ["polish rejected"] and result is not None
 
 
@@ -189,23 +191,23 @@ def test_newton_kernel_polish_at_the_rounding_floor():
 
 
 def _polish_solves(g, x):
-    """The dense solves of the Newton kernel from x's cold seed that start
-    from a converged state, which are the polish steps it tries, and whether
-    it returned a point; the kernel must match the reference loop."""
+    """The dense solves of the Newton kernel from x's cold seed that follow
+    its last Newton step, which are the polish steps it tries, and whether it
+    returned a point; the kernel must match the reference loop.  The Newton
+    steps number m when ``max_iter`` = m + 1 is the least that converges."""
     [seed] = g.kkt_kernels().kkt_seed(x, g.evaluate(x), None)
-    polish = []
+    solves = []
 
     def solve(A, b):
-        n = len(x)
-        stat, vals = b[:n], b[n:]
-        polish.append(all(abs(v) <= FEASIBILITY_TOL for v in vals)
-                      and math.sqrt(sum(si * si for si in stat)) <= OPTIMALITY_TOL)
+        solves.append(b)
         return sets._solve_dense(A, b)
 
     kernel = poly.newton_kernel([g])
     result = kernel(x, seed, solve, 200, FEASIBILITY_TOL, OPTIMALITY_TOL)
     assert bits(result) == bits(reference_newton([g], x, seed, 200, FEASIBILITY_TOL, OPTIMALITY_TOL))
-    return sum(polish), result is not None
+    steps = next(m for m in range(200)
+                 if kernel(x, seed, sets._solve_dense, m + 1, FEASIBILITY_TOL, OPTIMALITY_TOL) is not None)
+    return len(solves) - steps, result is not None
 
 
 def test_second_polish_step_only_above_the_rounding_floor():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +53,35 @@ def test_overflow_past_the_digit_limit_names_the_bit_length(call):
     # these values have more than the 4300 decimal digits CPython converts to text
     with pytest.raises(ExponentOverflowError, match=r" = a \d+-bit integer exceeds 64-bit range$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: cyclic_rate(3 * 10**6, 4), lambda: kappa(3 * 10**6, 8),
+     lambda: holder_exponent_tau(3 * 10**6, 4), lambda: central_binomial(3 * 10**6)],
+    ids=["cyclic_rate", "kappa", "holder_exponent_tau", "central_binomial"],
+)
+def test_a_refusal_far_past_64_bits_computes_no_integer(call):
+    # a bit-length estimate refuses these before the integer is computed,
+    # which took 0.84 s for (2d-1)^n and 73 s for C(s, s/2) at this size
+    start = time.perf_counter()
+    with pytest.raises(ExponentOverflowError, match=r" = a \d+-bit integer exceeds 64-bit range$"):
+        call()
+    assert time.perf_counter() - start < 0.05
+
+
+def test_an_estimated_bit_length_is_the_exact_one():
+    for n in (41, 64, 100, 1000, 6000):
+        with pytest.raises(ExponentOverflowError, match=f" = a {(7**n - 1).bit_length()}-bit integer"):
+            cyclic_rate(n, 4)
+        with pytest.raises(ExponentOverflowError, match=f" = a {(7**n + 1).bit_length()}-bit integer"):
+            kappa(n, 8)
+    for s in (70, 71, 500, 20000):
+        with pytest.raises(ExponentOverflowError, match=f" = a {math.comb(s, s // 2).bit_length()}-bit integer"):
+            central_binomial(s)
+    # at 2^64 + 1 the estimate 64.0 decides nothing, so the value is computed and printed
+    with pytest.raises(ExponentOverflowError, match=r"^kappa\(64,3\) = 18446744073709551617 exceeds"):
+        kappa(64, 3)
 
 
 def test_tau_degree_one_is_lipschitz():

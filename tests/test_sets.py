@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import numpy as np
@@ -370,23 +371,90 @@ def test_corners_take_a_pinned_number_of_working_set_changes(monkeypatch):
         assert calls == {"_project_penalty": penalty, "_kkt_newton": newton}, x
 
 
-@pytest.mark.parametrize("r", [
-    100.0,
-    pytest.param(1000.0, marks=pytest.mark.xfail(
-        strict=True, raises=ProjectionError,
-        reason="the Gauss-Newton seed of the pair stops at |g_j| <= 1e-10, an absolute "
-               "test, where the disks' terms are about 1e6 and their values carry rounding "
-               "above it, so both seeds of W = (0, 1) are None")),
-])
+@pytest.mark.parametrize("r", [100.0, 1000.0, 1e4, 1e6])
 def test_lens_tip_is_found_at_scale(r):
     # the disks of radius r about (-r/2, 0) and (r/2, 0) meet at the tips
-    # (0, +-r sqrt(0.75)); the point above the upper tip projects onto it
+    # (0, +-r sqrt(0.75)); the point above the upper tip projects onto it.
+    # The disks' terms are about r^2, so the Gauss-Newton seed of the pair
+    # stops by the term-size rule, where an absolute test failed from r = 1e3
     lens = ConvexSetDescriptor("lens", [
         Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c * r, (0, 0): -0.75 * r * r}) for c in (1.0, -1.0)
     ])
     y = project(lens, (0.25 * r, 2.0 * r))
     assert feasible(lens, y)
     assert vdist(y, (0.0, r * math.sqrt(0.75))) <= 1e-12 * r
+
+
+def _scaled_sets(r):
+    """Three sets of scale r without a closed form: the lens of the disks of
+    radius r about (-r/2, 0) and (r/2, 0), the ellipse 2x^2 + y^2 <= r^2 and
+    the quartic ball x^4 + y^4 <= r^4."""
+    return [
+        ConvexSetDescriptor("lens", [
+            Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c * r, (0, 0): -0.75 * r * r}) for c in (1.0, -1.0)
+        ]),
+        ConvexSetDescriptor("ellipse", [Polynomial(2, {(2, 0): 2.0, (0, 2): 1.0, (0, 0): -r * r})]),
+        ConvexSetDescriptor("quartic-ball", [Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (0, 0): -(r**4)})]),
+    ]
+
+
+def test_projections_at_scale():
+    # 300 points r * z, z uniform in [-3, 3]^2, onto each set of scale r.  A
+    # constraint's value carries the rounding of its terms, about eps * r^d,
+    # so absolute tests refused most of these from r = 1e3 (the quartic ball
+    # from r = 1e2).  No projection fails up to r = 1e3, and at most 1% of the
+    # points outside the sets do at r = 1e4 to 1e8
+    unit = _scaled_sets(1.0)
+    for r in (1.0, 1e2, 1e3, 1e4, 1e6, 1e8):
+        rng = random.Random(7)
+        zs = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(300)]
+        outside = failed = 0
+        for s, s1 in zip(_scaled_sets(r), unit):
+            for z in zs:
+                x = (r * z[0], r * z[1])
+                outside += residual(s, x) > 0.0
+                try:
+                    y = project(s, x)
+                except ProjectionError:
+                    failed += 1
+                    continue
+                assert feasible(s, y), (r, s.name, x)
+                y1 = project(s1, z)
+                assert vdist(y, (r * y1[0], r * y1[1])) <= 1e-12 * r, (r, s.name, x)
+        assert outside > 750 and failed <= (0 if r <= 1e3 else 0.01 * outside), (r, failed, outside)
+
+
+# five sets C without a closed form, each a list of {exponents: coefficient}
+# maps: a lens, an ellipse, two quartic balls and the region {y^4 <= x, x <= 2}
+SCALING_FAMILIES = {
+    "lens": [{(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75} for c in (1.0, -1.0)],
+    "ellipse": [{(2, 0): 2.0, (0, 2): 1.0, (0, 0): -1.0}],
+    "quartic-ball": [{(4, 0): 1.0, (0, 4): 1.0, (0, 0): -1.0}],
+    # (x + 1)^4 + y^4 <= 1
+    "quartic-ball-left": [{(4, 0): 1.0, (3, 0): 4.0, (2, 0): 6.0, (1, 0): 4.0, (0, 4): 1.0}],
+    "quartic-cup": [{(0, 4): 1.0, (1, 0): -1.0}, {(1, 0): 1.0, (0, 0): -2.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_FAMILIES))
+def test_projection_commutes_with_scaling(name):
+    # sigma C = {sigma x : x in C} has the coefficients c_alpha sigma^-|alpha|,
+    # exact in binary for sigma = 2^k, and its constraints take at sigma x the
+    # values of C's at x; so P_{sigma C}(sigma x) = sigma P_C(x), however large
+    # or small the terms of sigma C are
+    family = SCALING_FAMILIES[name]
+    rng = random.Random(11)
+    xs = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(40)]
+    base = ConvexSetDescriptor(name, [Polynomial(2, g) for g in family])
+    ys = [project(base, x) for x in xs]
+    for k in range(-20, 41, 4):
+        sigma = 2.0**k
+        scaled = ConvexSetDescriptor(name, [
+            Polynomial(2, {e: c * sigma ** -sum(e) for e, c in g.items()}) for g in family
+        ])
+        for x, y in zip(xs, ys):
+            got = project(scaled, (sigma * x[0], sigma * x[1]))
+            assert vdist(got, (sigma * y[0], sigma * y[1])) <= 1e-12 * sigma * (1.0 + math.hypot(*y)), (k, x)
 
 
 def test_seeded_newton_solves_evaluate_no_gradient_twice(monkeypatch):
