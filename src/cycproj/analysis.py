@@ -224,9 +224,12 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, Option
     refinement, which also returns its first step, the cold projection of x
     onto the first set (None with the oracle).
 
-    The refined value is accepted only when the refined point is itself
+    The refined value is accepted only when the refined point x^ is itself
     within 1e-8 of every set (summed), otherwise the distance cannot be
-    certified and a CapabilityError is raised.
+    certified and a CapabilityError is raised.  The final sweep's y_i passed
+    ``feasible`` for C_i, so dist(x^, C_i) <= |x^ - y_i|, summed at most (m - 1)
+    stop tolerances when the stop rule fired; only past 1e-8 are the m exact
+    distances computed.
     """
     oracle = problem.intersection_oracle
     if oracle is not None:
@@ -242,10 +245,7 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, Option
     # only the final point is used, so only the final sweep is recorded
     _, last = _run_steps(problem, as_vector(x), _REFINE_SWEEPS, 0, stop)
     xhat = last[-1]
-    surrogate = 0.0
-    for s in problem.sets:
-        surrogate += distance(s, xhat)
-    if surrogate > _CERT_TOL:
+    if sum(vdist(xhat, y) for y in last) > _CERT_TOL and sum(distance(s, xhat) for s in problem.sets) > _CERT_TOL:
         raise CapabilityError(
             "distance to the intersection could not be certified; provide an oracle"
         )

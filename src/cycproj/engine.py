@@ -217,13 +217,14 @@ def _run_steps(
 
     A run of at most ``record_cap`` steps records them all; a longer one
     records its first 10^4 steps, checkpoints at rounded powers of 1.05 and
-    its final sweep, or only the final sweep for a cap of 0.
+    its final sweep, or only the final sweep for a cap of 0.  Only a recorded
+    step's pre-step residual is computed, a final sweep's when the trace is built.
     """
     m = len(problem.sets)
     max_steps = max_sweeps * m
     dense = max_steps <= record_cap
     keep = _checkpoints(max_steps) if record_cap and not dense else set()
-    final_sweep = deque(maxlen=m)  # a thinned run's last m steps
+    final_sweep = deque(maxlen=m)  # a thinned run's last m steps, each with its pre-step point
     x = x0
     last: List[Optional[Vector]] = [None] * m
     n = problem.dimension
@@ -238,11 +239,11 @@ def _run_steps(
             del flat[-n:]
             for column in (ks, set_indices, trace.residuals_before, trace.step_norms):
                 column.pop()
-        for k, y, idx, rb, sn in final_sweep:
+        for k, y, idx, x, sn in final_sweep:
             add_k(k)
             add_iterate(y)
             add_set(idx)
-            add_residual(rb)
+            add_residual(residual(sets[idx], x))
             add_step(sn)
         trace.total_steps = total
         return trace
@@ -262,8 +263,9 @@ def _run_steps(
     while k < max_steps:
         idx = k % m
         s = sets[idx]
+        record = dense or k + 1 in keep
         try:
-            rb = residual(s, x)
+            rb = residual(s, x) if record else None
             y = project(s, x, start=last[idx])
         except ProjectionError as exc:
             raise step_error(
@@ -277,14 +279,14 @@ def _run_steps(
         last[idx] = y
         sn = dist(y, x)
         k += 1
-        if dense or k in keep:
+        if record:
             add_k(k)
             add_iterate(y)
             add_set(idx)
             add_residual(rb)
             add_step(sn)
         if not dense:
-            final_sweep.append((k, y, idx, rb, sn))
+            final_sweep.append((k, y, idx, x, sn))
         x = y
         moved += sn
         if idx == m - 1:

@@ -2,9 +2,10 @@
 
 All exponent formulas work in exact integer arithmetic and divide to float
 only at the very end, so the min{...} selections can never be corrupted by
-rounding.  Intermediates that leave the 64-bit integer range raise
+rounding.  A chosen term that leaves the 64-bit integer range raises
 :class:`ExponentOverflowError` instead of silently degrading; it is a
-``ValueError``, since such an (n, d) is an input error.
+``ValueError``, since such an (n, d) is an input error.  The other term of a
+min or a max may lie past 64 bits: its bit-length estimate decides it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ class ExponentOverflowError(ValueError):
     """An exact integer intermediate exceeded the 64-bit contract range."""
 
 
+def _past_2_64(log2: float) -> bool:
+    """Whether ``log2``, an estimate (1e-12 relative), is past 64 and, below 1e12, not that near an integer."""
+    return log2 > 64 and not abs(log2 - round(log2)) <= 1e-12 * log2 < 1.0
+
+
 def _guard(value, what: str, log2: float = 0.0) -> int:
-    """``value``, or what calling it returns, if it fits 64 bits.  Past 2^64 by ``log2`` (an estimate, 1e-12
-    relative) it is refused uncomputed as a floor(log2) + 1-bit integer, unless log2 < 1e12 is that near an integer."""
-    if log2 > 64 and not abs(log2 - round(log2)) <= 1e-12 * log2 < 1.0:
+    """``value``, or what calling it returns, if it fits 64 bits.  Past 2^64 by ``log2`` (see :func:`_past_2_64`)
+    it is refused uncomputed as a floor(log2) + 1-bit integer."""
+    if _past_2_64(log2):
         raise ExponentOverflowError(f"{what} = a {math.floor(log2) + 1}-bit integer exceeds 64-bit range")
     value = value() if callable(value) else value
     if value > _INT64_MAX:
@@ -55,12 +61,24 @@ class PowerLaw:
 RateClass = Union[Linear, PowerLaw]
 
 
+def _least(*terms):
+    """The index and :func:`_guard`-ed value of the least of ``terms``, ``(weight, value, what, log2)`` each, by
+    weight (1 or 2) times value.  A term past 2^64 by its estimate exceeds twice one that fits, so it is left
+    uncomputed; when all are, the first is refused."""
+    exact = {i: t[1]() for i, t in enumerate(terms) if not _past_2_64(t[3])}
+    i = min(exact, key=lambda i: terms[i][0] * exact[i], default=0)
+    return i, _guard(exact.get(i, terms[i][1]), *terms[i][2:])
+
+
+def _log2_central_binomial(s: int) -> float:
+    return (math.lgamma(s + 1) - math.lgamma(s // 2 + 1) - math.lgamma(s - s // 2 + 1)) / math.log(2)
+
+
 def central_binomial(s: int) -> int:
     """C(s, floor(s/2)), with the convention C(0,0) = 1."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    log2 = (math.lgamma(s + 1) - math.lgamma(s // 2 + 1) - math.lgamma(s - s // 2 + 1)) / math.log(2)
-    return _guard(lambda: math.comb(s, s // 2), f"central_binomial({s})", log2)
+    return _guard(lambda: math.comb(s, s // 2), f"central_binomial({s})", _log2_central_binomial(s))
 
 
 def kappa(n: int, d: int) -> int:
@@ -77,12 +95,13 @@ def holder_exponent_tau(n: int, d: int) -> float:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    k2 = kappa(n, 2 * d)
-    b = _guard(central_binomial(n - 1) * d**n, f"beta({n-1})*{d}^{n}")
-    # 2/k2 >= 1/b  <=>  2b >= k2, decided exactly in integers
-    if 2 * b >= k2:
-        return 2.0 / k2
-    return 1.0 / b
+    # 2/k2 >= 1/b  <=>  2b >= k2, decided exactly in integers, k2 on a tie
+    i, value = _least(
+        (1, lambda: (2 * d - 1) ** n + 1, f"kappa({n},{2 * d})", n * math.log2(2 * d - 1)),
+        (2, lambda: math.comb(n - 1, (n - 1) // 2) * d**n, f"beta({n-1})*{d}^{n}",
+         _log2_central_binomial(n - 1) + n * math.log2(d)),
+    )
+    return 2.0 / value if i == 0 else 1.0 / value
 
 
 def cyclic_rate(n: int, d: int) -> RateClass:
@@ -95,9 +114,12 @@ def cyclic_rate(n: int, d: int) -> RateClass:
         raise ValueError("n and d must be >= 1")
     if d == 1:
         return Linear()
-    a = _guard(lambda: (2 * d - 1) ** n - 1, f"(2d-1)^n-1 for n={n}, d={d}", n * math.log2(2 * d - 1))
-    b = _guard(2 * central_binomial(n - 1) * d**n - 2, f"2*beta(n-1)*d^n-2 for n={n}, d={d}")
-    return PowerLaw(1.0 / min(a, b))
+    _, least = _least(
+        (1, lambda: (2 * d - 1) ** n - 1, f"(2d-1)^n-1 for n={n}, d={d}", n * math.log2(2 * d - 1)),
+        (1, lambda: 2 * math.comb(n - 1, (n - 1) // 2) * d**n - 2, f"2*beta(n-1)*d^n-2 for n={n}, d={d}",
+         1 + _log2_central_binomial(n - 1) + n * math.log2(d)),
+    )
+    return PowerLaw(1.0 / least)
 
 
 def recurrence_bound(beta0: float, p: float, deltas: Sequence[float]) -> List[float]:

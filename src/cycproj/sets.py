@@ -6,39 +6,37 @@ projector dispatches, in order:
   (a) feasible input          -> returned unchanged,
   (b) one affine constraint   -> closed-form halfspace projection,
   (c) one ball constraint     -> closed-form ball projection,
-  (d) anything else           -> one working-set loop of damped Newton
-                                 solves on the KKT system; when it finds no
-                                 KKT point, as on an empty set, the
-                                 projection fails at once with
-                                 ``ProjectionError``.
+  (d) anything else           -> one working-set loop, which fails at once
+                                 with ``ProjectionError`` when it finds no
+                                 KKT point, as on an empty set.
+
+:func:`_closed_form` reads a constraint's closed form from its coefficients
+when the set is built: an affine g whose normal a has 0 < <a, a> < inf is a
+halfspace, ``||x||^2 + <l, x> + c`` a ball.  Each runs in a straight-line
+kernel compiled with the set by ``poly.halfspace_kernel`` or
+``poly.ball_kernel``, kept with |grad g| (|a|, or 2r on the sphere).
+Branches (b) and (c) take that of a set's single constraint.
 
 The loop holds a working set W of constraints as equalities.  The first W
-is the constraint most violated at x, seeded by its ``kkt_seed`` kernel from
-a first-order step and, when it is the only active constraint, from the warm
-start if that is better.  A set of one constraint fails with its first W.
-Otherwise, when a W fails, :func:`_project_penalty` chooses the next: it
-drops a constraint with a negative multiplier, else adds the most violated
-one, else takes the next subset.  One constraint is solved from its cold
-``kkt_seed``, two or more from Gauss-Newton feasibility seeds.  A solution
-that :func:`_accept` passes is feasible with multipliers >= 0, hence exactly
-the projection for a convex set.
+is the constraint most violated at x.  A W of one ball or halfspace
+constraint j with g_j(x) > 0, first or later, takes j's closed form y, the
+one KKT point of W, with multiplier |x - y| / |grad g_j|.  Another W of one
+constraint runs Newton from its ``kkt_seed`` kernel's first-order step and,
+when it is the first W and its constraint the only active one, from the warm
+start if that is better; two or more run it from Gauss-Newton feasibility
+seeds.  A set of one constraint fails with its first W.  Otherwise, when a W
+fails, :func:`_project_penalty` chooses the next: it drops a constraint with
+a negative multiplier, else adds the most violated one, else takes the next
+subset.  A solution that :func:`_accept` passes is feasible with
+multipliers >= 0, hence exactly the projection for a convex set.
 
-Every Newton solve is :func:`_kkt_newton`, which runs the seed states its
-caller builds, one after another, through the kernel that
-``poly.newton_kernel`` compiles for the active constraints, one or more,
-cached on the set by their indices.  The kernel runs the steps and the
-polish, one step and a second only above the rounding floor of ||F||, and
-``poly.solve_kernel``'s elimination code for the system size, passed in as
-``_solve_dense``, solves each bordered KKT system.  Without a
-closed form, each constraint is evaluated once at the input point, and a
-seed state is always built from values and gradients its maker already
-holds.
-
-The projector has one failure rule: it returns a point only when a Newton
-solve converged and :func:`_accept` passed the result, and raises
-:class:`ProjectionError` otherwise, as where a constraint's gradient vanishes
-where the projection lands (the first set {x_1^d <= 0} of the catalog's
-ex3.2): there is no KKT multiplier, so Newton does not converge.
+Every Newton solve is :func:`_kkt_newton`, on the kernel that
+``poly.newton_kernel`` compiles for the active constraints, cached on the
+set by their indices.  Outside (b) and (c), each constraint is evaluated
+once at the input point.  The projector returns a point only when a solve
+converged and :func:`_accept` passed it, and raises :class:`ProjectionError`
+otherwise, as where a constraint's gradient vanishes where the projection
+lands (ex3.2's first set {x_1^d <= 0}): there is no KKT multiplier.
 
 The package has one scale rule, :func:`_small`: a value v of g at y is small
 when ``v <= tol * max(1, sum_alpha |c_alpha| |y^alpha|)``, by the term size
@@ -48,19 +46,12 @@ the Gauss-Newton seed (by |v|) and :func:`feasible`, the one membership
 test, apply it.  A projection passes :func:`feasible` (``tol =
 FEASIBILITY_TOL = 1e-10``), and its stationarity defect is at most
 ``OPTIMALITY_TOL = 1e-10`` or its rounding floor 4 eps * (1 + sum |x_i| +
-sum |y_i|).  :func:`feasible` checks each Newton solution in
-:func:`_accept`, each step of ``engine._run_steps`` and the error-bound
-probe's center; :func:`residual` returns the raw ``max_j [g_j]_+``.
-
-Branches (b) and (c) take the closed form that :func:`_closed_form` reads
-from a set's single constraint when the set is built: an affine constraint
-whose normal a has 0 < <a, a> < inf is a halfspace, ``||x||^2 + <l, x> + c``
-a ball.  Every other set goes through (d) by its constraints.  The
-closed form and the residual each run in one straight-line kernel per set,
-compiled with the set by ``poly.halfspace_kernel``/``poly.ball_kernel`` and
-``poly.residual_kernel``.  All vectors are plain tuples of floats and every
-path is deterministic, so identical inputs -- the point and the optional
-warm start -- give bitwise identical projections.
+sum |y_i|).  :func:`feasible` checks each solution in :func:`_accept`, each
+step of ``engine._run_steps`` and the error-bound probe's center;
+:func:`residual`, compiled by ``poly.residual_kernel``, returns the raw
+``max_j [g_j]_+``.  All vectors are plain tuples of floats and every path
+is deterministic, so identical inputs -- the point and the optional warm
+start -- give bitwise identical projections.
 
 Errors come in two kinds.  Bad input raises ``ValueError``, and
 :class:`CapabilityError`, a check that needs an absent oracle, is one;
@@ -172,15 +163,12 @@ class Ball:
     radius: float
 
 
-def _closed_form(constraints: Sequence[Polynomial]) -> Optional[Union[Halfspace, Ball]]:
-    """The halfspace or ball that a single constraint g <= 0 describes: an
+def _closed_form(g: Polynomial) -> Optional[Union[Halfspace, Ball]]:
+    """The halfspace or ball that the constraint g <= 0 describes: an
     affine g whose linear part a has 0 < <a, a> < inf, or
     g = ||x||^2 + <l, x> + c (every x_i^2 coefficient exactly 1.0, no other
     term of degree >= 2) with a positive finite squared radius; None for
     anything else."""
-    if len(constraints) != 1:
-        return None
-    g = constraints[0]
     linear = [0.0] * g.dimension
     squares = 0  # count of the x_i^2 terms with coefficient 1.0
     c = 0.0
@@ -229,12 +217,13 @@ class ConvexSetDescriptor:
     :class:`Ball` that :func:`_closed_form` reads from a single constraint's
     coefficients, or None; the projector dispatches on it.  The set holds
     every kernel its projection runs: :func:`residual`'s, compiled with it
-    from all the constraints, the closed form's, and the Newton kernel of
-    each subset of active constraints, compiled on first use; all keep the
-    plain loops' arithmetic.
+    from all the constraints, each constraint's closed form, and the Newton
+    kernel of each subset of active constraints, compiled on first use; all
+    keep the plain loops' arithmetic.
     """
 
-    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed", "_newton_kernels")
+    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed", "_closed_forms",
+                 "_newton_kernels")
 
     def __init__(self, name: str, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -248,16 +237,18 @@ class ConvexSetDescriptor:
                 raise ValueError("all constraints must share the ambient dimension")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "constraints", constraints)
-        hint = _closed_form(constraints)
-        object.__setattr__(self, "analytic_hint", hint)
+        # each constraint's closed form, read from it alone: its kernel and |grad g|, |a| or 2r
+        hints = [_closed_form(g) for g in constraints]
+        forms = tuple(
+            (halfspace_kernel(h.a, h.b), vnorm(h.a)) if isinstance(h, Halfspace)
+            else (ball_kernel(h.center, h.radius), 2.0 * h.radius) if isinstance(h, Ball) else None
+            for h in hints
+        )
+        object.__setattr__(self, "analytic_hint", hints[0] if len(hints) == 1 else None)
         object.__setattr__(self, "dimension", dim)
-        closed = None
-        if isinstance(hint, Halfspace):
-            closed = halfspace_kernel(hint.a, hint.b)
-        elif isinstance(hint, Ball):
-            closed = ball_kernel(hint.center, hint.radius)
         object.__setattr__(self, "_residual", residual_kernel(constraints))
-        object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_closed", forms[0][0] if self.analytic_hint else None)
+        object.__setattr__(self, "_closed_forms", forms if any(forms) else None)  # None: the loop skips its test
         # Newton kernels by the tuple of active constraint indices, compiled on first use
         object.__setattr__(self, "_newton_kernels", {})
 
@@ -373,9 +364,9 @@ def project(
     or ``start`` has the wrong length, which is checked on every path.
 
     ``start`` is an optional warm start: a previous projection onto the same
-    set, as the drivers pass.  Only the first working set uses it, and only
-    when its constraint is the only active one at x (value above
-    -10 FEASIBILITY_TOL) and ``start`` is the better seed (smaller KKT
+    set, as the drivers pass.  Only the first working set uses it, when its
+    constraint is the only active one at x (value above -10 FEASIBILITY_TOL)
+    and has no closed form, and ``start`` is the better seed (smaller KKT
     residual) than the cold one; the result meets the same tolerances either
     way, and without ``start`` the cold path is unchanged.
     """
@@ -413,7 +404,12 @@ def project(
         tried = reached = None  # from the first failure on: the W's tried, the points read
         while W is not None:
             rejected, seed = [], None
-            if len(W) == 1:
+            if s._closed_forms and len(W) == 1 and values[W[0]] > 0.0 and s._closed_forms[W[0]]:
+                solution = _closed_solve(s, W[0], x)
+                y = _accept(s, *solution)
+                if y is None:
+                    rejected.append(solution)
+            elif len(W) == 1:
                 seeds = s.constraints[W[0]].kkt_kernels().kkt_seed(x, values[W[0]], warm) or ()
                 y = _kkt_newton(s, W, x, seeds, rejected)
             else:  # seeds from x, then from the last point read, the nearer one on a curve
@@ -501,6 +497,16 @@ def _kkt_newton(s, active, x, seeds, rejected):
             return result
         rejected.append(state[:2])
     return None
+
+
+def _closed_solve(s, j, x):
+    """The KKT point (y, (lam,)) of W = (j,) for x outside {g_j <= 0}, a ball or a halfspace, by its closed
+    form, lam = |x - y| / |grad g_j|; :class:`NumericalError` where the ball's kernel overflows."""
+    kernel, grad_norm = s._closed_forms[j]
+    y = kernel(x)
+    if y is None:
+        raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
+    return y, (vdist(x, y) / grad_norm,)
 
 
 def _gram(grads):

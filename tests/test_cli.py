@@ -865,6 +865,29 @@ def test_errorbound_probe_that_cannot_fit_is_an_input_error(tmp_path, capsys, se
     assert not out.exists()
 
 
+def test_uncertified_refinement_computes_the_exact_distances_before_it_refuses(tmp_path, capsys, monkeypatch):
+    # the tangent disks' refinement runs out of sweeps, so the final sweep's
+    # bound on the refined point's distances exceeds the certificate's
+    # tolerance, and the m exact distances are computed before the refusal
+    from cycproj import analysis
+
+    calls = []
+    distance = analysis.distance
+
+    def counting(s, x):
+        calls.append(s.name)
+        return distance(s, x)
+
+    monkeypatch.setattr(analysis, "distance", counting)
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({"dimension": 2, "sets": [
+        {"name": "left-disk", "constraints": [_disk(-1.0)]}, {"name": "right-disk", "constraints": [_disk(1.0)]}]}))
+    args = ["errorbound", "--problem", str(pfile), "--center", "0,0", "--samples", "3", "--radius", "0.5"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: distance to the intersection could not be certified; provide an oracle\n"
+    assert calls == ["left-disk", "right-disk"]
+
+
 @pytest.mark.parametrize("center, count", [("0,0,0", 3), ("0", 1)])
 def test_cmd_errorbound_center_of_the_wrong_length_names_the_option(tmp_path, capsys, center, count):
     out = tmp_path / "eb.json"

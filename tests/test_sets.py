@@ -329,7 +329,9 @@ def test_corners_take_a_pinned_number_of_working_set_changes(monkeypatch):
     # the working-set loop finds the active constraints of the corners above
     # and of the lens tips: a corner whose first working set, the most
     # violated constraint, is not the active set asks _project_penalty for
-    # the next one, at most twice here, and each result passes feasible
+    # the next one, at most twice here, and each result passes feasible.  A
+    # working set of one halfspace or ball constraint violated at x takes its
+    # closed form, so only the others call _kkt_newton
     from cycproj import sets
 
     calls = {"_project_penalty": 0, "_kkt_newton": 0}
@@ -354,15 +356,15 @@ def test_corners_take_a_pinned_number_of_working_set_changes(monkeypatch):
     # the disks of radius 1 about (-0.5, 0) and (0.5, 0), with tips (0, +-sqrt(0.75))
     lens = [Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): c, (0, 0): -0.75}) for c in (1.0, -1.0)]
     for constraints, x, penalty, newton in [
-        ([Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})], (1.0, 1.0), 1, 2),
-        ([unit, Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})], (2.0, 0.0), 1, 2),
-        ([unit, unit], (-3.0, 0.0), 0, 1),
-        ([unit, outer], (-3.0, 0.0), 0, 1),
-        (octant, (1.0, 2.0, 3.0), 2, 4),
-        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0), 2, 4),
-        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0), 2, 4),
-        (lens, (0.25, 2.0), 1, 2),
-        (lens, (0.0, 2.0), 1, 2),
+        ([Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})], (1.0, 1.0), 1, 1),
+        ([unit, Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})], (2.0, 0.0), 1, 1),
+        ([unit, unit], (-3.0, 0.0), 0, 0),
+        ([unit, outer], (-3.0, 0.0), 0, 0),
+        (octant, (1.0, 2.0, 3.0), 2, 3),
+        ([ball, x_le_0, y_le_0], (1.0, 1.0, 5.0), 2, 3),
+        ([ball, x_le_0, y_le_0], (0.5, 0.25, -3.0), 2, 3),
+        (lens, (0.25, 2.0), 1, 1),
+        (lens, (0.0, 2.0), 1, 1),
     ]:
         for name in calls:
             calls[name] = 0
@@ -522,8 +524,8 @@ def test_project_fails_fast_where_the_constraints_meet_with_no_kkt_point(x):
 
 def test_project_solves_each_working_set_once(monkeypatch):
     # the tangent disks of the test above, from a point where only the right
-    # disk is active: its working set is solved once, then the pair from two
-    # Gauss-Newton seeds, then the left disk
+    # disk is active: its working set is solved once, by its closed form, then
+    # the pair from two Gauss-Newton seeds, then the left disk, inactive at x
     from cycproj import sets
 
     working_sets = []
@@ -539,9 +541,65 @@ def test_project_solves_each_working_set_once(monkeypatch):
     )
     with pytest.raises(ProjectionError, match="^no KKT point found for set 'tangent-disks'$") as exc_info:
         project(tangent, (-0.5, 0.5))
-    assert working_sets == [(1,), (0, 1), (0, 1), (0,)]
-    assert exc_info.value.best == (float.fromhex("0x1p-55"), float.fromhex("0x1.4ceb0b9adc77cp-24"))
-    assert exc_info.value.feasibility == float.fromhex("0x1.b4f27de7faae1p-48")
+    assert working_sets == [(0, 1), (0, 1), (0,)]
+    assert exc_info.value.best == (float.fromhex("0x1p-55"), float.fromhex("0x1.4ceb0b9adc784p-24"))
+    assert exc_info.value.feasibility == float.fromhex("0x1.b4f27de7faaf5p-48")
+
+
+def _sets_with_closed_form_constraints(r):
+    """The lens of the disks of radius r about (-r/2, 0) and (r/2, 0), the
+    disk of radius r cut by x + y <= r/2, and the ball of radius 2r in R^3
+    cut by x <= 0 and y <= 0: every constraint a ball or a halfspace."""
+    def ball(center, radius):
+        terms = {(0,) * len(center): sum(c * c for c in center) - radius * radius}
+        for i, c in enumerate(center):
+            terms[tuple(2 if k == i else 0 for k in range(len(center)))] = 1.0
+            terms[tuple(1 if k == i else 0 for k in range(len(center)))] = -2.0 * c
+        return Polynomial(len(center), terms)
+
+    return [
+        ConvexSetDescriptor("lens", [ball((-0.5 * r, 0.0), r), ball((0.5 * r, 0.0), r)]),
+        ConvexSetDescriptor("disk-halfplane", [ball((0.0, 0.0), r), Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0,
+                                                                                    (0, 0): -0.5 * r})]),
+        ConvexSetDescriptor("ball-quadrant", [ball((0.0, 0.0, 0.0), 2.0 * r), Polynomial(3, {(1, 0, 0): 1.0}),
+                                              Polynomial(3, {(0, 1, 0): 1.0})]),
+    ]
+
+
+def _newton_solution(g, x):
+    """The KKT point (y, lams) of the working set {g = 0} that the Newton
+    kernel reaches from g's cold seeds, as ``sets._kkt_newton`` runs it."""
+    from cycproj import poly, sets
+
+    kernel = poly.newton_kernel([g])
+    for seed in g.kkt_kernels().kkt_seed(x, g.evaluate(x), None) or ():
+        state = kernel(x, seed, sets._solve_dense, sets._NEWTON_MAX_ITER, FEASIBILITY_TOL, sets.OPTIMALITY_TOL)
+        if state is not None:
+            return state[:2]
+    return None
+
+
+@pytest.mark.parametrize("r, tol", [(1.0, 1e-15), (1e3, 1e-12)])
+def test_closed_form_working_set_is_the_newton_solution(r, tol):
+    # a working set of one ball or halfspace constraint violated at x is
+    # solved by the constraint's closed form; it is the KKT point Newton
+    # reaches, with the multiplier |x - y| / |grad g| > 0
+    from cycproj.sets import _closed_solve
+
+    rng = random.Random(3)
+    checked = 0
+    for s in _sets_with_closed_form_constraints(r):
+        for _ in range(100):
+            x = tuple(r * rng.uniform(-3.0, 3.0) for _ in range(s.dimension))
+            for j, g in enumerate(s.constraints):
+                if not g.evaluate(x) > 0.0:
+                    continue
+                y, (lam,) = _closed_solve(s, j, x)
+                y_newton, (lam_newton,) = _newton_solution(g, x)
+                assert vdist(y, y_newton) <= tol * max(1.0, math.hypot(*y_newton)), (s.name, j, x)
+                assert lam > 0.0 and abs(lam - lam_newton) <= 1e-12 * lam_newton, (s.name, j, x)
+                checked += 1
+    assert checked > 300
 
 
 def test_project_far_start_onto_quartic_ball():

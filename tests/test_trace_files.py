@@ -32,11 +32,11 @@ EX58_N3_SHA = "d1b63cd751a9dfbf7c735ca8a49a16095dfca83b968b20523a92c95e89094043"
 HAND_BUILT_SHA = "297f3e2b5eb93672831e74d27c3aa6b3881c3b7ffd8445d556d22f3465013a14"
 LENS_ERRORBOUND_SHA = "d222ac48cc2cc6cc8c8def36925ff4f736395119204b8ee6fff741dd3a686760"
 EX57_D4_SHA = "ab91800786f4a5e4f45d3f4acd366dff5abc25af6cdc863f0e8ca2a35cb3057e"
-CROSSED_LENS_ERRORBOUND_SHA = "1d51fe63a07cdf00c0766794f13110c2cb955954717c85329b141c5d382e2bd3"
+CROSSED_LENS_ERRORBOUND_SHA = "4c8814b64d59b8d1f40b5956b621a1e9696dfa61c6c396c6195d180efbbb41da"
 EX58_N2_ALTERNATING_SHA = "3e353c5123c409f7425a54664b72d6c00beefb6c9db7de32d02ab00316910794"
 EX57_D2_SHA = "d3c11038ab138b24e6d0fe42ed508b12ce2ef50070f44d41fa39fcdfc665b6aa"
-MULTI_CONSTRAINT_PROJECTIONS_SHA = "80e44aa8235effe33d0ec8fb44187c1a3bf4a30df4d1bb0e3af21e0ebcfe09b0"
-WARM_MULTI_CONSTRAINT_PROJECTIONS_SHA = "6b3acd3d05b930c4fc1755621f20d328926d3c8b753b2bc122d1ec6140946210"
+MULTI_CONSTRAINT_PROJECTIONS_SHA = "61ce64b6ea298ea0e232854fc3078e8e3afa11fff40fd00729da47e9d4566b49"
+WARM_MULTI_CONSTRAINT_PROJECTIONS_SHA = "8c027088cdb616a93f71b33543d60bc9fb00ca91b83df80b5621a06f42befd6c"
 
 
 def _sha256(path) -> str:
@@ -232,6 +232,49 @@ def test_final_sweep_only_recording():
     assert final.thinned and final.total_steps == 4000
     assert after == after_thinned
     assert final.iterates == list(after) == thinned.iterates[-2:]
+    # the final sweep's residuals are computed from its kept pre-step points
+    assert final.residuals_before == thinned.residuals_before[-2:]
+    assert final.step_norms == thinned.step_norms[-2:]
+
+
+def test_thinned_run_records_the_dense_run_columns():
+    # 12,000 steps, past the dense head of 10^4: a thinned run computes the
+    # residual of a recorded step only, and its columns are the dense run's
+    problem = get_entry("ex5.5").problem
+    dense, _ = engine._run_steps(problem, (0.3, 1.9), 6000, 10**6, None)
+    thinned, _ = engine._run_steps(problem, (0.3, 1.9), 6000, 1, None)
+    assert thinned.thinned and not dense.thinned
+    assert 10**4 < len(thinned.ks) < 12000 and thinned.ks[-1] == 12000
+    rows = [k - 1 for k in thinned.ks]
+    assert _hex(thinned.residuals_before) == _hex(dense.residuals_before[i] for i in rows)
+    assert _hex(thinned.step_norms) == _hex(dense.step_norms[i] for i in rows)
+    assert thinned.iterates == [dense.iterates[i] for i in rows]
+
+
+@pytest.mark.parametrize("record_cap", [0, 1])
+def test_failing_thinned_run_keeps_its_residual_column(monkeypatch, record_cap):
+    # a projection that fails at step 7 ends a thinned run; its partial
+    # trace holds the final sweep before it, residuals included
+    problem = get_entry("ex5.5").problem
+    dense, _ = engine._run_steps(problem, (0.3, 1.9), 10, 10**6, None)
+    calls = []
+    project_once = engine.project
+
+    def failing(s, x, start=None):
+        calls.append(x)
+        if len(calls) == 7:
+            raise ProjectionError("injected failure")
+        return project_once(s, x, start=start)
+
+    monkeypatch.setattr(engine, "project", failing)
+    with pytest.raises(engine.ProjectionStepError) as exc_info:
+        engine._run_steps(problem, (0.3, 1.9), 10, record_cap, None)
+    partial = exc_info.value.partial_trace
+    assert exc_info.value.step_index == 7 and partial.total_steps == 6
+    assert partial.ks[-2:] == [5, 6] and len(partial.ks) == (2 if record_cap == 0 else 6)
+    rows = [k - 1 for k in partial.ks]
+    assert _hex(partial.residuals_before) == _hex(dense.residuals_before[i] for i in rows)
+    assert _hex(partial.step_norms) == _hex(dense.step_norms[i] for i in rows)
 
 
 def test_refinement_records_at_most_one_sweep(tmp_path, monkeypatch):
@@ -291,14 +334,16 @@ def test_two_active_constraint_polish_errorbound_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sets, "_kkt_newton", recording)
     assert cli.main(_crossed_lens_errorbound_args(tmp_path)) == 0
-    assert active_sizes.count(2) == 3 and set(active_sizes) == {1, 2}
+    # a working set of one disk takes the disk's closed form
+    assert active_sizes == [2, 2, 2]
     assert _sha256(tmp_path / "eb.json") == CROSSED_LENS_ERRORBOUND_SHA
 
 
 def test_probe_takes_the_first_distance_from_the_refinement(tmp_path, monkeypatch):
     # without an oracle each sample's refinement starts with the cold
     # projection onto the first set, so the probe computes only the other
-    # m - 1 distances, next to the m of the refined point's certificate
+    # m - 1 distances; the refined point's certificate comes from the final
+    # sweep, with no distance
     from cycproj import analysis
 
     calls = []
@@ -310,7 +355,7 @@ def test_probe_takes_the_first_distance_from_the_refinement(tmp_path, monkeypatc
 
     monkeypatch.setattr(analysis, "distance", counting)
     assert cli.main(_crossed_lens_errorbound_args(tmp_path)) == 0
-    assert len(calls) == 40 * 3 and calls.count("lens") == 40
+    assert calls == ["lens-t"] * 40
     assert _sha256(tmp_path / "eb.json") == CROSSED_LENS_ERRORBOUND_SHA
     # with an oracle there is no refinement: m distances per sample
     calls.clear()
