@@ -129,7 +129,8 @@ def _factory(source: str, count: int):
     object against one globals dict, so kernels sharing code must share their
     globals too."""
     names = ", ".join(f"c{i}" for i in range(count))
-    namespace = {"__builtins__": {}, "abs": abs, "isfinite": math.isfinite, "range": range, "sqrt": math.sqrt}
+    namespace = {"__builtins__": {}, "OverflowError": OverflowError, "abs": abs, "isfinite": math.isfinite,
+                 "range": range, "sqrt": math.sqrt}
     exec(f"def make({names}):\n{_block(source.splitlines(), 1)}\n    return kernel\n", namespace)
     return namespace["make"]
 
@@ -421,11 +422,11 @@ def halfspace_kernel(a, b):
 
 def ball_kernel(c, r):
     """Compile the projection onto {x : ||x - c|| <= r}: with ``d_i = x_i - c_i``
-    and ``nrm = sqrt(0.0 + d_0 * d_0 + ...)``, None when nrm is not finite, x
-    when ``nrm <= r``, else ``c_i + (r / nrm) * d_i``."""
+    and ``nrm = sqrt(0.0 + d_0 * d_0 + ...)``, ``OverflowError`` when nrm is
+    not finite, x when ``nrm <= r``, else ``c_i + (r / nrm) * d_i``."""
     n = len(c)
     body = [f"{_names('x', n)}= x"] + [f"d{i} = x{i} - c{i}" for i in range(n)]
-    body += [f"nrm = sqrt({_squares('d', n)})", "if not isfinite(nrm):", "    return None",
+    body += [f"nrm = sqrt({_squares('d', n)})", "if not isfinite(nrm):", "    raise OverflowError('|x - c| is not finite')",
              f"if nrm <= c{n}:", "    return x", f"f = c{n} / nrm",
              "return (" + "".join(f"c{i} + f * d{i}, " for i in range(n)) + ")"]
     return _kernel("def kernel(x):\n" + _block(body, 1), [*c, r])

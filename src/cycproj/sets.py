@@ -12,10 +12,12 @@ projector dispatches, in order:
 
 :func:`_closed_form` reads a constraint's closed form from its coefficients
 when the set is built: an affine g whose normal a has 0 < <a, a> < inf is a
-halfspace, ``||x||^2 + <l, x> + c`` a ball.  Each runs in a straight-line
-kernel compiled with the set by ``poly.halfspace_kernel`` or
-``poly.ball_kernel``, kept with |grad g| (|a|, or 2r on the sphere).
-Branches (b) and (c) take that of a set's single constraint.
+:class:`Halfspace`, ``||x||^2 + <l, x> + c`` a :class:`Ball`.  Each shape's
+``compile`` gives its straight-line kernel (``poly.halfspace_kernel`` or
+``poly.ball_kernel``) and |grad g|, |a| or 2r; the set's table holds that
+pair or None for each constraint.  Branches (b) and (c) run the single
+constraint's kernel, before (a) (a kernel returns a point of its set as it
+is), and :func:`_closed_solve` that of a W of one constraint in the loop.
 
 The loop holds a working set W of constraints as equalities.  The first W
 is the constraint most violated at x.  A W of one ball or halfspace
@@ -56,6 +58,9 @@ start -- give bitwise identical projections.
 Errors come in two kinds.  Bad input raises ``ValueError``, and
 :class:`CapabilityError`, a check that needs an absent oracle, is one;
 :class:`ProjectionError` and its :class:`NumericalError` are solver failures.
+:func:`project` turns any ``OverflowError`` after its input checks, the ball
+kernel's on a non-finite |x - c| among them, into one :class:`NumericalError`,
+"overflow evaluating the constraints of" the set, as :func:`residual` does.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional, Sequence, Tuple, Union
 
-from .poly import Polynomial, ball_kernel, halfspace_kernel, newton_kernel, residual_kernel, solve_kernel
+from .poly import (Polynomial, ball_kernel, distance_kernel, halfspace_kernel, newton_kernel, residual_kernel,
+                   solve_kernel)
 
 Vector = Tuple[float, ...]
 
@@ -123,11 +129,7 @@ def vnorm(a: Sequence[float]) -> float:
 def vdist(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise ValueError(f"vector lengths {len(a)} and {len(b)} differ")
-    s = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        s += d * d
-    return math.sqrt(s)
+    return distance_kernel(len(a))(a, b)
 
 
 def as_vector(x: Sequence[float]) -> Vector:
@@ -154,6 +156,10 @@ class Halfspace:
     a: Vector
     b: float
 
+    def compile(self):
+        """The compiled projection onto the halfspace and |grad g| = |a|."""
+        return halfspace_kernel(self.a, self.b), vnorm(self.a)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -161,6 +167,10 @@ class Ball:
 
     center: Vector
     radius: float
+
+    def compile(self):
+        """The compiled projection onto the ball and |grad g| = 2r, on the sphere."""
+        return ball_kernel(self.center, self.radius), 2.0 * self.radius
 
 
 def _closed_form(g: Polynomial) -> Optional[Union[Halfspace, Ball]]:
@@ -217,13 +227,13 @@ class ConvexSetDescriptor:
     :class:`Ball` that :func:`_closed_form` reads from a single constraint's
     coefficients, or None; the projector dispatches on it.  The set holds
     every kernel its projection runs: :func:`residual`'s, compiled with it
-    from all the constraints, each constraint's closed form, and the Newton
-    kernel of each subset of active constraints, compiled on first use; all
-    keep the plain loops' arithmetic.
+    from all the constraints; ``_closed_forms``, one entry per constraint,
+    the ``compile()`` of its closed form or None; and the Newton kernel of
+    each subset of active constraints, compiled on first use.  All keep the
+    plain loops' arithmetic.
     """
 
-    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed", "_closed_forms",
-                 "_newton_kernels")
+    __slots__ = ("name", "constraints", "analytic_hint", "dimension", "_residual", "_closed_forms", "_newton_kernels")
 
     def __init__(self, name: str, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -237,18 +247,11 @@ class ConvexSetDescriptor:
                 raise ValueError("all constraints must share the ambient dimension")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "constraints", constraints)
-        # each constraint's closed form, read from it alone: its kernel and |grad g|, |a| or 2r
         hints = [_closed_form(g) for g in constraints]
-        forms = tuple(
-            (halfspace_kernel(h.a, h.b), vnorm(h.a)) if isinstance(h, Halfspace)
-            else (ball_kernel(h.center, h.radius), 2.0 * h.radius) if isinstance(h, Ball) else None
-            for h in hints
-        )
         object.__setattr__(self, "analytic_hint", hints[0] if len(hints) == 1 else None)
         object.__setattr__(self, "dimension", dim)
         object.__setattr__(self, "_residual", residual_kernel(constraints))
-        object.__setattr__(self, "_closed", forms[0][0] if self.analytic_hint else None)
-        object.__setattr__(self, "_closed_forms", forms if any(forms) else None)  # None: the loop skips its test
+        object.__setattr__(self, "_closed_forms", tuple(h.compile() if h else None for h in hints))
         # Newton kernels by the tuple of active constraint indices, compiled on first use
         object.__setattr__(self, "_newton_kernels", {})
 
@@ -373,27 +376,14 @@ def project(
     x = finite_vector(x, "point", s.dimension)
     if start is not None and len(start) != s.dimension:
         raise ValueError(f"warm start has length {len(start)}, set dimension is {s.dimension}")
-    closed = s._closed
-    if closed is not None:  # closed forms; only the ball's returns None, on overflow
-        y = closed(x)
-        if y is None:
-            raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
-        return y
-    # one pass over the constraints at x serves the feasibility test, the
-    # active-set test and the cold Newton seed
-    values = []
     try:
-        for g in s.constraints:
-            values.append(g.evaluate(x))
-    except OverflowError as exc:
-        # residual stops at a NaN value, so an overflow past one is met
-        # while projecting
-        nan_seen = any(v != v for v in values)
-        where = "while projecting onto" if nan_seen else "evaluating the constraints of"
-        raise NumericalError(f"overflow {where} {s.name!r}") from exc
-    if all(v <= 0.0 for v in values):  # NaN fails too
-        return x
-    try:
+        if s.analytic_hint is not None:  # branches (b) and (c)
+            return s._closed_forms[0][0](x)
+        # one pass over the constraints at x serves the feasibility test, the
+        # active-set test and the cold Newton seed
+        values = [g.evaluate(x) for g in s.constraints]
+        if all(v <= 0.0 for v in values):  # NaN fails too
+            return x
         # the first working set is the most violated constraint, warm started
         # when it is the only active one; a lone constraint NaN at x has none
         active = [j for j, v in enumerate(values) if v > -10.0 * FEASIBILITY_TOL]
@@ -404,7 +394,7 @@ def project(
         tried = reached = None  # from the first failure on: the W's tried, the points read
         while W is not None:
             rejected, seed = [], None
-            if s._closed_forms and len(W) == 1 and values[W[0]] > 0.0 and s._closed_forms[W[0]]:
+            if len(W) == 1 and values[W[0]] > 0.0 and s._closed_forms[W[0]]:
                 solution = _closed_solve(s, W[0], x)
                 y = _accept(s, *solution)
                 if y is None:
@@ -431,7 +421,7 @@ def project(
         best = tuple(min(reached, key=lambda y: residual(s, y)))
         raise ProjectionError(f"no KKT point found for set {s.name!r}", best=best, feasibility=residual(s, best))
     except OverflowError as exc:
-        raise NumericalError(f"overflow while projecting onto {s.name!r}") from exc
+        raise NumericalError(f"overflow evaluating the constraints of {s.name!r}") from exc
 
 
 def distance(s: ConvexSetDescriptor, x: Sequence[float]) -> float:
@@ -500,12 +490,11 @@ def _kkt_newton(s, active, x, seeds, rejected):
 
 
 def _closed_solve(s, j, x):
-    """The KKT point (y, (lam,)) of W = (j,) for x outside {g_j <= 0}, a ball or a halfspace, by its closed
-    form, lam = |x - y| / |grad g_j|; :class:`NumericalError` where the ball's kernel overflows."""
+    """The KKT point (y, (lam,)) of W = (j,) for x outside {g_j <= 0}, a ball or a halfspace: y from the
+    kernel of the constraint's ``compile``, lam = |x - y| / |grad g_j|; ``OverflowError`` where the ball's
+    kernel overflows, as in branches (b) and (c)."""
     kernel, grad_norm = s._closed_forms[j]
     y = kernel(x)
-    if y is None:
-        raise NumericalError(f"overflow evaluating the constraints of {s.name!r}")
     return y, (vdist(x, y) / grad_norm,)
 
 

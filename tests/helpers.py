@@ -305,6 +305,17 @@ def reference_residual(s, x):
     return worst
 
 
+def reference_distance(a, b):
+    """|a - b| as a plain loop: the squared differences summed from 0.0 in
+    index order, then ``math.sqrt``.  The compiled ``poly.distance_kernel``,
+    which ``sets.vdist`` runs, must match it bit for bit."""
+    s = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        s += d * d
+    return math.sqrt(s)
+
+
 def reference_halfspace(hint, x):
     """Projection onto the ``Halfspace`` {<a, x> <= b} by the vector
     helpers: x when ``vdot(a, x) - b <= 0``, else ``x_i - v * a_i / nn``."""
@@ -320,13 +331,13 @@ def reference_halfspace(hint, x):
 def reference_ball(hint, x):
     """Projection onto the ``Ball`` by the vector helpers: x when
     ``vnorm(x - center) <= radius``, else ``center + (radius / nrm) * (x -
-    center)``; None when the norm is not finite."""
+    center)``; ``OverflowError`` when the norm is not finite."""
     from cycproj.sets import vnorm, vsub
 
     dx = vsub(x, hint.center)
     nrm = vnorm(dx)
     if not math.isfinite(nrm):
-        return None
+        raise OverflowError("|x - center| is not finite")
     if nrm <= hint.radius:
         return x
     f = hint.radius / nrm

@@ -93,8 +93,14 @@ def test_overflow_is_a_numerical_error():
         project(s, (1e60, 1.0))
     # the first value is inf - inf = NaN, which the residual would have returned, then x^6 overflows
     s = ConvexSetDescriptor("nan-and-sextic", [Polynomial(2, {(2, 0): 1e200, (0, 2): -1e200}), sextic])
-    with pytest.raises(NumericalError, match="^overflow while projecting onto 'nan-and-sextic'$"):
+    with pytest.raises(NumericalError, match="^overflow evaluating the constraints of 'nan-and-sextic'$"):
         project(s, (1e60, 1e60))
+    # both disk values are +inf without raising, so W = (0,) takes the ball's kernel, whose |x - center| overflows
+    lens = ConvexSetDescriptor("lens", [Polynomial(2, {(2, 0): 1.0, (1, 0): c, (0, 2): 1.0, (0, 0): -0.75})
+                                        for c in (1.0, -1.0)])
+    for f in (project, distance):
+        with pytest.raises(NumericalError, match="^overflow evaluating the constraints of 'lens'$"):
+            f(lens, (1e154, 1e154))
 
 
 def test_projection_never_returns_a_point_of_unknown_membership():
@@ -923,8 +929,9 @@ def test_closed_form_kernels_match_the_vector_helpers_bit_for_bit(terms, points)
     hint = s.analytic_hint
     reference = reference_halfspace if isinstance(hint, Halfspace) else reference_ball
     for x in points:
-        expected = reference(hint, x)
-        if expected is None:
+        try:
+            expected = reference(hint, x)
+        except OverflowError:
             with pytest.raises(NumericalError, match="overflow evaluating the constraints of 'closed'"):
                 project(s, x)
         else:
