@@ -242,7 +242,7 @@ def _dist_to_intersection(problem: FeasibilityProblem, x) -> Tuple[float, Option
             first.append(last[0])
         return moved < stop_tol
 
-    # only the final point is used, so only the final sweep is recorded
+    # only the last projections are used, so nothing is recorded
     _, last = _run_steps(problem, as_vector(x), _REFINE_SWEEPS, 0, stop)
     xhat = last[-1]
     if sum(vdist(xhat, y) for y in last) > _CERT_TOL and sum(distance(s, xhat) for s in problem.sets) > _CERT_TOL:

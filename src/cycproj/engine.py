@@ -217,14 +217,14 @@ def _run_steps(
 
     A run of at most ``record_cap`` steps records them all; a longer one
     records its first 10^4 steps, checkpoints at rounded powers of 1.05 and
-    its final sweep, or only the final sweep for a cap of 0.  Only a recorded
-    step's pre-step residual is computed, a final sweep's when the trace is built.
+    its final sweep, or nothing for a cap of 0.  Only a recorded step's
+    pre-step residual is computed, a final sweep's when the trace is built.
     """
     m = len(problem.sets)
     max_steps = max_sweeps * m
     dense = max_steps <= record_cap
     keep = _checkpoints(max_steps) if record_cap and not dense else set()
-    final_sweep = deque(maxlen=m)  # a thinned run's last m steps, each with its pre-step point
+    final_sweep = deque(maxlen=m if record_cap else 0)  # a thinned run's last m steps, each with its pre-step point
     x = x0
     last: List[Optional[Vector]] = [None] * m
     n = problem.dimension

@@ -41,8 +41,11 @@ v_1 * v_1 + ...))``.
   preceded, when ``start`` is given and has the smaller ||F||, by ``start``
   with the least-squares multiplier of ``point - start = lam * grad
   g(start)`` clipped at 0; None when ``grad g(point)`` is 0.
-- A Newton kernel ``(point, seed, solve, max_iter, feas_tol, opt_tol)`` runs
-  at most ``max_iter`` Newton steps from a seed state until ``|s| <= opt_tol``
+- A Newton kernel ``(point, seed, solve, max_iter, feas_tol, opt_tol)`` takes
+  its seed in two forms: a KKT state, as ``kkt_seed`` returns it, or a point
+  and its multipliers ``(y..., lam_1..lam_p)``, whose state it first computes
+  with its trial step's arithmetic.  From that state it runs at most
+  ``max_iter`` Newton steps until ``|s| <= opt_tol``
   or ``|s| <= 4 eps * (1 + sum |point_i| + sum |y_i|)``, and every ``|v_j| <=
   feas_tol * max(1, z_j)``, the package's one scale rule, z_j being g_j's
   ``term_size`` at y; each step solves the bordered KKT system
@@ -130,7 +133,7 @@ def _factory(source: str, count: int):
     globals too."""
     names = ", ".join(f"c{i}" for i in range(count))
     namespace = {"__builtins__": {}, "OverflowError": OverflowError, "abs": abs, "isfinite": math.isfinite,
-                 "range": range, "sqrt": math.sqrt}
+                 "len": len, "range": range, "sqrt": math.sqrt}
     exec(f"def make({names}):\n{_block(source.splitlines(), 1)}\n    return kernel\n", namespace)
     return namespace["make"]
 
@@ -297,12 +300,18 @@ def _kkt_source(n: int, layout) -> str:
 # y..., l..., s..., v..., g..., fn, constraint k having multiplier l<k>, value
 # v<k>, gradient g<i>_<k> and Hessian h<i>_<j>_<k>; {system} solves for the
 # step d..., dl..., and {trial} computes the trial state x..., lt..., r...,
-# w..., u..., ft at (y..., l...) + t * step; 2^-50 = 4 eps times {scale} or
+# w..., u..., ft at (y..., l...) + t * step.  A seed of {short} items is a point
+# and its multipliers x..., lt..., whose state the trial lines after the x/lt
+# updates compute; any other seed is a state.  2^-50 = 4 eps times {scale} or
 # {floor} is the rounding floor of ||s|| or ||F||.  {feasible} tests each |v<k>|
 # <= feas_tol * max(1, z<k>), summing the term size z<k> only if |v<k>| > feas_tol.
 _NEWTON_SOURCE = """\
 def kernel(point, seed, solve, max_iter, feas_tol, opt_tol):
     {p}= point
+    if len(seed) == {short}:
+        {x}= seed
+{seed_state}
+        seed = {trial_state}
     {state} = seed
     for _ in range(max_iter):
         if not isfinite(fn):
@@ -380,6 +389,8 @@ def _newton_source(n: int, layout) -> str:
     scale = "1.0" + "".join(f" + abs({v}{i})" for v in "py" for i in range(n))
     return _NEWTON_SOURCE.format(
         p=_names("p", n),
+        short=n + p,
+        x=_names("x", n) + _names("lt", p),
         d=_names("d", n) + _names("dl", p),
         state=f"{_names('y', n)}{_names('l', p)}{_names('s', n)}{_names('v', p)}{grads('g')}fn",
         trial_state=f"{_names('x', n)}{_names('lt', p)}{_names('r', n)}{_names('w', p)}{grads('u')}ft",
@@ -389,6 +400,7 @@ def _newton_source(n: int, layout) -> str:
                               for k, (value, _, _) in enumerate(layout)),
         stat_squares=_squares("s", n),
         system2=_block(system, 2),
+        seed_state=_block(trial[n + p :], 2),
         trial2=_block(trial, 2),
         trial3=_block(trial, 3),
         result=f"({_names('y', n)}), ({_names('l', p)}), ({_names('v', p)}), ("

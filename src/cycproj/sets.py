@@ -407,7 +407,7 @@ def project(
                 for y0 in (x,) if reached[-1] is x else (x, reached[-1]):
                     seed = _feasibility_seed(s, W, x, y0)
                     if seed is not None:
-                        y = _kkt_newton(s, W, x, (seed[2],), rejected)
+                        y = _kkt_newton(s, W, x, ((*seed[0], *seed[1]),), rejected)
                         if y is not None:
                             break
             if y is not None:
@@ -439,31 +439,13 @@ def _solve_dense(A, b):
     return solve_kernel(len(b))(A, b)
 
 
-def _kkt_state(x, y, lams, vals, grads):
-    """The flat Newton state at (y, lams), from the values and gradients of
-    the active constraints at y: (y..., lams..., stationarity..., vals...,
-    each gradient..., ||F||), where F stacks the stationarity vector and the
-    values."""
-    stat = _stationarity(x, y, lams, grads)
-    fnorm = math.sqrt(vdot(stat, stat) + vdot(vals, vals))
-    return (*y, *lams, *stat, *vals, *[gi for grad in grads for gi in grad], fnorm)
-
-
-def _stationarity(x, y, lams, grads):
-    """y - x + sum_j lam_j grad g_j, from the gradients at y."""
-    stat = [yi - xi for yi, xi in zip(y, x)]
-    for lam, grad in zip(lams, grads):
-        for i, gi in enumerate(grad):
-            stat[i] += lam * gi
-    return stat
-
-
 def _kkt_newton(s, active, x, seeds, rejected):
     """Damped Newton on the KKT system of the active constraints:
     y = x - sum_j lam_j grad g_j(y), g_j(y) = 0.
 
-    Each of the ``seeds``, Newton states built by the caller (see
-    :func:`_kkt_state`), starts one attempt in turn, until one succeeds.
+    Each of the ``seeds``, a Newton state as ``kkt_seed`` returns it or a
+    point and its multipliers ``(y..., lams...)`` (see ``poly``), starts one
+    attempt in turn, until one succeeds.
     Each attempt runs the Newton kernel of the active constraints, cached on
     the set by their indices; an attempt succeeds when the kernel converges
     and :func:`_accept` passes its point.
@@ -539,7 +521,7 @@ def _project_penalty(s, x, values, W, rejected, seed, tried, reached):
     y0 = reached[-1]
     if len(W) == 1 and not rejected:
         seed = _feasibility_seed(s, W, x, y0)
-    y0, lam0 = rejected[-1] if rejected else seed[:2] if seed else (y0, [0.0] * len(W))
+    y0, lam0 = rejected[-1] if rejected else seed or (y0, [0.0] * len(W))
     reached.append(y0)
     drops = sorted(
         (lam, W[:i] + W[i + 1 :]) for i, lam in enumerate(lam0) if lam < -OPTIMALITY_TOL
@@ -559,14 +541,13 @@ def _project_penalty(s, x, values, W, rejected, seed, tried, reached):
 
 
 def _feasibility_seed(s, active, x, y):
-    """A Newton seed (y, lams, state) for projecting x with the active
-    constraints: Gauss-Newton steps from y onto {g_j = 0 : j active}, each
-    the least-norm step -G^T (G G^T)^-1 g(y) solved by :func:`_solve_dense`,
-    then the least-squares multipliers at the end point, and the Newton
-    state there.  Gradients only, no Hessian.  None when G G^T is singular
-    (dependent gradients), a value is not finite or overflows, or the steps,
-    which stop once every |g_j| is :func:`_small` by 1e-4 * FEASIBILITY_TOL,
-    end with one not small by FEASIBILITY_TOL."""
+    """A Newton seed (y, lams) for projecting x with the active constraints:
+    Gauss-Newton steps from y onto {g_j = 0 : j active}, each the least-norm
+    step -G^T (G G^T)^-1 g(y) solved by :func:`_solve_dense`, then the
+    least-squares multipliers at the end point.  Gradients only, no Hessian.
+    None when G G^T is singular (dependent gradients), a value is not finite
+    or overflows, or the steps, which stop once every |g_j| is :func:`_small`
+    by 1e-4 * FEASIBILITY_TOL, end with one not small by FEASIBILITY_TOL."""
     gs = [s.constraints[j] for j in active]
     vals = [g.evaluate(y) for g in gs]
     grads = [g.gradient(y) for g in gs]
@@ -588,7 +569,7 @@ def _feasibility_seed(s, active, x, y):
     # the least-squares multipliers minimize ||y - x + sum_j lam_j grad_j||
     rhs = [-sum(grad[i] * (y[i] - x[i]) for i in range(len(x))) for grad in grads]
     lam = _solve_dense(_gram(grads), rhs)
-    return None if lam is None else (y, lam, _kkt_state(x, y, lam, vals, grads))
+    return None if lam is None else (y, lam)
 
 
 def _penalty_value_grad(*args):

@@ -94,12 +94,17 @@ def state_at(g, x, y, lam):
 def assert_kernels_match(g, x, y, lam, start=None):
     """The seed kernel from x (and start), then the Newton kernel from each
     of its seeds and from the state at (y, lam); for a tuple of
-    polynomials, the Newton kernel from the state at (y, lam) alone."""
+    polynomials, the Newton kernel from the state at (y, lam) alone.  The
+    Newton kernel from the short seed (y..., lam...) must give what it gives
+    from the state at (y, lam)."""
     try:
         seed = state_at(g, x, y, lam)
         gx = g.evaluate(x) if isinstance(g, Polynomial) else None
     except OverflowError:
         assume(False)
+    gs, lams = ([g], (lam,)) if isinstance(g, Polynomial) else (list(g), lam)
+    kernel, limits = poly.newton_kernel(gs), (sets._solve_dense, 100, FEASIBILITY_TOL, OPTIMALITY_TOL)
+    assert outcome(kernel, x, (*y, *lams), *limits) == outcome(kernel, x, seed, *limits)
     if not isinstance(g, Polynomial):
         newton(g, x, seed)
         return

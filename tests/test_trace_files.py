@@ -203,7 +203,7 @@ def test_read_trace_accepts_quoted_fields(tmp_path):
     assert data.points == [(0.1, 0.2)]
 
 
-# -- refinement runs keep only their final sweep ----------------------------------
+# -- refinement runs record nothing -----------------------------------------------
 
 
 def _write_lens_problem(tmp_path):
@@ -228,13 +228,11 @@ def test_final_sweep_only_recording():
     thinned, after_thinned = engine._run_steps(problem, (0.3, 1.9), 2000, 1, None)
     final, after = engine._run_steps(problem, (0.3, 1.9), 2000, 0, None)
     assert len(thinned.ks) == 4000
-    assert final.ks == [3999, 4000] and final.set_indices == [0, 1]
+    # a cap of 0 records no row, so no pre-step residual is computed
+    assert len(final.ks) == len(final.iterates) == len(final.residuals_before) == len(final.step_norms) == 0
     assert final.thinned and final.total_steps == 4000
     assert after == after_thinned
-    assert final.iterates == list(after) == thinned.iterates[-2:]
-    # the final sweep's residuals are computed from its kept pre-step points
-    assert final.residuals_before == thinned.residuals_before[-2:]
-    assert final.step_norms == thinned.step_norms[-2:]
+    assert list(after) == thinned.iterates[-2:]
 
 
 def test_thinned_run_records_the_dense_run_columns():
@@ -254,7 +252,8 @@ def test_thinned_run_records_the_dense_run_columns():
 @pytest.mark.parametrize("record_cap", [0, 1])
 def test_failing_thinned_run_keeps_its_residual_column(monkeypatch, record_cap):
     # a projection that fails at step 7 ends a thinned run; its partial
-    # trace holds the final sweep before it, residuals included
+    # trace holds the final sweep before it, residuals included, or nothing
+    # for a cap of 0
     problem = get_entry("ex5.5").problem
     dense, _ = engine._run_steps(problem, (0.3, 1.9), 10, 10**6, None)
     calls = []
@@ -271,7 +270,7 @@ def test_failing_thinned_run_keeps_its_residual_column(monkeypatch, record_cap):
         engine._run_steps(problem, (0.3, 1.9), 10, record_cap, None)
     partial = exc_info.value.partial_trace
     assert exc_info.value.step_index == 7 and partial.total_steps == 6
-    assert partial.ks[-2:] == [5, 6] and len(partial.ks) == (2 if record_cap == 0 else 6)
+    assert partial.ks == ([] if record_cap == 0 else [1, 2, 3, 4, 5, 6])
     rows = [k - 1 for k in partial.ks]
     assert _hex(partial.residuals_before) == _hex(dense.residuals_before[i] for i in rows)
     assert _hex(partial.step_norms) == _hex(dense.step_norms[i] for i in rows)
@@ -293,7 +292,7 @@ def test_refinement_records_at_most_one_sweep(tmp_path, monkeypatch):
     args = ["errorbound", "--problem", str(_write_lens_problem(tmp_path)), "--center", "0,0",
             "--samples", "40", "--radius", "1.2", "--seed", "5", "--out", str(out)]
     assert cli.main(args) == 0
-    assert len(sizes) == 40 and max(sizes) <= 2
+    assert len(sizes) == 40 and max(sizes) == 0
     assert _sha256(out) == LENS_ERRORBOUND_SHA
 
 
