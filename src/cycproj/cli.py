@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import analysis, catalog, rates
 from .engine import (
-    Ints,
     Points,
     ProjectionStepError,
     Trace,
@@ -161,14 +160,14 @@ def save_problem(problem: FeasibilityProblem, path: str):
 
 @dataclass
 class TraceData:
-    """The columns of a trace file, in the layout of :class:`Trace`: the
-    :class:`Ints` views ``ks`` and ``set_indices``, the ``array('d')``
-    columns ``residuals_before`` and ``step_norms``, and the :class:`Points`
-    view ``points`` of the iterates."""
+    """The columns of a trace file, in the layout of :class:`Trace`: every
+    numeric column is an ``array`` (``array('q')`` ``ks`` and
+    ``set_indices``, ``array('d')`` ``residuals_before`` and ``step_norms``),
+    and ``points`` is the :class:`Points` view of the iterates."""
 
     dimension: int
-    ks: Ints
-    set_indices: Ints
+    ks: array
+    set_indices: array
     residuals_before: array
     step_norms: array
     points: Points
@@ -210,10 +209,10 @@ def read_trace(path: str) -> TraceData:
         if not header or header[:4] != _TRACE_COLUMNS or len(header) < 5:
             raise ValueError(f"{path}: not a trace file (bad header {header!r})")
         width = len(header)
-        data = TraceData(width - 4, Ints(), Ints(), array("d"), array("d"), Points(width - 4), thinned)
+        data = TraceData(width - 4, array("q"), array("q"), array("d"), array("d"), Points(width - 4), thinned)
         add_k, add_set, add_residual, add_step, add_coords = (
-            data.ks.values.append,
-            data.set_indices.values.append,
+            data.ks.append,
+            data.set_indices.append,
             data.residuals_before.append,
             data.step_norms.append,
             data.points.flat.extend,

@@ -6,14 +6,14 @@ m = 2 with a stop rule on the pair (a_k, b_k).
 
 A run produces a :class:`Trace` holding every recorded projection step: the
 post-step iterate, the index of the set projected onto, the residual of that
-set at the pre-step point, and the step norm.  The trace is columnar: the
-step and set indices are ``array('q')`` columns read through the
-:class:`Ints` view, the residuals and step norms are ``array('d')`` columns,
-and the iterates are one flat ``array('d')`` read through the :class:`Points`
-view, so a recorded step of an n-dimensional run holds 8(n + 4) bytes.  Long
-runs switch to thinned recording (dense head, geometrically spaced
-checkpoints, the final sweep).  Runs are strictly sequential and
-deterministic; traces are immutable once returned.
+set at the pre-step point, and the step norm.  The trace is columnar: every
+numeric column is an ``array`` (``'q'`` for the step and set indices, ``'d'``
+for the residuals and step norms), and the iterates are one flat
+``array('d')`` read through the :class:`Points` view, so a recorded step of
+an n-dimensional run holds 8(n + 4) bytes.  Long runs switch to thinned
+recording (dense head, geometrically spaced checkpoints, the final sweep).
+Runs are strictly sequential and deterministic; traces are immutable once
+returned.
 """
 
 from __future__ import annotations
@@ -112,40 +112,6 @@ class Points(SequenceABC):
         return f"Points({self.dimension}, {list(self)!r})"
 
 
-class Ints(SequenceABC):
-    """Read-only sequence of the ints in one ``array('q')``: a slice is
-    another view, and the view compares equal to a list of the same ints."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Optional[array] = None):
-        self.values = array("q") if values is None else values
-
-    @classmethod
-    def of(cls, ints) -> "Ints":
-        """The view of ``ints`` (an Ints or any iterable of ints)."""
-        return ints if isinstance(ints, Ints) else cls(array("q", ints))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return Ints(self.values[i]) if isinstance(i, slice) else self.values[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Ints):
-            return self.values == other.values
-        if isinstance(other, list):
-            return self.values.tolist() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Ints({self.values.tolist()!r})"
-
-
 @dataclass
 class Trace:
     """Recorded history of one projection run.
@@ -153,17 +119,18 @@ class Trace:
     ``ks`` are the recorded step indices (k >= 1, strictly increasing); the
     parallel columns hold the iterate reached at step k, the set projected
     onto, the residual of that set before the step, and the step norm.
-    ``ks`` and ``set_indices`` are :class:`Ints` views of ``array('q')``,
-    ``residuals_before`` and ``step_norms`` are ``array('d')``, and
-    ``iterates`` is a :class:`Points` view of one flat ``array('d')``; plain
-    lists are converted on construction.  ``x0`` is the start (step 0).
+    Every numeric column is an ``array``: ``ks`` and ``set_indices`` are
+    ``array('q')``, ``residuals_before`` and ``step_norms`` are
+    ``array('d')``, and ``iterates`` is a :class:`Points` view of one flat
+    ``array('d')``; plain lists are converted on construction.  ``x0`` is the
+    start (step 0).
     """
 
     problem: FeasibilityProblem
     x0: Vector
-    ks: Ints
+    ks: array
     iterates: Points
-    set_indices: Ints
+    set_indices: array
     residuals_before: array
     step_norms: array
     sets_per_sweep: int
@@ -171,13 +138,11 @@ class Trace:
     thinned: bool
 
     def __post_init__(self):
-        self.ks = Ints.of(self.ks)
-        self.set_indices = Ints.of(self.set_indices)
         self.iterates = Points.of(self.problem.dimension, self.iterates)
-        if not isinstance(self.residuals_before, array):
-            self.residuals_before = array("d", self.residuals_before)
-        if not isinstance(self.step_norms, array):
-            self.step_norms = array("d", self.step_norms)
+        for name, typecode in (("ks", "q"), ("set_indices", "q"), ("residuals_before", "d"), ("step_norms", "d")):
+            column = getattr(self, name)
+            if not isinstance(column, array):
+                setattr(self, name, array(typecode, column))
 
     def last_iterate(self) -> Vector:
         return self.iterates[-1] if self.iterates else self.x0
@@ -228,8 +193,8 @@ def _run_steps(
     x = x0
     last: List[Optional[Vector]] = [None] * m
     n = problem.dimension
-    trace = Trace(problem, x0, Ints(), Points(n), Ints(), array("d"), array("d"), m, 0, not dense)
-    ks, set_indices, flat = trace.ks.values, trace.set_indices.values, trace.iterates.flat
+    trace = Trace(problem, x0, array("q"), Points(n), array("q"), array("d"), array("d"), m, 0, not dense)
+    ks, set_indices, flat = trace.ks, trace.set_indices, trace.iterates.flat
     add_k, add_iterate, add_set = ks.append, flat.extend, set_indices.append
     add_residual, add_step = trace.residuals_before.append, trace.step_norms.append
 
@@ -343,16 +308,12 @@ class AlternatingResult:
 
 def _subtrace(combined: Trace, parity: int) -> Trace:
     keep = [k % 2 == parity for k in combined.ks]
+    flat = array("d", chain.from_iterable(compress(combined.iterates, keep)))
+    columns = {name: getattr(combined, name) for name in ("ks", "set_indices", "residuals_before", "step_norms")}
     return replace(
         combined,
-        ks=Ints(array("q", compress(combined.ks, keep))),
-        iterates=Points(
-            combined.problem.dimension,
-            array("d", chain.from_iterable(compress(combined.iterates, keep))),
-        ),
-        set_indices=Ints(array("q", compress(combined.set_indices, keep))),
-        residuals_before=array("d", compress(combined.residuals_before, keep)),
-        step_norms=array("d", compress(combined.step_norms, keep)),
+        iterates=Points(combined.problem.dimension, flat),
+        **{name: array(column.typecode, compress(column, keep)) for name, column in columns.items()},
     )
 
 

@@ -273,7 +273,7 @@ def test_cmd_run_fixed_point_start(tmp_path):
     code = cli.main(["run", "--example", "ex5.1", "--x0", "0,0", "--out", str(out)])
     assert code == 0
     data = read_trace(str(out))
-    assert data.ks == [1, 2, 3, 4]  # one sweep of fixed points
+    assert data.ks.tolist() == [1, 2, 3, 4]  # one sweep of fixed points
     assert all(p == (0.0, 0.0) for p in data.points)
 
 
@@ -313,7 +313,7 @@ def test_cmd_run_overflow_is_solver_failure(tmp_path, capsys):
     code = cli.main(["run", "--example", "ex5.8:n=2", "--x0", "1e100,0", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert read_trace(str(out) + ".partial").ks == []
+    assert read_trace(str(out) + ".partial").ks.tolist() == []
 
 
 def test_cmd_run_negative_start(tmp_path):
@@ -786,7 +786,7 @@ def test_ex32_projections_are_solver_failures_and_its_curve_keeps_its_bytes(tmp_
     args = ["run", "--example", "ex3.2:n=2,d=4", "--x0", "0.3,0.2", "--sweeps", "10", "--out", str(out)]
     assert cli.main(args) == 2
     assert "no KKT point found for set 'chain-0'" in capsys.readouterr().err
-    assert not out.exists() and read_trace(str(out) + ".partial").ks == []
+    assert not out.exists() and read_trace(str(out) + ".partial").ks.tolist() == []
     probe = tmp_path / "eb.json"
     args = ["errorbound", "--example", "ex3.2:n=2,d=2", "--center", "0,0", "--out", str(probe)]
     assert cli.main(args) == 2

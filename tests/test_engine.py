@@ -53,7 +53,7 @@ def test_cyclic_single_set_is_idempotent():
 def test_cyclic_trace_bookkeeping():
     entry = get_entry("ex5.5")
     trace = cyclic_project(entry.problem, (0.0, 2.0), max_sweeps=200, stop_tol=1e-14)
-    assert trace.ks == list(range(1, trace.total_steps + 1))
+    assert trace.ks.tolist() == list(range(1, trace.total_steps + 1))
     # step norms recomputable from consecutive iterates
     prev = trace.x0
     for i, k in enumerate(trace.ks):
@@ -125,8 +125,8 @@ def test_post_projection_check_stops_the_run(monkeypatch):
     assert err.step_index == 3
     assert err.set_index == 0
     assert err.partial_trace.total_steps == 2
-    assert err.partial_trace.ks == [1, 2]
-    assert err.partial_trace.set_indices == [0, 1]
+    assert err.partial_trace.ks.tolist() == [1, 2]
+    assert err.partial_trace.set_indices.tolist() == [0, 1]
     assert err.partial_trace.iterates == [(0.0, 2.0), (0.0, 0.0)]
 
 
@@ -138,7 +138,7 @@ def test_warm_started_iterates_match_cold_projections(entry_id):
     entry = get_entry(entry_id)
     A, B = entry.pair
     tr = alternating_project(A, B, entry.default_start, max_iters=200, stop_tol=1e-16).combined
-    assert tr.ks == list(range(1, 401))
+    assert tr.ks.tolist() == list(range(1, 401))
     prev = tr.x0
     for idx, x in zip(tr.set_indices, tr.iterates):
         assert vdist(x, project(entry.problem.sets[idx], prev)) <= 1e-12
@@ -183,9 +183,9 @@ def test_thinned_recording_structure():
     assert tr.thinned
     assert tr.total_steps == 30000
     ks = tr.ks
-    assert ks == sorted(ks)
+    assert ks.tolist() == sorted(ks)
     # dense head
-    assert ks[: 10**4] == list(range(1, 10**4 + 1))
+    assert ks[: 10**4].tolist() == list(range(1, 10**4 + 1))
     # sparse geometric tail
     tail = [k for k in ks if k > 10**4]
     assert len(tail) < 1500
@@ -199,7 +199,7 @@ def test_dense_recording_below_cap():
     A, B = entry.pair
     result = alternating_project(A, B, (0.0, 2.0), max_iters=50, stop_tol=1e-30)
     assert not result.combined.thinned
-    assert result.combined.ks == list(range(1, 101))
+    assert result.combined.ks.tolist() == list(range(1, 101))
 
 
 def test_thinned_recording_keeps_final_step():
@@ -224,7 +224,7 @@ def test_thinned_recording_keeps_final_sweep():
     )
     assert result.a_trace.ks[-1] == 29999
     assert result.a_trace.last_iterate() == result.limits[0]
-    assert result.combined.ks[-2:] == [29999, 30000]
+    assert result.combined.ks[-2:].tolist() == [29999, 30000]
 
 
 def test_thinned_final_sweep_merges_with_a_recorded_checkpoint():
@@ -235,8 +235,8 @@ def test_thinned_final_sweep_merges_with_a_recorded_checkpoint():
         A, B, (0.0, 2.0), max_iters=14628, stop_tol=1e-30, record_cap=1000
     )
     tr = result.combined
-    assert tr.ks[-3:] == [27862, 29255, 29256]
-    assert tr.set_indices[-2:] == [0, 1]
+    assert tr.ks[-3:].tolist() == [27862, 29255, 29256]
+    assert tr.set_indices[-2:].tolist() == [0, 1]
     assert (tr.iterates[-2], tr.iterates[-1]) == result.limits
 
 
@@ -267,10 +267,10 @@ def test_alternating_interleaving_indices():
     entry = get_entry("ex5.5")
     A, B = entry.pair
     result = alternating_project(A, B, (0.0, 2.0), max_iters=20, stop_tol=1e-30)
-    assert result.a_trace.ks == [2 * j - 1 for j in range(1, 21)]
-    assert result.b_trace.ks == [2 * j for j in range(1, 21)]
-    assert result.a_trace.set_indices == [0] * 20
-    assert result.b_trace.set_indices == [1] * 20
+    assert result.a_trace.ks.tolist() == [2 * j - 1 for j in range(1, 21)]
+    assert result.b_trace.ks.tolist() == [2 * j for j in range(1, 21)]
+    assert result.a_trace.set_indices.tolist() == [0] * 20
+    assert result.b_trace.set_indices.tolist() == [1] * 20
     # limits are the final pair
     assert result.limits[0] == result.a_trace.iterates[-1]
     assert result.limits[1] == result.b_trace.iterates[-1]

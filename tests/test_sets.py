@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,6 +465,64 @@ def test_projection_commutes_with_scaling(name):
         for x, y in zip(xs, ys):
             got = project(scaled, (sigma * x[0], sigma * x[1]))
             assert vdist(got, (sigma * y[0], sigma * y[1])) <= 1e-12 * sigma * (1.0 + math.hypot(*y)), (k, x)
+
+
+def _family_projections(name):
+    """40 points around the family's set C, from the scaling test's seed, and
+    their projections onto C."""
+    family = SCALING_FAMILIES[name]
+    rng = random.Random(11)
+    xs = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(40)]
+    base = ConvexSetDescriptor(name, [Polynomial(2, g) for g in family])
+    return family, xs, [project(base, x) for x in xs]
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_FAMILIES))
+def test_projection_commutes_with_signed_permutations(name):
+    # T(x)_i = s_i x_pi(i) maps C onto the set whose constraint g(T^-1 z) has
+    # the exponents alpha_pi(i) and the coefficient c_alpha prod_i s_i^alpha_pi(i),
+    # exact in binary; so P_TC(Tx) = T P_C(x), up to the summation order
+    family, xs, ys = _family_projections(name)
+    for perm in ((0, 1), (1, 0)):
+        for signs in itertools.product((1.0, -1.0), repeat=2):
+            def T(v):
+                return tuple(s * v[j] for s, j in zip(signs, perm))
+
+            mapped = ConvexSetDescriptor(name, [
+                Polynomial(2, {
+                    tuple(e[j] for j in perm): c * math.prod(s ** e[j] for s, j in zip(signs, perm))
+                    for e, c in g.items()
+                })
+                for g in family
+            ])
+            for x, y in zip(xs, ys):
+                got = project(mapped, T(x))
+                assert vdist(got, T(y)) <= 1e-12 * (1.0 + math.hypot(*y)), (perm, signs, x)
+
+
+def _translated(g, t):
+    """The coefficients of g(z - t), expanded exactly; each must be a float."""
+    out = {}
+    for (a0, a1), c in g.items():
+        for i, j in itertools.product(range(a0 + 1), range(a1 + 1)):
+            term = Fraction(c) * math.comb(a0, i) * math.comb(a1, j)
+            term *= Fraction(-t[0]) ** (a0 - i) * Fraction(-t[1]) ** (a1 - j)
+            out[(i, j)] = out.get((i, j), 0) + term
+    assert all(Fraction(float(v)) == v for v in out.values()), (g, t)
+    return {e: float(v) for e, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_FAMILIES))
+def test_projection_commutes_with_dyadic_translations(name):
+    # C + t has the constraints g(z - t), whose expanded coefficients are exact
+    # in binary for these dyadic t; so P_{C+t}(x + t) = P_C(x) + t
+    family, xs, ys = _family_projections(name)
+    for t in ((0.5, -0.25), (-1.0, 2.0), (0.125, 0.375), (3.0, -0.5)):
+        moved = ConvexSetDescriptor(name, [Polynomial(2, _translated(g, t)) for g in family])
+        for x, y in zip(xs, ys):
+            got = project(moved, (x[0] + t[0], x[1] + t[1]))
+            tol = 1e-12 * (1.0 + math.hypot(*y) + math.hypot(*t))
+            assert vdist(got, (y[0] + t[0], y[1] + t[1])) <= tol, (t, x)
 
 
 def test_seeded_newton_solves_evaluate_no_gradient_twice(monkeypatch):

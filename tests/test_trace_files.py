@@ -189,7 +189,7 @@ def test_write_trace_spans_several_chunks(tmp_path):
     write_trace(trace, str(path))
     lines = path.read_bytes().split(b"\r\n")
     assert len(lines) == rows + 2 and lines[-1] == b""
-    assert [int(line.split(b",")[0]) for line in lines[1:-1]] == trace.ks
+    assert [int(line.split(b",")[0]) for line in lines[1:-1]] == trace.ks.tolist()
     _assert_round_trip(trace, path, tmp_path)
 
 
@@ -199,7 +199,7 @@ def test_read_trace_accepts_quoted_fields(tmp_path):
         'k,set_index,residual_before,step_norm,x_0,x_1\r\n"1","0","0.5","0.25","0.1","0.2"\r\n'
     )
     data = read_trace(str(path))
-    assert data.ks == [1] and data.set_indices == [0]
+    assert data.ks.tolist() == [1] and data.set_indices.tolist() == [0]
     assert data.points == [(0.1, 0.2)]
 
 
@@ -270,7 +270,7 @@ def test_failing_thinned_run_keeps_its_residual_column(monkeypatch, record_cap):
         engine._run_steps(problem, (0.3, 1.9), 10, record_cap, None)
     partial = exc_info.value.partial_trace
     assert exc_info.value.step_index == 7 and partial.total_steps == 6
-    assert partial.ks == ([] if record_cap == 0 else [1, 2, 3, 4, 5, 6])
+    assert partial.ks.tolist() == ([] if record_cap == 0 else [1, 2, 3, 4, 5, 6])
     rows = [k - 1 for k in partial.ks]
     assert _hex(partial.residuals_before) == _hex(dense.residuals_before[i] for i in rows)
     assert _hex(partial.step_norms) == _hex(dense.step_norms[i] for i in rows)
